@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 from .profiles import ScalarProfile
 from .radial_core import FLOAT_FMT, HopfColeState
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
-                      find_eigenvalues)
+                      bessel_j01, find_eigenvalues)
 
 __all__ = [
     "BoundedProblem",
@@ -34,7 +34,6 @@ __all__ = [
     "green",
     "hopf_cole_boundary_state",
     "velocity",
-    "velocity_vector",
     "density",
     "large_time_velocity",
     "radial_mass",
@@ -142,8 +141,9 @@ class GreenEvaluator:
     inv_norms: np.ndarray
     include_zero: bool
     t_floor: float
-
-    # per-case eigenfunction tables ------------------------------------
+    # planar annulus only: per-mode inner-wall coefficients of J0 and Y0
+    ca: np.ndarray | None = None
+    cb: np.ndarray | None = None
 
     def active_modes(self, t: float) -> int:
         """Modes whose decay factor at time t still exceeds 1e-18 relative
@@ -153,10 +153,11 @@ class GreenEvaluator:
         lam2_cut = self.rates.min() ** 2 + 2.0 * math.log(1e18) / (self.problem.epsilon * t)
         return int(np.searchsorted(self.rates ** 2, lam2_cut)) + 1
 
-    def phi(self, r, deriv: int = 0, k: int | None = None) -> np.ndarray:
-        """(len(r), k) matrix of eigenfunction values (or d/dr values) for
-        the first k modes (all by default).  A zero-rate column, when
-        present, is the constant eigenfunction."""
+    def phi(self, r, k: int | None = None):
+        """(phi, dphi/dr): (len(r), k) matrices of eigenfunction values and
+        radial derivatives for the first k modes (all by default), from one
+        evaluation.  A zero-rate column, when present, is the constant
+        eigenfunction."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         pr = self.problem
         rates = self.rates if k is None else self.rates[:k]
@@ -166,43 +167,31 @@ class GreenEvaluator:
         z = r[:, None] * lam
         case = pr.case
         if case == DomainCase.BALL_2D:
-            j0, j1, _, _ = bessel_all(z.ravel())
-            j0 = j0.reshape(z.shape)
-            j1 = j1.reshape(z.shape)
-            out = j0 if deriv == 0 else -lam * j1
+            j0, j1 = (v.reshape(z.shape) for v in bessel_j01(z.ravel()))
+            out, dout = j0, -lam * j1
         elif case == DomainCase.BALL_3D:
             rr = r[:, None]
-            if deriv == 0:
-                out = np.sin(z) / rr
-            else:
-                out = lam * np.cos(z) / rr - np.sin(z) / rr ** 2
+            sz = np.sin(z)
+            out = sz / rr
+            dout = lam * np.cos(z) / rr - sz / rr ** 2
         elif case == DomainCase.ANNULUS_2D:
-            a1 = pr.q_inner / pr.epsilon
-            x1 = safe * pr.r_inner
-            j0i, j1i, y0i, y1i = bessel_all(x1)
-            ca = -a1 * y0i + safe * y1i
-            cb = -a1 * j0i + safe * j1i
-            j0, j1, y0, y1 = bessel_all(z.ravel())
-            j0, j1 = j0.reshape(z.shape), j1.reshape(z.shape)
-            y0, y1 = y0.reshape(z.shape), y1.reshape(z.shape)
-            if deriv == 0:
-                out = ca[None, :] * j0 - cb[None, :] * y0
-            else:
-                out = -lam * (ca[None, :] * j1 - cb[None, :] * y1)
+            ca = self.ca[None, :rates.size]
+            cb = self.cb[None, :rates.size]
+            j0, j1, y0, y1 = (v.reshape(z.shape) for v in bessel_all(z.ravel()))
+            out = ca * j0 - cb * y0
+            dout = -lam * (ca * j1 - cb * y1)
         else:  # spherical annulus
             b1 = pr.eigen.b1
             rr = r[:, None]
             u = lam * (rr - pr.r_inner)
             psi = b1 * np.sin(u) + pr.r_inner * lam * np.cos(u)
-            if deriv == 0:
-                out = psi / rr
-            else:
-                dpsi = lam * (b1 * np.cos(u) - pr.r_inner * lam * np.sin(u))
-                out = dpsi / rr - psi / rr ** 2
+            dpsi = lam * (b1 * np.cos(u) - pr.r_inner * lam * np.sin(u))
+            out = psi / rr
+            dout = dpsi / rr - psi / rr ** 2
         if zero_cols.any():
-            out = out.copy()
-            out[:, zero_cols] = 1.0 if deriv == 0 else 0.0
-        return out
+            out[:, zero_cols] = 1.0
+            dout[:, zero_cols] = 0.0
+        return out, dout
 
     def decay(self, t: float, reference: bool = True,
               k: int | None = None) -> np.ndarray:
@@ -222,8 +211,8 @@ class GreenEvaluator:
     def _terms(self, r, xi, t):
         pr = self.problem
         w = xi ** (pr.n - 1)
-        return (self.inv_norms * self.phi(np.array([r]))[0]
-                * self.phi(np.array([xi]))[0] * w * self.decay(t, reference=False))
+        return (self.inv_norms * self.phi(np.array([r]))[0][0]
+                * self.phi(np.array([xi]))[0][0] * w * self.decay(t, reference=False))
 
 
 def _zero_mode_norm(problem: BoundedProblem) -> float:
@@ -256,16 +245,22 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
         rates = eigs.values.copy()
     else:
         rates = eigs.values / problem.radius
-    inv_norms = 1.0 / _eigen_norms(problem, eigs.values, rates)
+    walls = (None, None)
+    if problem.case == DomainCase.ANNULUS_2D:
+        walls = _wall_coefficients(problem, rates)
+    inv_norms = 1.0 / _eigen_norms(problem, eigs.values, rates, walls)
     include_zero = problem.eigen.has_zero_mode
     if include_zero:
         rates = np.concatenate([[0.0], rates])
         inv_norms = np.concatenate([[1.0 / _zero_mode_norm(problem)], inv_norms])
+        if walls[0] is not None:   # placeholders: phi overwrites the constant column
+            walls = tuple(np.concatenate([[0.0], c]) for c in walls)
     if t_floor is None:
         # explicit term count: the floor is wherever its tail bound is met
         gap = rates[-1] ** 2 - rates.min() ** 2
         t_floor = 2.0 * math.log((1.0 + rates[-1]) * 1e14) / (eps * max(gap, 1e-300))
-    ev = GreenEvaluator(problem, eigs, rates, inv_norms, include_zero, t_floor)
+    ev = GreenEvaluator(problem, eigs, rates, inv_norms, include_zero, t_floor,
+                        *walls)
     tail = ev.decay(t_floor, reference=True)[-1] * (1.0 + rates[-1])
     if tail > 1e-10:
         raise TruncationError(
@@ -273,12 +268,22 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
     return ev
 
 
-def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray):
+def _wall_coefficients(problem: BoundedProblem, rates: np.ndarray):
+    """(ca, cb) of the planar-annulus eigenfunctions ca J0(rate r) -
+    cb Y0(rate r), which meet the Robin condition at the inner wall."""
+    a1 = problem.q_inner / problem.epsilon
+    j0i, j1i, y0i, y1i = bessel_all(rates * problem.r_inner)
+    return -a1 * y0i + rates * y1i, -a1 * j0i + rates * j1i
+
+
+def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray,
+                 walls=(None, None)):
     """Closed-form squared norms of the radial eigenfunctions with weight
-    r^(n-1); valid for any frequency, no eigenvalue identities needed."""
+    r^(n-1); valid for any frequency, no eigenvalue identities needed.
+    walls are the planar annulus's (ca, cb), computed here when absent."""
     case = problem.case
     if case == DomainCase.BALL_2D:
-        j0, j1, _, _ = bessel_all(mu)
+        j0, j1 = bessel_j01(mu)
         return 0.5 * problem.radius ** 2 * (j0 ** 2 + j1 ** 2)
     if case == DomainCase.BALL_3D:
         return 0.5 * problem.radius * (1.0 - np.sin(2.0 * mu) / (2.0 * mu))
@@ -286,12 +291,8 @@ def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray):
         a1 = problem.q_inner / problem.epsilon
         a2 = problem.q_outer / problem.epsilon
         r1, r2 = problem.r_inner, problem.r_outer
-        x1 = rates * r1
-        x2 = rates * r2
-        j0i, j1i, y0i, y1i = bessel_all(x1)
-        ca = -a1 * y0i + rates * y1i
-        cb = -a1 * j0i + rates * j1i
-        j0o, j1o, y0o, y1o = bessel_all(x2)
+        ca, cb = walls if walls[0] is not None else _wall_coefficients(problem, rates)
+        j0o, j1o, y0o, y1o = bessel_all(rates * r2)
         h2 = ca * j0o - cb * y0o
         # H(R1) = -2/(pi R1) exactly (Wronskian), independent of the data
         h1_sq = (2.0 / (math.pi * r1)) ** 2
@@ -340,7 +341,7 @@ class BoundedHopfCole:
         expo = -pr.q0.cumulative(nodes) / pr.epsilon
         self._shift = float(expo.max())
         weight = np.exp(expo - self._shift) * nodes ** (pr.n - 1) * wts
-        self.W = ev.phi(nodes).T @ weight            # (N,)
+        self.W = ev.phi(nodes)[0].T @ weight         # (N,)
         self.coef = ev.inv_norms * self.W
         # positivity probe on a coarse grid at and above the floor
         rs = np.linspace(a + 1e-3 * (b - a), b, 41)
@@ -354,68 +355,40 @@ class BoundedHopfCole:
     def time_floor(self) -> float:
         return self.ev.t_floor
 
+    def _weights(self, t: float, reference: bool):
+        """Active mode count k at time t and the k decayed series weights."""
+        k = self.ev.active_modes(t)
+        return k, self.coef[:k] * self.ev.decay(t, reference=reference, k=k)
+
     def evaluate(self, r, t: float, reference: bool = False) -> np.ndarray:
         """a(r, t) (up to the fixed positive normalization exp(shift));
         reference=True rescales by the slowest mode for large-t ratios."""
-        k = self.ev.active_modes(t)
-        e = self.ev.decay(t, reference=reference, k=k)
-        return self.ev.phi(r, k=k) @ (self.coef[:k] * e)
+        k, c = self._weights(t, reference)
+        return self.ev.phi(r, k=k)[0] @ c
 
     def derivative(self, r, t: float, reference: bool = False) -> np.ndarray:
-        k = self.ev.active_modes(t)
-        e = self.ev.decay(t, reference=reference, k=k)
-        return self.ev.phi(r, deriv=1, k=k) @ (self.coef[:k] * e)
+        k, c = self._weights(t, reference)
+        return self.ev.phi(r, k=k)[1] @ c
 
     def velocity(self, r, t: float):
         """q = -eps a_r / a, evaluated in the slow-mode-relative scaling."""
         if t < self.ev.t_floor:
             raise TruncationError(
                 f"t={t:g} below the series floor {self.ev.t_floor:g}")
-        den = self.evaluate(r, t, reference=True)
+        k, c = self._weights(t, reference=True)
+        phi, dphi = self.ev.phi(r, k=k)
+        den = phi @ c
         if np.any(np.abs(den) < 1e-300):
             raise TruncationError("series denominator underflow")
-        num = self.derivative(r, t, reference=True)
-        out = -self.ev.problem.epsilon * num / den
-        return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
-
-    def velocity_smooth(self, r, t: float):
-        """Velocity with the initial-data Taylor limit below the floor
-        (used by characteristic tracing, which must reach t = 0)."""
-        if t >= self.ev.t_floor:
-            return self.velocity(r, t)
-        pr = self.ev.problem
-        q0 = pr.q0
-        dq0 = q0.derivative_profile()
-        d2q0 = dq0.derivative_profile()
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        nm1 = pr.n - 1
-        qdot = (-q0(rr) * dq0(rr) + 0.5 * pr.epsilon *
-                (d2q0(rr) + nm1 / rr * dq0(rr) - nm1 / rr ** 2 * q0(rr)))
-        out = q0(rr) + t * qdot
-        return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
-
-    def velocity_derivative(self, r, t: float, h: float | None = None):
-        """dq/dr by centered differences of the series velocity."""
-        pr = self.ev.problem
-        a, b = pr.domain
-        if h is None:
-            h = 1e-6 * (b - a)
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        lo = np.maximum(rr - h, a + 1e-12 * (b - a))
-        hi = np.minimum(rr + h, b - 1e-12 * (b - a))
-        if t >= self.ev.t_floor:
-            qlo = self.velocity(lo, t)
-            qhi = self.velocity(hi, t)
-        else:
-            qlo = self.velocity_smooth(lo, t)
-            qhi = self.velocity_smooth(hi, t)
-        out = (qhi - qlo) / (hi - lo)
+        out = -self.ev.problem.epsilon * (dphi @ c) / den
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
     def velocity_and_derivative(self, r, t: float):
         """(q, dq/dr) from one eigenfunction evaluation: the second radial
         derivative comes for free from phi'' = -rate^2 phi - (n-1)/r phi',
-        so a_rr needs only an extra weighted sum of the same phi matrix."""
+        so a_rr needs only an extra weighted sum of the same phi matrix.
+        Below the series floor the initial-data Taylor limit stands in
+        (characteristic tracing must reach t = 0)."""
         pr = self.ev.problem
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if t < self.ev.t_floor:
@@ -428,11 +401,8 @@ class BoundedHopfCole:
             q = q0(rr) + t * qdot
             dq = dq0(rr)   # O(t) correction dropped; only used below the floor
             return q, dq
-        k = self.ev.active_modes(t)
-        e = self.ev.decay(t, reference=True, k=k)
-        c = self.coef[:k] * e
-        phi0 = self.ev.phi(rr, k=k)
-        phi1 = self.ev.phi(rr, deriv=1, k=k)
+        k, c = self._weights(t, reference=True)
+        phi0, phi1 = self.ev.phi(rr, k=k)
         a = phi0 @ c
         a_r = phi1 @ c
         a_rr = -(phi0 @ (c * self.ev.rates[:k] ** 2)) - (pr.n - 1) / rr * a_r
@@ -451,10 +421,10 @@ class BoundedHopfCole:
         res = 0.0
         walls = [(b, pr.q_boundary)] if not pr.is_annulus else \
             [(pr.r_inner, pr.q_inner), (pr.r_outer, pr.q_outer)]
+        k, c = self._weights(t, reference=True)
         for wall_r, qw in walls:
-            val = self.evaluate(np.array([wall_r]), t, reference=True)[0]
-            der = self.derivative(np.array([wall_r]), t, reference=True)[0]
-            res = max(res, abs(pr.epsilon * der + qw * val))
+            phi, dphi = self.ev.phi(np.array([wall_r]), k=k)
+            res = max(res, abs(pr.epsilon * (dphi @ c)[0] + qw * (phi @ c)[0]))
         return res / max(scale, 1e-300)
 
     def sample(self, grid_r: np.ndarray, grid_t: np.ndarray) -> HopfColeState:
@@ -478,14 +448,6 @@ def velocity(state: BoundedHopfCole, r, t: float):
     return state.velocity(r, t)
 
 
-def velocity_vector(state: BoundedHopfCole, x, t: float):
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ValueError("radial direction undefined at the origin")
-    return (x / r) * state.velocity(r, t)
-
-
 def large_time_velocity(problem: BoundedProblem, r,
                         ev: GreenEvaluator | None = None):
     """One-mode limit of the velocity; identically 0 for Neumann walls
@@ -494,9 +456,8 @@ def large_time_velocity(problem: BoundedProblem, r,
     if ev.include_zero:
         return 0.0 if np.isscalar(r) else np.zeros(np.asarray(r).shape)
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    num = ev.phi(rr, deriv=1)[:, 0]
-    den = ev.phi(rr)[:, 0]
-    out = -problem.epsilon * num / den
+    phi, dphi = ev.phi(rr)
+    out = -problem.epsilon * dphi[:, 0] / phi[:, 0]
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 

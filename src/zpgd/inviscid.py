@@ -89,7 +89,7 @@ class PathMinimum:
         if self.branch == "interior":
             v = interior_cost(r, self.r0, t) + problem.q0_cumulative(self.r0)
         else:
-            v = (boundary_cost(r, self.r0, t, self.t1, self.t2, problem.q_bound)
+            v = (boundary_cost(r, self.r0, t, self.t1, self.t2, problem)
                  + problem.q0_cumulative(self.r0))
         return abs(v - self.value)
 
@@ -104,14 +104,14 @@ def interior_cost(r: float, r0: float, t: float) -> float:
 
 
 def boundary_cost(r: float, r0: float, t: float, t1: float, t2: float,
-                  q_bound: ScalarProfile) -> float:
+                  problem: InviscidProblem) -> float:
     """Action of the three-segment path resting on the origin during
-    [t1, t2]; the two-segment family is the r0 = 0, t1 = 0 case.  A
-    positive launch radius with t1 = 0 costs +inf (vertical segment)."""
+    [t1, t2] under the problem's origin velocity; the two-segment family is
+    the r0 = 0, t1 = 0 case.  A positive launch radius with t1 = 0 costs
+    +inf (vertical segment)."""
     if not (0.0 <= t1 < t2 < t):
         raise ValueError("need 0 <= t1 < t2 < t")
-    vplus = q_bound.positive_part()
-    gain = 0.5 * (vplus.squared().cumulative(t2) - vplus.squared().cumulative(t1))
+    gain = problem.sojourn_gain(t2) - problem.sojourn_gain(t1)
     if t1 == 0.0:
         if r0 > 0.0:
             return math.inf

@@ -28,14 +28,6 @@ def _as_coeff_matrix(coeffs):
     return out
 
 
-def _polyval_local(coeffs, dx):
-    """Evaluate sum_k coeffs[k] * dx**k (Horner, highest term first)."""
-    acc = np.zeros_like(dx)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * dx + coeffs[..., k]
-    return acc
-
-
 @dataclass(frozen=True)
 class ScalarProfile:
     """Piecewise polynomial with clamped extension beyond the breakpoints.
@@ -57,6 +49,8 @@ class ScalarProfile:
     _coeff_rows: list = field(init=False, repr=False, compare=False)
     _int_rows: list = field(init=False, repr=False, compare=False)
     _cum_list: list = field(init=False, repr=False, compare=False)
+    # sup_abs() over the whole line, filled on first use
+    _sup_whole: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -84,6 +78,7 @@ class ScalarProfile:
         object.__setattr__(self, "_coeff_rows", cf[:, ::-1].tolist())
         object.__setattr__(self, "_int_rows", self._int_coeffs[:, ::-1].tolist())
         object.__setattr__(self, "_cum_list", self._cum.tolist())
+        object.__setattr__(self, "_sup_whole", None)
 
     # ------------------------------------------------------------------
     # constructors
@@ -211,7 +206,11 @@ class ScalarProfile:
     def sup_abs(self, lo: float | None = None, hi: float | None = None) -> float:
         """Max of |f| over [lo, hi] (defaults to the whole real line, where
         the clamped extension makes it the max over the breakpoint range).
-        Exact for degree <= 2; higher degrees add dense sampling."""
+        Exact for degree <= 2; higher degrees add dense sampling.  The
+        whole-line value is computed once per profile."""
+        whole = lo is None and hi is None
+        if whole and self._sup_whole is not None:
+            return self._sup_whole
         lo = self.breakpoints[0] if lo is None else max(lo, self.breakpoints[0])
         hi = self.breakpoints[-1] if hi is None else min(hi, self.breakpoints[-1])
         if hi < lo:
@@ -230,7 +229,10 @@ class ScalarProfile:
                             cand.append(x)
             if self.degree > 2:
                 cand.extend(np.linspace(lo, hi, 4097))
-        return float(np.max(np.abs(self(np.asarray(cand)))))
+        out = float(np.max(np.abs(self(np.asarray(cand)))))
+        if whole:
+            object.__setattr__(self, "_sup_whole", out)
+        return out
 
     def _split_at(self, new_points) -> "ScalarProfile":
         """Insert breakpoints (values unchanged)."""
@@ -289,10 +291,6 @@ class ScalarProfile:
             mono = np.array([_binom(k, j) * b ** (k - j) for j in range(k + 1)])
             rows.append(np.convolve(self.coeffs[i], mono))
         return ScalarProfile(self.breakpoints, _as_coeff_matrix(rows))
-
-    def kinks(self):
-        """Interior breakpoints, where derivatives may jump."""
-        return self.breakpoints[1:-1].copy()
 
 
 def _shift_poly(c, s):

@@ -26,6 +26,8 @@ __all__ = [
     "EigenProblem",
     "EigenvalueList",
     "bessel",
+    "bessel_all",
+    "bessel_j01",
     "bessel_j0",
     "bessel_j1",
     "bessel_y0",
@@ -49,8 +51,9 @@ class InsufficientScanRangeError(RuntimeError):
 # ascending series, x <= 8
 
 
-def _series_jy(x):
-    """J0, J1, Y0, Y1 by ascending series; accurate for 0 < x <= 8."""
+def _series_jy(x, with_y=True):
+    """J0, J1, Y0, Y1 by ascending series; accurate for 0 < x <= 8.
+    With with_y=False the Y sums are skipped and Y0, Y1 come back as None."""
     z = 0.25 * x * x
     u = np.ones_like(x)          # (-1)^k z^k / (k!)^2, sign folded in below
     v = np.full_like(x, 0.5)     # (-1)^k z^k / (k!(k+1)!) / 2, so J1/x = sum v
@@ -65,10 +68,13 @@ def _series_jy(x):
         v = v * (-z) / (k * (k + 1.0))
         j0 = j0 + u
         j1x = j1x + v
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
-        s0 = s0 - hk * u          # -(-1)^k H_k z^k/(k!)^2 = (-1)^{k+1} H_k ...
-        s1 = s1 + (hk + hk1) * v
+        if with_y:
+            hk += 1.0 / k
+            hk1 += 1.0 / (k + 1.0)
+            s0 = s0 - hk * u      # -(-1)^k H_k z^k/(k!)^2 = (-1)^{k+1} H_k ...
+            s1 = s1 + (hk + hk1) * v
+    if not with_y:
+        return j0, x * j1x, None, None
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log(0.5 * x) + _EULER_GAMMA
         y0 = (2.0 / math.pi) * (lg * j0 + s0)
@@ -81,8 +87,8 @@ def _series_jy(x):
 # Miller backward recurrence + Neumann series, 8 < x < 20
 
 
-def _miller_jy(x):
-    """J0, J1, Y0, Y1 on a batch with 8 < x < 20."""
+def _miller_jy(x, with_y=True):
+    """J0, J1, Y0, Y1 on a batch with 8 < x < 20 (Y None without with_y)."""
     n = x.shape[0]
     m_top = _MILLER_START
     table = np.zeros((m_top + 2, n))
@@ -93,6 +99,8 @@ def _miller_jy(x):
     norm = table[0] + 2.0 * table[2:m_top:2].sum(axis=0)
     table /= norm
     j0, j1 = table[0], table[1]
+    if not with_y:
+        return j0, j1, None, None
     lg = np.log(0.5 * x) + _EULER_GAMMA
     acc0 = np.zeros(n)
     acc1 = np.zeros(n)
@@ -111,7 +119,8 @@ def _miller_jy(x):
 # Hankel asymptotic expansion, x >= 20
 
 
-def _hankel_jy(x, order):
+def _hankel_jy(x, order, with_y=True):
+    """(J, Y) of the given order for x >= 20 (Y None without with_y)."""
     mu = 4.0 * order * order
     p = np.ones_like(x)
     q = np.zeros_like(x)
@@ -129,34 +138,31 @@ def _hankel_jy(x, order):
     omega = x - (2.0 * order + 1.0) * math.pi / 4.0
     amp = np.sqrt(2.0 / (math.pi * x))
     c, s = np.cos(omega), np.sin(omega)
-    return amp * (p * c - q * s), amp * (p * s + q * c)
+    return amp * (p * c - q * s), (amp * (p * s + q * c) if with_y else None)
+
+
+def _hankel_all(x, with_y=True):
+    j0, y0 = _hankel_jy(x, 0.0, with_y)
+    j1, y1 = _hankel_jy(x, 1.0, with_y)
+    return j0, j1, y0, y1
 
 
 # ---------------------------------------------------------------------------
 # public evaluators
 
 
-def _eval_all(x):
-    """(J0, J1, Y0, Y1) for positive x, array in/array out."""
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    y1 = np.empty_like(x)
-    small = x <= _SMALL_CUT
-    mid = (x > _SMALL_CUT) & (x < _LARGE_CUT)
-    big = x >= _LARGE_CUT
-    if small.any():
-        a, b, c, d = _series_jy(x[small])
-        j0[small], j1[small], y0[small], y1[small] = a, b, c, d
-    if mid.any():
-        a, b, c, d = _miller_jy(x[mid])
-        j0[mid], j1[mid], y0[mid], y1[mid] = a, b, c, d
-    if big.any():
-        xb = x[big]
-        a, c = _hankel_jy(xb, 0.0)
-        b, d = _hankel_jy(xb, 1.0)
-        j0[big], j1[big], y0[big], y1[big] = a, b, c, d
-    return j0, j1, y0, y1
+def _eval_all(x, with_y=True):
+    """(J0, J1, Y0, Y1) for positive x, array in/array out; with_y=False
+    returns (J0, J1) alone, skipping every Y accumulation (the J values are
+    the same bits either way)."""
+    out = tuple(np.empty_like(x) for _ in range(4 if with_y else 2))
+    for mask, regime in ((x <= _SMALL_CUT, _series_jy),
+                         ((x > _SMALL_CUT) & (x < _LARGE_CUT), _miller_jy),
+                         (x >= _LARGE_CUT, _hankel_all)):
+        if mask.any():
+            for dest, part in zip(out, regime(x[mask], with_y)):
+                dest[mask] = part
+    return out
 
 
 def _dispatch(x, which):
@@ -169,7 +175,7 @@ def _dispatch(x, which):
     else:
         if np.any(xf < 0.0):
             raise ValueError("J requires x >= 0")
-    out = _eval_all(np.maximum(xf, 1e-308))[which]
+    out = _eval_all(np.maximum(xf, 1e-308), with_y=which >= 2)[which]
     if which == 0:
         out = np.where(xf == 0.0, 1.0, out)
     elif which == 1:
@@ -202,12 +208,22 @@ def bessel(kind: str, order: int, x):
     return _dispatch(x, {"J": 0, "Y": 2}[kind] + order)
 
 
-def bessel_all(x):
-    """All four of (J0, J1, Y0, Y1) at once; x must be positive."""
+def _positive(x, name):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
-        raise ValueError("bessel_all requires x > 0")
-    return _eval_all(np.atleast_1d(x))
+        raise ValueError(f"{name} requires x > 0")
+    return np.atleast_1d(x)
+
+
+def bessel_all(x):
+    """All four of (J0, J1, Y0, Y1) at once; x must be positive."""
+    return _eval_all(_positive(x, "bessel_all"))
+
+
+def bessel_j01(x):
+    """(J0, J1) at once without the Y work; x must be positive.  The values
+    are bit-identical to the J0, J1 of bessel_all on the same x."""
+    return _eval_all(_positive(x, "bessel_j01"), with_y=False)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +336,8 @@ def characteristic_value(problem: EigenProblem, mu):
         raise ValueError("mu must be positive")
     case = problem.case
     if case == DomainCase.BALL_2D:
-        out = m * bessel_j1(m) - problem.robin_kr * bessel_j0(m)
+        j0, j1 = bessel_j01(m)
+        out = m * j1 - problem.robin_kr * j0
     elif case == DomainCase.BALL_3D:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = m * np.cos(m) / np.sin(m) + problem.robin_kr - 1.0
@@ -340,12 +357,12 @@ def _annulus2d_det(problem: EigenProblem, lam):
     a1 = problem.q_inner / problem.epsilon
     a2 = problem.q_outer / problem.epsilon
     r1, r2 = problem.r_inner, problem.r_outer
-    x1 = lam * r1
-    x2 = lam * r2
-    d1 = a1 * bessel_j0(x1) - lam * bessel_j1(x1)
-    e1 = a1 * bessel_y0(x1) - lam * bessel_y1(x1)
-    d2 = a2 * bessel_j0(x2) - lam * bessel_j1(x2)
-    e2 = a2 * bessel_y0(x2) - lam * bessel_y1(x2)
+    j0, j1, y0, y1 = bessel_all(lam * r1)
+    d1 = a1 * j0 - lam * j1
+    e1 = a1 * y0 - lam * y1
+    j0, j1, y0, y1 = bessel_all(lam * r2)
+    d2 = a2 * j0 - lam * j1
+    e2 = a2 * y0 - lam * y1
     return d1 * e2 - d2 * e1
 
 
@@ -434,10 +451,3 @@ def _bisect_batch(g, lo, hi, iters: int = 200):
         lo = np.where(done, mid, lo)
         hi = np.where(done, mid, hi)
     return 0.5 * (lo + hi)
-
-
-def extend_eigenvalues(eigs: EigenvalueList, count: int) -> EigenvalueList:
-    """Grow an eigenvalue list to at least `count` roots."""
-    if count <= len(eigs.values):
-        return eigs
-    return find_eigenvalues(eigs.problem, count, scan_step=eigs.scan_step)

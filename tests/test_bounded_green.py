@@ -239,12 +239,33 @@ def test_density_trivial_and_batch_consistency():
     assert np.abs(batch / point - 1).max() < 1e-6
 
 
-def test_velocity_derivative_fd_vs_fused():
-    pr = ball3d_problem()
-    st = bg.hopf_cole_boundary_state(pr)
-    rr = np.linspace(0.15, 0.9, 9)
-    _, dq = st.velocity_and_derivative(rr, 0.7)
-    dq_fd = st.velocity_derivative(rr, 0.7)
+def no_inflow_problem(case, eps=0.5):
+    # smoothstep q0 from the first wall's velocity (0 at a ball's centre) to
+    # the outer wall's, flat at both ends; CASES walls are all no-inflow
+    kw = CASES[case]
+    if case.is_annulus:
+        a, b, qa, qb = kw["r_inner"], kw["r_outer"], kw["q_inner"], kw["q_outer"]
+    else:
+        a, b, qa, qb = 0.0, kw["radius"], 0.0, kw["q_boundary"]
+    d, jump = b - a, qb - qa
+    q0 = ScalarProfile.from_pieces(
+        [a, b, b + d], [[qa, 0.0, 3 * jump / d ** 2, -2 * jump / d ** 3], [qb]])
+    return bg.BoundedProblem(case, eps, q0, smooth_rho(), **kw)
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=lambda c: c.value)
+def test_velocity_derivative_fd_vs_fused(case):
+    st = bg.hopf_cole_boundary_state(no_inflow_problem(case))
+    a, b = st.ev.problem.domain
+    t = 0.7
+    assert t > st.time_floor
+    rr = np.linspace(a + 0.15 * (b - a), a + 0.9 * (b - a), 9)
+    _, dq = st.velocity_and_derivative(rr, t)
+    # centered differences of the series velocity, clipped to the domain
+    h = 1e-6 * (b - a)
+    lo = np.maximum(rr - h, a + 1e-12 * (b - a))
+    hi = np.minimum(rr + h, b - 1e-12 * (b - a))
+    dq_fd = (st.velocity(hi, t) - st.velocity(lo, t)) / (hi - lo)
     assert np.abs(dq - dq_fd).max() < 1e-6
 
 

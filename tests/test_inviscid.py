@@ -28,27 +28,27 @@ def test_interior_cost_examples():
 
 
 def test_boundary_cost_examples():
-    qb0 = ScalarProfile.zero()
+    prob = make_problem(qb=ScalarProfile.zero())
     # costless sojourn: r^2/(2(t-t2)), minimized here over t2 -> 0
     t = 2.0
-    vals = [iv.boundary_cost(1.0, 0.0, t, 0.0, t2, qb0)
+    vals = [iv.boundary_cost(1.0, 0.0, t, 0.0, t2, prob)
             for t2 in (1e-6, 0.5, 1.0)]
     assert vals[0] == pytest.approx(1.0 / (2 * t), rel=1e-5)
     assert vals[0] < vals[1] < vals[2]
     # infinite sentinel: positive launch radius with t1 = 0
-    assert iv.boundary_cost(1.0, 0.5, 2.0, 0.0, 1.0, qb0) == math.inf
+    assert iv.boundary_cost(1.0, 0.5, 2.0, 0.0, 1.0, prob) == math.inf
     # t2 -> t diverges
-    assert iv.boundary_cost(1.0, 0.0, 2.0, 0.0, 2.0 - 1e-12, qb0) > 1e10
+    assert iv.boundary_cost(1.0, 0.0, 2.0, 0.0, 2.0 - 1e-12, prob) > 1e10
     with pytest.raises(ValueError):
-        iv.boundary_cost(1.0, 0.0, 2.0, 1.0, 0.5, qb0)
+        iv.boundary_cost(1.0, 0.0, 2.0, 1.0, 0.5, prob)
 
 
 def test_boundary_cost_constant_inflow_closed_form():
     # q_B = c > 0, r0 = 0, t1 = 0: optimum t2 = t - r/c, value c r - c^2 t/2
     c, r, t = 0.8, 0.5, 2.0
-    qb = ScalarProfile.constant(c)
+    prob = make_problem(qb=ScalarProfile.constant(c))
     grid = np.linspace(1e-6, t - 1e-6, 40001)
-    vals = np.array([iv.boundary_cost(r, 0.0, t, 0.0, t2, qb) for t2 in grid])
+    vals = np.array([iv.boundary_cost(r, 0.0, t, 0.0, t2, prob) for t2 in grid])
     k = int(np.argmin(vals))
     assert grid[k] == pytest.approx(t - r / c, abs=1e-4)
     assert vals[k] == pytest.approx(c * r - c * c * t / 2, abs=1e-7)

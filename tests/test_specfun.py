@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from zpgd.specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
-                          bessel, bessel_all, characteristic_value,
+                          bessel, bessel_all, bessel_j01, characteristic_value,
                           find_eigenvalues)
 
 # Frozen oracle values: bisection on the ascending power series at 40
@@ -95,6 +95,9 @@ def test_bessel_against_scipy_across_ranges():
                         np.linspace(8.001, 19.999, 1500),
                         np.linspace(20, 400, 1500)])
     j0, j1, y0, y1 = bessel_all(x)
+    # the J-only path skips the Y sums but must return the same bits
+    j0_only, j1_only = bessel_j01(x)
+    assert np.array_equal(j0_only, j0) and np.array_equal(j1_only, j1)
     for mine, ref in ((j0, special.j0(x)), (j1, special.j1(x)),
                       (y0, special.y0(x)), (y1, special.y1(x))):
         env = np.minimum(np.sqrt(2.0 / (np.pi * x)), 1.0)
