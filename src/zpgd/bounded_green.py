@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .profiles import ScalarProfile
-from .radial_core import FLOAT_FMT, HopfColeState
+from .radial_core import FLOAT_FMT, HopfColeState, gauss_panels
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
                       bessel_j01, find_eigenvalues)
 
@@ -333,11 +333,7 @@ class BoundedHopfCole:
         edges = np.unique(np.concatenate(
             [np.linspace(a, b, n_panels + 1),
              [k for k in pr.q0.breakpoints if a < k < b]]))
-        x, w = np.polynomial.legendre.leggauss(quad_points)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-        wts = (halves[:, None] * w[None, :]).ravel()
+        nodes, wts = gauss_panels(edges, quad_points)
         expo = -pr.q0.cumulative(nodes) / pr.epsilon
         self._shift = float(expo.max())
         weight = np.exp(expo - self._shift) * nodes ** (pr.n - 1) * wts
@@ -561,12 +557,7 @@ def radial_mass(state: BoundedHopfCole, t: float, n_panels: int = 16,
     a, b = pr.domain
     lo = a + 1e-4 * (b - a) if not pr.is_annulus else a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
-    x, w = np.polynomial.legendre.leggauss(quad_points)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    wts = (halves[:, None] * w[None, :]).ravel()
+    nodes, wts = gauss_panels(np.linspace(lo, hi, n_panels + 1), quad_points)
     dens = density_batch(state, nodes, t)
     total = float((dens * nodes ** (pr.n - 1)) @ wts)
     if not pr.is_annulus:

@@ -528,7 +528,7 @@ def main(argv=None) -> int:
     p_eig.add_argument("--q-outer", type=float, default=0.0)
     p_eig.add_argument("--out", default="zpgd_out")
 
-    p_ver = sub.add_parser("verify", help="run only the checks of a scenario")
+    p_ver = sub.add_parser("verify", help="alias of run: same checks, same artifacts")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out", default="zpgd_out")
     p_ver.add_argument("--tolerance-scale", type=float, default=1.0)

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import i0e, i1e
 
 from .profiles import ScalarProfile
+from .radial_core import gauss_panels, leggauss
 
 __all__ = [
     "FreespaceProblem",
@@ -124,18 +125,8 @@ class MassQuadrature:
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-_GL_CACHE: dict = {}
-
-
-def _gl(npts: int):
-    if npts not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(npts)
-        _GL_CACHE[npts] = (x, w)
-    return _GL_CACHE[npts]
-
-
 def _gl_panel(fn, a, b, npts=15):
-    x, w = _gl(npts)
+    x, w = leggauss(npts)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = fn(mid + half * x)
     return half * (vals @ w)
@@ -270,12 +261,12 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float,
 
 
 def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
-                           panels: int = 32, npts: int = 8, derivs: bool = False):
-    """Vectorized radial velocity at many radii, one time (fixed composite
+                           npts: int = 8):
+    """Vectorized radial velocity q at many radii, one time (fixed composite
     rule per point; intended for smooth profiles inside the tracer).
 
-    With derivs=True also returns dq/dr obtained by differentiating the
-    quadrature (same nodes), which feeds the variational equation for the
+    Returns (q, dq/dr); dq/dr comes from differentiating the quadrature
+    (same nodes), which feeds the variational equation for the
     characteristic Jacobian without noise-amplifying differencing.
     """
     r = np.asarray(r, dtype=float)
@@ -291,8 +282,6 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
     if t < 1e-12 or span / max(well, 1e-300) > 0.7 * max_panels:
         pos = r > 0
         out[pos] = problem.q0(r[pos])
-        if not derivs:
-            return out
         dq = problem.q0.derivative_profile()(np.maximum(np.abs(r), 0.0))
         return out, dq
     w = _radial_window(problem, float(np.max(r)), t)
@@ -302,11 +291,7 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
     edges = np.unique(np.concatenate([
         np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
         [k for k in q0.breakpoints if lo < k < hi]]))
-    x, gw = _gl(npts)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    s = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    wts = (halves[:, None] * gw[None, :]).ravel()
+    s, wts = gauss_panels(edges, npts)
     q0s = q0(s)
     phi = q0.cumulative(s)
     sn = s ** (n - 1) * wts
@@ -316,13 +301,6 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
     alpha = r[:, None] * s[None, :] / (eps * t)
     sw = sn[None, :] * wgt
     mask = (r > 0)
-    if not derivs:
-        g0, g1 = _angular_factors(n, alpha)
-        den = (sw * g0).sum(axis=1)
-        num = (sw * g1 * q0s[None, :]).sum(axis=1)
-        ok = mask & (den > 0)
-        out[ok] = num[ok] / den[ok]
-        return out
     g0, g1, dg0, dg1 = _angular_factors(n, alpha, derivs=True)
     da_dr = (r[:, None] - s[None, :]) / (t * eps)
     dal_dr = s[None, :] / (eps * t)
@@ -444,8 +422,7 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
     h = span / 16.0
     h_min = abs(span) * h_min_frac
 
-    def step(y, s, h):
-        k1 = rhs(s, y)
+    def step(y, s, h, k1):
         k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(s + h, y + h * k3)
@@ -459,8 +436,11 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
                                f"at s={s!r}")
         if (s + h - s1) * np.sign(span) > 0:
             h = s1 - s
-        y_full = step(y, s, h)
-        y_half = step(step(y, s, 0.5 * h), s + 0.5 * h, 0.5 * h)
+        # the full step and the first half step share their first stage
+        k1 = rhs(s, y)
+        y_full = step(y, s, h, k1)
+        y_mid = step(y, s, 0.5 * h, k1)
+        y_half = step(y_mid, s + 0.5 * h, 0.5 * h, rhs(s + 0.5 * h, y_mid))
         err = np.max(np.abs(y_half - y_full) / (atol + rtol * np.maximum(np.abs(y_half), 1.0)))
         if err <= 15.0 or abs(h) <= h_min:
             y = y_half + (y_half - y_full) / 15.0
@@ -472,23 +452,16 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
 
 
 def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float,
-                        rtol=1e-8, with_jacobian: bool = False):
-    """Backward feet for a batch of radii at a common time; optionally also
-    d(foot)/dr via the variational equation integrated alongside."""
+                        rtol=1e-8):
+    """Backward feet for a batch of radii at a common time and d(foot)/dr
+    via the variational equation integrated alongside."""
     radii = np.asarray(radii, dtype=float)
     m = radii.size
-
-    if not with_jacobian:
-        def rhs(sigma, beta):
-            s = t - sigma
-            return -_radial_velocity_batch(problem, np.maximum(beta, 0.0), s)
-
-        return _rk4_doubling(rhs, radii, 0.0, t, rtol=rtol)
 
     def rhs(sigma, state):
         s = t - sigma
         beta, w = state[:m], state[m:]
-        q, dq = _radial_velocity_batch(problem, np.maximum(beta, 0.0), s, derivs=True)
+        q, dq = _radial_velocity_batch(problem, np.maximum(beta, 0.0), s)
         return np.concatenate([-q, -dq * w])
 
     state = _rk4_doubling(rhs, np.concatenate([radii, np.ones(m)]), 0.0, t, rtol=rtol)
@@ -507,7 +480,7 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float, fd_step=2e-3):
         r = float(np.linalg.norm(xv))
         if r == 0.0:
             return (x * 0.0, 1.0) if problem.n > 1 else (0.0, 1.0)
-        feet, dr0 = _trace_radial_batch(problem, np.array([r]), t, with_jacobian=True)
+        feet, dr0 = _trace_radial_batch(problem, np.array([r]), t)
         jac = float((max(feet[0], 1e-300) / r) ** (problem.n - 1) * dr0[0])
         if problem.n == 1:
             return float(np.sign(np.sum(xv)) * feet[0]), jac
@@ -576,7 +549,7 @@ def _support_image_radius(problem, t, quad):
 def _density_radial_batch(problem, radii, t):
     """rho at many radii, one time; one backward trace for the whole batch."""
     rr = np.maximum(np.abs(np.asarray(radii, dtype=float)), 1e-12)
-    feet, dr0 = _trace_radial_batch(problem, rr, t, with_jacobian=True)
+    feet, dr0 = _trace_radial_batch(problem, rr, t)
     jac = (np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0
     if np.any(jac <= 0):
         raise RuntimeError("non-positive characteristic Jacobian in mass grid")
@@ -587,27 +560,23 @@ def _density_radial_batch(problem, radii, t):
     return vals * jac
 
 
-def _panel_nodes(lo, hi, panels, pts):
-    x, w = _gl(pts)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def total_mass(problem: FreespaceProblem, t: float,
                quad: MassQuadrature | None = None):
     """Mass of rho(., t) over a ball containing the image of the initial
     support.  Returns (mass, error estimate) where the estimate compares
     against half the panel count (the two node sets share one backward
-    trace)."""
+    trace).  A radial n = 1 density is even, so its line integral is folded
+    onto [0, R] with half the panels of each grid and doubled."""
     quad = quad or MassQuadrature()
     radius = _support_image_radius(problem, t, quad)
-    lo = 0.0 if problem.n > 1 else -radius
-    n1, w1 = _panel_nodes(lo, radius, quad.panels, quad.points)
-    n2, w2 = _panel_nodes(lo, radius, max(quad.panels // 2, 4), quad.points)
+    fold = problem.n == 1 and problem.is_radial
+    half_line = problem.n > 1 or fold
+    fine, coarse = quad.panels, max(quad.panels // 2, 4)
+    if fold:
+        fine, coarse = -(-fine // 2), -(-coarse // 2)
+    lo = 0.0 if half_line else -radius
+    n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), quad.points)
+    n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), quad.points)
     nodes = np.concatenate([n1, n2])
     if t == 0.0:
         vals = np.array([_rho0_value(problem, r) for r in nodes])
@@ -617,7 +586,7 @@ def total_mass(problem: FreespaceProblem, t: float,
         vals = np.array([density(problem, r, t) for r in nodes])
     else:
         raise NotImplementedError("mass quadrature is radial or 1-D")
-    if problem.n > 1:
+    if half_line:
         vals = vals * surface_measure(problem.n) * np.abs(nodes) ** (problem.n - 1)
     m1 = float(vals[: n1.size] @ w1)
     m2 = float(vals[n1.size:] @ w2)

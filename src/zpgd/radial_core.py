@@ -10,6 +10,7 @@ on (4th order in r, 2nd order in t), and the CSV round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "HopfColeState",
     "fd_weights",
     "fd_derivative",
+    "gauss_panels",
+    "leggauss",
     "lift_to_vector",
     "velocity_from_hopf_cole",
     "viscous_residual",
@@ -84,6 +87,27 @@ def fd_derivative(values: np.ndarray, grid: np.ndarray, deriv: int,
         w = fd_weights(grid[s:s + width], grid[i], deriv)
         out[i] = np.tensordot(w, vals[s:s + width], axes=(0, 0))
     return np.moveaxis(out, 0, axis)
+
+
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre panels
+
+
+@lru_cache(maxsize=None)
+def leggauss(npts: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per npts."""
+    return np.polynomial.legendre.leggauss(npts)
+
+
+def gauss_panels(edges, npts: int):
+    """Nodes and weights of the npts-point Gauss rule on every panel
+    [edges[i], edges[i+1]], flattened panel by panel."""
+    x, w = leggauss(npts)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    weights = (halves[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

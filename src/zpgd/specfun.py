@@ -96,7 +96,12 @@ def _miller_jy(x, with_y=True):
     table[m_top] = 1.0
     for m in range(m_top, 0, -1):
         table[m - 1] = (2.0 * m / x) * table[m] - table[m + 1]
-    norm = table[0] + 2.0 * table[2:m_top:2].sum(axis=0)
+    # row by row, so a point's bits do not depend on the batch it sits in
+    # (numpy sums a one-column axis-0 reduction pairwise)
+    even = np.zeros(n)
+    for row in table[2:m_top:2]:
+        even += row
+    norm = table[0] + 2.0 * even
     table /= norm
     j0, j1 = table[0], table[1]
     if not with_y:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from zpgd import freespace as fs
 from zpgd.profiles import ScalarProfile
+from zpgd.radial_core import gauss_panels
 
 
 def quadratic_potential(eps=0.7):
@@ -141,6 +144,59 @@ def test_total_mass_conservation():
     assert abs(mz) < 1e-12
 
 
+def _full_line_mass(pr, t, quad):
+    """(mass, error estimate) with both of total_mass's grids on the whole
+    line [-R, R]."""
+    radius = fs._support_image_radius(pr, t, quad)
+    n1, w1 = gauss_panels(np.linspace(-radius, radius, quad.panels + 1), quad.points)
+    n2, w2 = gauss_panels(np.linspace(-radius, radius, max(quad.panels // 2, 4) + 1),
+                          quad.points)
+    if pr.is_radial:
+        vals = fs._density_radial_batch(pr, np.concatenate([n1, n2]), t)
+    else:
+        vals = np.array([fs._rho0_value(pr, x) for x in np.concatenate([n1, n2])])
+    m1 = float(vals[: n1.size] @ w1)
+    return m1, abs(m1 - float(vals[n1.size:] @ w2))
+
+
+def test_total_mass_radial_n1_folds_onto_half_line():
+    pr = compact_problem(1, 0.4)
+    quad = fs.MassQuadrature(panels=16, points=6)
+    for t in (0.0, 0.5, 2.0):
+        m, err = fs.total_mass(pr, t, quad)
+        m_ref, err_ref = _full_line_mass(pr, t, quad)
+        # the error estimate is a difference of two masses, so it is held
+        # to the same absolute bound as the masses themselves
+        assert abs(m - m_ref) <= 1e-13 * abs(m_ref)
+        assert abs(err - err_ref) <= 1e-13 * abs(m_ref)
+
+
+def test_total_mass_non_radial_n1_keeps_full_line():
+    # an off-centre bump: folding its line integral onto [0, R] would be wrong
+    bump = smooth_bump_rho()
+    pr = fs.FreespaceProblem(n=1, epsilon=0.4, phi0=lambda y: 0.0,
+                             grad_phi0=lambda y: 0.0,
+                             rho0=lambda x: float(bump(abs(x + 1.0))), rho0_support=3.0)
+    quad = fs.MassQuadrature()
+    m, err = fs.total_mass(pr, 0.0, quad)
+    m_ref, err_ref = _full_line_mass(pr, 0.0, quad)
+    assert m == m_ref and err == err_ref
+    assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
+
+
+def test_rk4_doubling_reuses_first_stage():
+    seen = set()
+
+    def rhs(s, y):
+        key = (s, y.tobytes())
+        assert key not in seen, f"rhs evaluated twice at s={s!r}"
+        seen.add(key)
+        return -y
+
+    y = fs._rk4_doubling(rhs, np.array([1.0]), 0.0, 1.0)
+    assert abs(y[0] - math.exp(-1.0)) < 1e-8
+
+
 def test_total_mass_radial_n3():
     pr = compact_problem(3, 0.5)
     m0, _ = fs.total_mass(pr, 0.0)
@@ -185,7 +241,7 @@ def test_batch_matches_scalar_adaptive():
     pr = compact_problem(1, 0.4)
     rr = np.linspace(0.05, 3.0, 17)
     for t in (0.1, 0.8):
-        qb = fs._radial_velocity_batch(pr, rr, t)
+        qb, _ = fs._radial_velocity_batch(pr, rr, t)
         qs = np.array([fs.radial_velocity(pr, float(r), t) for r in rr])
         assert np.abs(qb - qs).max() < 1e-11
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zpgd.radial_core import (HopfColeState, OriginError, PositivityError,
-                              RadialField, fd_derivative, fd_weights,
+                              RadialField, fd_derivative, fd_weights, gauss_panels,
                               heat_residual, lift_to_vector, read_radial_csv,
                               velocity_from_hopf_cole, viscous_residual,
                               write_radial_csv)
@@ -40,6 +40,15 @@ def test_fd_derivative_fourth_order():
     e1 = np.abs(d - exact).max()
     e2 = np.abs(d2 - 2 * np.cos(2 * x2) * np.exp(np.sin(2 * x2))).max()
     assert e1 / e2 > 10.0   # ~16 for 4th order
+
+
+def test_gauss_panels_integrate_polynomials_per_panel():
+    # an npts-point rule is exact to degree 2 npts - 1 on every panel
+    edges = np.array([-1.0, 0.25, 0.5, 2.0])
+    nodes, weights = gauss_panels(edges, 4)
+    assert nodes.shape == weights.shape == (12,)
+    assert np.all(np.diff(nodes) > 0)
+    assert weights @ nodes ** 7 == pytest.approx((2.0 ** 8 - 1.0) / 8.0, rel=1e-14)
 
 
 def test_lift_examples():

@@ -107,6 +107,16 @@ def test_bessel_against_scipy_across_ranges():
         assert np.abs(mine - ref).max() < 1e-13 * max(1.0, np.abs(ref).max() * 10)
 
 
+def test_bessel_values_do_not_depend_on_the_batch():
+    # a point's bits on the Miller range must not depend on which other
+    # arguments share the call
+    x = np.random.default_rng(5).uniform(8.0, 20.0, 2000)
+    batched = bessel_all(x)
+    single = np.array([[f[0] for f in bessel_all(np.array([v]))] for v in x]).T
+    for name, one, many in zip(("J0", "J1", "Y0", "Y1"), single, batched):
+        assert np.count_nonzero(one != many) == 0, name
+
+
 def test_bessel_wronskian_property():
     # J1 Y0 - J0 Y1 = 2/(pi x) for random arguments in all regimes
     rng = np.random.default_rng(11)
