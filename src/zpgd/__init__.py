@@ -7,7 +7,6 @@ brute-force oracles."""
 
 from .profiles import ScalarProfile
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel,
-                      bessel_j0, bessel_j1, bessel_y0, bessel_y1,
                       characteristic_value, find_eigenvalues)
 from .radial_core import (HopfColeState, RadialField, heat_residual,
                           lift_to_vector, read_radial_csv,

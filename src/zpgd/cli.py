@@ -3,7 +3,8 @@
 Subcommands: run, list-scenarios, eigen, verify.  A scenario is a small
 INI-style file (sections in brackets, dotted nesting, key = value) with
 profiles given as breakpoint tables.  Exit codes: 0 all checks pass,
-1 check failure, 2 parse error, 3 validation error.
+1 check failure, 2 parse error, 3 validation error, 4 numerical failure
+(a solver raised one of NUMERICAL_ERRORS; the report names it).
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from . import oracles as orc
 from . import shockfront as sfm
 from .profiles import ScalarProfile
 from .radial_core import FLOAT_FMT, RadialField, write_radial_csv
-from .specfun import DomainCase, EigenProblem, find_eigenvalues
+from .specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
+                      find_eigenvalues)
+
+NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.ConfinementError,
+                    orc.StabilityError, InsufficientScanRangeError)
 
 MODES = ("freespace", "ball", "annulus", "inviscid", "verify-rh",
          "oracle-compare", "eigen")
@@ -145,6 +150,7 @@ class RunContext:
         self.checks: list[tuple] = []
         self.artifacts: list[str] = []
         self.params: list[str] = []
+        self.failure: str | None = None
 
     def path(self, suffix: str) -> Path:
         p = self.out / f"{self.prefix}{suffix}"
@@ -174,7 +180,9 @@ class RunContext:
         for name, value, tol, ok in self.checks:
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}: "
                          f"|{FLOAT_FMT % value}| <= {FLOAT_FMT % tol}")
-        ok_all = all(c[3] for c in self.checks) if self.checks else True
+        ok_all = all(c[3] for c in self.checks) and self.failure is None
+        if self.failure is not None:
+            lines += ["", self.failure]
         lines += ["", f"result: {'PASS' if ok_all else 'FAIL'}", "artifacts:"]
         lines += [f"  {a}" for a in self.artifacts]
         path = self.out / f"{self.prefix}report.txt"
@@ -496,6 +504,11 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0,
     except (ValidationError, KeyError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
+    except NUMERICAL_ERRORS as exc:
+        ctx.failure = f"numerical failure: {type(exc).__name__}: {exc}"
+        ctx.write_report(mode)
+        print(ctx.failure, file=sys.stderr)
+        return 4
     ok = ctx.write_report(mode)
     print((out / f"{prefix}report.txt").read_text())
     return 0 if ok else 1

@@ -45,9 +45,13 @@ class StabilityError(RuntimeError):
 
 
 def _thomas_factor(lower, diag, upper):
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
+    """Thomas-algorithm factors (lower, cp, dp) as Python float lists, so
+    the per-step solve runs on Python floats (same operations, same bits
+    as numpy scalars, a fraction of the per-element cost)."""
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    n = len(diag)
+    cp = [0.0] * n
+    dp = [0.0] * n
     cp[0] = upper[0] / diag[0]
     dp[0] = diag[0]
     for i in range(1, n):
@@ -59,14 +63,15 @@ def _thomas_factor(lower, diag, upper):
 
 def _thomas_solve(factors, rhs):
     lower, cp, dp = factors
-    n = rhs.size
-    y = np.empty(n)
-    y[0] = rhs[0] / dp[0]
+    b = rhs.tolist()
+    n = len(b)
+    y = [0.0] * n
+    y[0] = prev = b[0] / dp[0]
     for i in range(1, n):
-        y[i] = (rhs[i] - lower[i] * y[i - 1]) / dp[i]
+        y[i] = prev = (b[i] - lower[i] * prev) / dp[i]
     for i in range(n - 2, -1, -1):
-        y[i] -= cp[i] * y[i + 1]
-    return y
+        y[i] = prev = y[i] - cp[i] * prev
+    return np.array(y)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +100,6 @@ def fd_heat_solve(n_dim: int, epsilon: float, initial, t_end: float,
     lower = 1.0 / h ** 2 - nm1 / (2.0 * h * r)
     upper = 1.0 / h ** 2 + nm1 / (2.0 * h * r)
     diag = np.full(n_cells, -2.0 / h ** 2)
-    gl = np.zeros(n_cells)
-    gu = np.zeros(n_cells)
     if ball:
         diag[0] += lower[0]            # a_{-1} = a_0 (even reflection)
     else:

@@ -28,10 +28,6 @@ __all__ = [
     "bessel",
     "bessel_all",
     "bessel_j01",
-    "bessel_j0",
-    "bessel_j1",
-    "bessel_y0",
-    "bessel_y1",
     "characteristic_value",
     "find_eigenvalues",
 ]
@@ -54,25 +50,27 @@ class InsufficientScanRangeError(RuntimeError):
 def _series_jy(x, with_y=True):
     """J0, J1, Y0, Y1 by ascending series; accurate for 0 < x <= 8.
     With with_y=False the Y sums are skipped and Y0, Y1 come back as None."""
-    z = 0.25 * x * x
+    mz = -(0.25 * x * x)         # -z, z = x^2 / 4
     u = np.ones_like(x)          # (-1)^k z^k / (k!)^2, sign folded in below
     v = np.full_like(x, 0.5)     # (-1)^k z^k / (k!(k+1)!) / 2, so J1/x = sum v
     j0 = np.ones_like(x)
     j1x = np.full_like(x, 0.5)   # J1(x)/x
     s0 = np.zeros_like(x)        # sum (-1)^{k+1} H_k z^k/(k!)^2
     s1 = np.full_like(x, 0.5)    # sum (H_k + H_{k+1}) v_k  (k=0 term: 1 * 1/2)
-    hk = 0.0
-    hk1 = 1.0
+    hk, hk1 = 0.0, 1.0           # harmonic numbers H_k, H_{k+1}
     for k in range(1, 48):
-        u = u * (-z) / (k * k)
-        v = v * (-z) / (k * (k + 1.0))
-        j0 = j0 + u
-        j1x = j1x + v
+        # in place; each operand and its order fix the bits of every CSV
+        u *= mz
+        u /= k * k
+        v *= mz
+        v /= k * (k + 1.0)
+        j0 += u
+        j1x += v
         if with_y:
             hk += 1.0 / k
             hk1 += 1.0 / (k + 1.0)
-            s0 = s0 - hk * u      # -(-1)^k H_k z^k/(k!)^2 = (-1)^{k+1} H_k ...
-            s1 = s1 + (hk + hk1) * v
+            s0 -= hk * u          # -(-1)^k H_k z^k/(k!)^2 = (-1)^{k+1} H_k ...
+            s1 += (hk + hk1) * v
     if not with_y:
         return j0, x * j1x, None, None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -92,10 +90,12 @@ def _miller_jy(x, with_y=True):
     n = x.shape[0]
     m_top = _MILLER_START
     table = np.zeros((m_top + 2, n))
-    table[m_top + 1] = 0.0
     table[m_top] = 1.0
     for m in range(m_top, 0, -1):
-        table[m - 1] = (2.0 * m / x) * table[m] - table[m + 1]
+        row = table[m - 1]          # (2m / x) J_m - J_{m+1}, filled in place
+        np.divide(2.0 * m, x, out=row)
+        row *= table[m]
+        row -= table[m + 1]
     # row by row, so a point's bits do not depend on the batch it sits in
     # (numpy sums a one-column axis-0 reduction pairwise)
     even = np.zeros(n)
@@ -109,11 +109,10 @@ def _miller_jy(x, with_y=True):
     lg = np.log(0.5 * x) + _EULER_GAMMA
     acc0 = np.zeros(n)
     acc1 = np.zeros(n)
-    sign = 1.0
     for k in range(1, (m_top - 2) // 2):
-        acc0 += sign * table[2 * k] / k
-        acc1 += sign * (table[2 * k - 1] - table[2 * k + 1]) / k
-        sign = -sign
+        step = np.add if k % 2 else np.subtract   # signs +, -, ...; q - t == q + (-t)
+        step(acc0, table[2 * k] / k, out=acc0)
+        step(acc1, (table[2 * k - 1] - table[2 * k + 1]) / k, out=acc1)
     y0 = (2.0 / math.pi) * (lg * j0 + 2.0 * acc0)
     # Y1 = -d/dx Y0, using J0' = -J1 and J_{2k}' = (J_{2k-1} - J_{2k+1})/2
     y1 = -(2.0 / math.pi) * (j0 / x - lg * j1) - (2.0 / math.pi) * acc1
@@ -124,31 +123,35 @@ def _miller_jy(x, with_y=True):
 # Hankel asymptotic expansion, x >= 20
 
 
-def _hankel_jy(x, order, with_y=True):
-    """(J, Y) of the given order for x >= 20 (Y None without with_y)."""
-    mu = 4.0 * order * order
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    t = np.ones_like(x)
-    sign_p = -1.0
-    sign_q = 1.0
-    for m in range(1, 31):
-        t = t * (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0 * x)
-        if m % 2 == 1:
-            q = q + sign_q * t
-            sign_q = -sign_q
-        else:
-            p = p + sign_p * t
-            sign_p = -sign_p
-    omega = x - (2.0 * order + 1.0) * math.pi / 4.0
-    amp = np.sqrt(2.0 / (math.pi * x))
-    c, s = np.cos(omega), np.sin(omega)
-    return amp * (p * c - q * s), (amp * (p * s + q * c) if with_y else None)
-
-
 def _hankel_all(x, with_y=True):
-    j0, y0 = _hankel_jy(x, 0.0, with_y)
-    j1, y1 = _hankel_jy(x, 1.0, with_y)
+    """J0, J1, Y0, Y1 for x >= 20 (Y None without with_y).  Both orders
+    share one loop and one denominator (m * 8.0) * x; the alternating
+    signs are applied by adding or subtracting t, the same bits as adding
+    sign * t since q + (-1.0 * t) == q - t."""
+    p0, p1 = np.ones_like(x), np.ones_like(x)
+    q0, q1 = np.zeros_like(x), np.zeros_like(x)
+    t0, t1 = np.ones_like(x), np.ones_like(x)
+    den = np.empty_like(x)
+    for m in range(1, 31):
+        np.multiply(m * 8.0, x, out=den)
+        c = (2.0 * m - 1.0) ** 2
+        t0 *= 0.0 - c            # mu - (2m - 1)^2 with mu = 4 order^2
+        t0 /= den
+        t1 *= 4.0 - c
+        t1 /= den
+        # odd m: q gets +t, -t, ...; even m: p gets -t, +t, ...
+        acc0, acc1 = (q0, q1) if m % 2 else (p0, p1)
+        step = np.add if m % 4 in (0, 1) else np.subtract
+        step(acc0, t0, out=acc0)
+        step(acc1, t1, out=acc1)
+    del t0, t1, den
+    amp = np.sqrt(2.0 / (math.pi * x))
+    out = []
+    for p, q, phase in ((p0, q0, math.pi / 4.0), (p1, q1, 3.0 * math.pi / 4.0)):
+        omega = x - phase
+        c, s = np.cos(omega), np.sin(omega)
+        out += [amp * (p * c - q * s), amp * (p * s + q * c) if with_y else None]
+    j0, y0, j1, y1 = out
     return j0, j1, y0, y1
 
 
@@ -170,47 +173,23 @@ def _eval_all(x, with_y=True):
     return out
 
 
-def _dispatch(x, which):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xf = np.atleast_1d(x)
-    if which >= 2:
-        if np.any(xf <= 0.0):
-            raise ValueError("Y requires x > 0")
-    else:
-        if np.any(xf < 0.0):
-            raise ValueError("J requires x >= 0")
-    out = _eval_all(np.maximum(xf, 1e-308), with_y=which >= 2)[which]
-    if which == 0:
-        out = np.where(xf == 0.0, 1.0, out)
-    elif which == 1:
-        out = np.where(xf == 0.0, 0.0, out)
-    return float(out[0]) if scalar else out
-
-
-def bessel_j0(x):
-    return _dispatch(x, 0)
-
-
-def bessel_j1(x):
-    return _dispatch(x, 1)
-
-
-def bessel_y0(x):
-    return _dispatch(x, 2)
-
-
-def bessel_y1(x):
-    return _dispatch(x, 3)
-
-
 def bessel(kind: str, order: int, x):
-    """Bessel function of the given kind ('J' or 'Y') and order (0 or 1)."""
+    """Bessel function of the given kind ('J' or 'Y') and order (0 or 1);
+    J takes x >= 0, Y needs x > 0."""
     if kind not in ("J", "Y"):
         raise ValueError("kind must be 'J' or 'Y'")
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    return _dispatch(x, {"J": 0, "Y": 2}[kind] + order)
+    x = np.asarray(x, dtype=float)
+    xf = np.atleast_1d(x)
+    if kind == "Y" and np.any(xf <= 0.0):
+        raise ValueError("Y requires x > 0")
+    if np.any(xf < 0.0):
+        raise ValueError("J requires x >= 0")
+    out = _eval_all(np.maximum(xf, 1e-308), with_y=kind == "Y")[2 * (kind == "Y") + order]
+    if kind == "J":
+        out = np.where(xf == 0.0, 1.0 - order, out)   # J0(0) = 1, J1(0) = 0
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def _positive(x, name):

@@ -58,6 +58,20 @@ residual = 1e-30
                     "--tolerance-scale", "1e22"]) == 0
 
 
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # one term cannot meet the series tail bound: a numerical failure (4),
+    # not a failed check (1), with the exception named in the report
+    text = cli.resolve_config("ball3d_smooth").replace("mode = ball\n",
+                                                       "mode = ball\nn_terms = 1\n")
+    cfg = tmp_path / "one_term.cfg"
+    cfg.write_text(text)
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert "numerical failure: TruncationError" in capsys.readouterr().err
+    report = (tmp_path / "ball3d_smooth_report.txt").read_text()
+    assert "numerical failure: TruncationError: series tail" in report
+    assert "result: FAIL" in report
+
+
 def test_gallery_covers_required_scenarios():
     names = [n for n, _ in cli.bundled_scenarios()]
     for case in ("ball2d", "ball3d", "annulus2d", "annulus3d"):

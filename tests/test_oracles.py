@@ -62,6 +62,73 @@ def test_fd_stability_guard():
         orc.fd_viscous_solve(ivp, cfg)
 
 
+def _numpy_thomas(lower, diag, upper, rhs):
+    # reference: the Thomas factor and recurrence on numpy scalars
+    n = diag.size
+    cp, dp = np.empty(n), np.empty(n)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = diag[0]
+    for i in range(1, n):
+        dp[i] = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / dp[i] if i < n - 1 else 0.0
+    y = np.empty(n)
+    y[0] = rhs[0] / dp[0]
+    for i in range(1, n):
+        y[i] = (rhs[i] - lower[i] * y[i - 1]) / dp[i]
+    for i in range(n - 2, -1, -1):
+        y[i] -= cp[i] * y[i + 1]
+    return y
+
+
+def _tridiag_residual(lower, diag, upper, y, rhs):
+    ay = diag * y
+    ay[1:] += lower[1:] * y[:-1]
+    ay[:-1] += upper[:-1] * y[1:]
+    scale = (np.abs(lower) + np.abs(diag) + np.abs(upper)) * np.abs(y).max() + np.abs(rhs)
+    return np.max(np.abs(ay - rhs) / scale)
+
+
+def test_thomas_solve_matches_numpy_recurrence(monkeypatch):
+    rng = np.random.default_rng(23)
+    systems = []
+    for n in (1, 2, 1200):
+        for _ in range(5):
+            lower, upper = rng.normal(size=n), rng.normal(size=n)
+            diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)) \
+                * rng.choice([-1.0, 1.0], n)
+            rhs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n)
+            systems.append((lower, diag, upper, rhs))
+    # the SBDF2 and startup factorizations of a ball3d viscous problem, with
+    # the right-hand sides of its first steps
+    factored, solved = [], []
+    factor, solve = orc._thomas_factor, orc._thomas_solve
+
+    def record_factor(lower, diag, upper):
+        fac = factor(lower, diag, upper)
+        factored.append((fac, (lower.copy(), diag.copy(), upper.copy())))
+        return fac
+
+    def record_solve(fac, rhs):
+        solved.append((fac, rhs.copy()))
+        return solve(fac, rhs)
+
+    monkeypatch.setattr(orc, "_thomas_factor", record_factor)
+    monkeypatch.setattr(orc, "_thomas_solve", record_solve)
+    q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 0.0, 0.75, -0.5], [0.25]])
+    ivp = orc.ViscousIVP(3, 0.5, 1e-3, 1.0, q0, ScalarProfile.constant(1.0), q_right=0.25)
+    orc.fd_viscous_solve(ivp, orc.FDSolverConfig(n_r=1200, t_samples=np.array([0.0, 0.01])))
+    assert len(factored) == 2 and len(solved) >= 3
+    for fac, args in factored:
+        systems += [(*args, rhs) for used, rhs in solved if used is fac]
+    assert len(systems) == 15 + len(solved)
+    for lower, diag, upper, rhs in systems:
+        y = solve(factor(lower, diag, upper), rhs)
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64
+        want = _numpy_thomas(lower, diag, upper, rhs)
+        assert np.array_equal(y.view(np.int64), want.view(np.int64))
+        assert _tridiag_residual(lower, diag, upper, y, rhs) < 1e-13
+
+
 def test_fd_heat_constant_preserved():
     cells, a = orc.fd_heat_solve(3, 0.5, lambda r: np.ones_like(r), 0.4, 1.0,
                                  q_outer=0.0, n_cells=400)
