@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .freespace import CharacteristicError
 from .profiles import ScalarProfile
 from .radial_core import FLOAT_FMT, HopfColeState, gauss_panels
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
@@ -491,7 +492,7 @@ def density(state: BoundedHopfCole, r: float, t: float,
     sol = solve_ivp(rhs, (t, 0.0), [r, 0.0], rtol=rtol, atol=1e-10,
                     events=events, dense_output=False, max_step=max(t / 8, 1e-3))
     if not sol.success:
-        raise RuntimeError(f"characteristic integration failed: {sol.message}")
+        raise CharacteristicError(f"characteristic integration failed: {sol.message}")
     beta0 = float(sol.y[0, -1])
     integral_qr = float(sol.y[1, -1])   # int_t^{t0} q_r ds  (negative orientation)
     if sol.status == 1:   # hit a wall

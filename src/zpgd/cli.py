@@ -30,6 +30,7 @@ from .specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
                       find_eigenvalues)
 
 NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.ConfinementError,
+                    fs.QuadratureBudgetError, fs.CharacteristicError,
                     orc.StabilityError, InsufficientScanRangeError)
 
 MODES = ("freespace", "ball", "annulus", "inviscid", "verify-rh",

@@ -54,6 +54,16 @@ class TimeDomainError(ValueError):
     pass
 
 
+class QuadratureBudgetError(RuntimeError):
+    """Adaptive quadrature ran out of depth or splits before a panel met
+    its tolerance."""
+
+
+class CharacteristicError(RuntimeError):
+    """A backward characteristic could not be traced: the step size
+    underflowed or the Jacobian of x -> X0 came out non-positive."""
+
+
 def surface_measure(n: int) -> float:
     """|S^{n-1}|: 2, 2*pi, 4*pi for n = 1, 2, 3."""
     return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
@@ -137,7 +147,9 @@ def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
 
     scale_fn maps the composite rough estimate to per-component tolerance
     scales (a single-panel estimate can miss a narrow peak entirely and
-    drive runaway refinement, so the rough pass is composite).
+    drive runaway refinement, so the rough pass is composite).  A panel is
+    accepted only once it converges; one that still needs splitting at
+    max_depth, or after `budget` splits, raises QuadratureBudgetError.
     """
     coarse0 = [_gl_panel(fn, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     rough = np.abs(np.sum(coarse0, axis=0))
@@ -151,8 +163,12 @@ def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
         left = _gl_panel(fn, a, m)
         right = _gl_panel(fn, m, b)
         fine = left + right
-        if depth >= max_depth or splits >= budget or np.all(np.abs(fine - coarse) <= tol):
+        if np.all(np.abs(fine - coarse) <= tol):
             total += fine
+        elif depth >= max_depth or splits >= budget:
+            raise QuadratureBudgetError(
+                f"panel [{a:g}, {b:g}] unconverged at depth {depth} after {splits} "
+                f"splits (max_depth {max_depth}, budget {budget})")
         else:
             splits += 1
             stack.append((a, m, depth + 1, left))
@@ -432,8 +448,8 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
     while (s1 - s) * np.sign(span) > 1e-14 * abs(span):
         guard += 1
         if guard > 100000:
-            raise RuntimeError("step underflow in characteristic integration "
-                               f"at s={s!r}")
+            raise CharacteristicError("step underflow in characteristic integration "
+                                      f"at s={s!r}")
         if (s + h - s1) * np.sign(span) > 0:
             h = s1 - s
         # the full step and the first half step share their first stage
@@ -525,7 +541,7 @@ def density(problem: FreespaceProblem, x, t: float) -> float:
     """rho(x,t) = rho0(X0) * J(X0) along the backward characteristic."""
     foot, jac = trace_characteristic(problem, x, t)
     if jac <= 0:
-        raise RuntimeError("non-positive characteristic Jacobian")
+        raise CharacteristicError("non-positive characteristic Jacobian")
     return _rho0_value(problem, foot) * jac
 
 
@@ -533,7 +549,7 @@ def flow_sample(problem: FreespaceProblem, x, t: float) -> FlowSample:
     u = velocity(problem, x, t)
     foot, jac = trace_characteristic(problem, x, t)
     if jac <= 0:
-        raise RuntimeError("non-positive characteristic Jacobian")
+        raise CharacteristicError("non-positive characteristic Jacobian")
     rho = _rho0_value(problem, foot) * jac
     return FlowSample(np.asarray(x, dtype=float), t, np.asarray(u), np.asarray(foot),
                       jac, rho)
@@ -552,7 +568,7 @@ def _density_radial_batch(problem, radii, t):
     feet, dr0 = _trace_radial_batch(problem, rr, t)
     jac = (np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0
     if np.any(jac <= 0):
-        raise RuntimeError("non-positive characteristic Jacobian in mass grid")
+        raise CharacteristicError("non-positive characteristic Jacobian in mass grid")
     if isinstance(problem.rho0, ScalarProfile):
         vals = problem.rho0(feet)
     else:

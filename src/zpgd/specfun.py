@@ -1,16 +1,10 @@
 """Bessel functions J0, J1, Y0, Y1 and transcendental eigenvalue solvers.
 
-The evaluators are self-contained double-precision routines:
-
-* ascending power series for x <= 8 (the Y series carry the usual
-  Euler-Mascheroni logarithmic term),
-* Miller backward recurrence plus Neumann series for 8 < x < 20
-  (plain Hankel asymptotics bottom out near 6e-12 at x ~ 12, too loose),
-* Hankel asymptotic expansions for x >= 20.
-
-On top of them sit the characteristic equations for the four radial
-Robin eigenvalue problems (disc and spherical ball, planar and spherical
-annulus) and a bracketed-bisection root scanner.
+J0, J1, Y0 and Y1 come from scipy.special (Cephes double-precision
+routines); this module adds the domain checks.  On top of them sit the
+characteristic equations for the four radial Robin eigenvalue problems
+(disc and spherical ball, planar and spherical annulus) and a
+bracketed-bisection root scanner.
 """
 
 from __future__ import annotations
@@ -20,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import j0, j1, y0, y1
 
 __all__ = [
     "DomainCase",
@@ -32,145 +27,15 @@ __all__ = [
     "find_eigenvalues",
 ]
 
-_EULER_GAMMA = 0.57721566490153286060651209008240243
-
-_SMALL_CUT = 8.0
-_LARGE_CUT = 20.0
-_MILLER_START = 80  # start order for backward recurrence on (8, 20)
-
 
 class InsufficientScanRangeError(RuntimeError):
     """Root bracketing exhausted the configured scan range."""
 
 
 # ---------------------------------------------------------------------------
-# ascending series, x <= 8
+# Bessel evaluators
 
-
-def _series_jy(x, with_y=True):
-    """J0, J1, Y0, Y1 by ascending series; accurate for 0 < x <= 8.
-    With with_y=False the Y sums are skipped and Y0, Y1 come back as None."""
-    mz = -(0.25 * x * x)         # -z, z = x^2 / 4
-    u = np.ones_like(x)          # (-1)^k z^k / (k!)^2, sign folded in below
-    v = np.full_like(x, 0.5)     # (-1)^k z^k / (k!(k+1)!) / 2, so J1/x = sum v
-    j0 = np.ones_like(x)
-    j1x = np.full_like(x, 0.5)   # J1(x)/x
-    s0 = np.zeros_like(x)        # sum (-1)^{k+1} H_k z^k/(k!)^2
-    s1 = np.full_like(x, 0.5)    # sum (H_k + H_{k+1}) v_k  (k=0 term: 1 * 1/2)
-    hk, hk1 = 0.0, 1.0           # harmonic numbers H_k, H_{k+1}
-    for k in range(1, 48):
-        # in place; each operand and its order fix the bits of every CSV
-        u *= mz
-        u /= k * k
-        v *= mz
-        v /= k * (k + 1.0)
-        j0 += u
-        j1x += v
-        if with_y:
-            hk += 1.0 / k
-            hk1 += 1.0 / (k + 1.0)
-            s0 -= hk * u          # -(-1)^k H_k z^k/(k!)^2 = (-1)^{k+1} H_k ...
-            s1 += (hk + hk1) * v
-    if not with_y:
-        return j0, x * j1x, None, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.log(0.5 * x) + _EULER_GAMMA
-        y0 = (2.0 / math.pi) * (lg * j0 + s0)
-        y1 = (2.0 / math.pi) * ((lg - _EULER_GAMMA) * (x * j1x) - 1.0 / x) \
-            - (x / math.pi) * (s1 - 2.0 * _EULER_GAMMA * j1x)
-    return j0, x * j1x, y0, y1
-
-
-# ---------------------------------------------------------------------------
-# Miller backward recurrence + Neumann series, 8 < x < 20
-
-
-def _miller_jy(x, with_y=True):
-    """J0, J1, Y0, Y1 on a batch with 8 < x < 20 (Y None without with_y)."""
-    n = x.shape[0]
-    m_top = _MILLER_START
-    table = np.zeros((m_top + 2, n))
-    table[m_top] = 1.0
-    for m in range(m_top, 0, -1):
-        row = table[m - 1]          # (2m / x) J_m - J_{m+1}, filled in place
-        np.divide(2.0 * m, x, out=row)
-        row *= table[m]
-        row -= table[m + 1]
-    # row by row, so a point's bits do not depend on the batch it sits in
-    # (numpy sums a one-column axis-0 reduction pairwise)
-    even = np.zeros(n)
-    for row in table[2:m_top:2]:
-        even += row
-    norm = table[0] + 2.0 * even
-    table /= norm
-    j0, j1 = table[0], table[1]
-    if not with_y:
-        return j0, j1, None, None
-    lg = np.log(0.5 * x) + _EULER_GAMMA
-    acc0 = np.zeros(n)
-    acc1 = np.zeros(n)
-    for k in range(1, (m_top - 2) // 2):
-        step = np.add if k % 2 else np.subtract   # signs +, -, ...; q - t == q + (-t)
-        step(acc0, table[2 * k] / k, out=acc0)
-        step(acc1, (table[2 * k - 1] - table[2 * k + 1]) / k, out=acc1)
-    y0 = (2.0 / math.pi) * (lg * j0 + 2.0 * acc0)
-    # Y1 = -d/dx Y0, using J0' = -J1 and J_{2k}' = (J_{2k-1} - J_{2k+1})/2
-    y1 = -(2.0 / math.pi) * (j0 / x - lg * j1) - (2.0 / math.pi) * acc1
-    return j0, j1, y0, y1
-
-
-# ---------------------------------------------------------------------------
-# Hankel asymptotic expansion, x >= 20
-
-
-def _hankel_all(x, with_y=True):
-    """J0, J1, Y0, Y1 for x >= 20 (Y None without with_y).  Both orders
-    share one loop and one denominator (m * 8.0) * x; the alternating
-    signs are applied by adding or subtracting t, the same bits as adding
-    sign * t since q + (-1.0 * t) == q - t."""
-    p0, p1 = np.ones_like(x), np.ones_like(x)
-    q0, q1 = np.zeros_like(x), np.zeros_like(x)
-    t0, t1 = np.ones_like(x), np.ones_like(x)
-    den = np.empty_like(x)
-    for m in range(1, 31):
-        np.multiply(m * 8.0, x, out=den)
-        c = (2.0 * m - 1.0) ** 2
-        t0 *= 0.0 - c            # mu - (2m - 1)^2 with mu = 4 order^2
-        t0 /= den
-        t1 *= 4.0 - c
-        t1 /= den
-        # odd m: q gets +t, -t, ...; even m: p gets -t, +t, ...
-        acc0, acc1 = (q0, q1) if m % 2 else (p0, p1)
-        step = np.add if m % 4 in (0, 1) else np.subtract
-        step(acc0, t0, out=acc0)
-        step(acc1, t1, out=acc1)
-    del t0, t1, den
-    amp = np.sqrt(2.0 / (math.pi * x))
-    out = []
-    for p, q, phase in ((p0, q0, math.pi / 4.0), (p1, q1, 3.0 * math.pi / 4.0)):
-        omega = x - phase
-        c, s = np.cos(omega), np.sin(omega)
-        out += [amp * (p * c - q * s), amp * (p * s + q * c) if with_y else None]
-    j0, y0, j1, y1 = out
-    return j0, j1, y0, y1
-
-
-# ---------------------------------------------------------------------------
-# public evaluators
-
-
-def _eval_all(x, with_y=True):
-    """(J0, J1, Y0, Y1) for positive x, array in/array out; with_y=False
-    returns (J0, J1) alone, skipping every Y accumulation (the J values are
-    the same bits either way)."""
-    out = tuple(np.empty_like(x) for _ in range(4 if with_y else 2))
-    for mask, regime in ((x <= _SMALL_CUT, _series_jy),
-                         ((x > _SMALL_CUT) & (x < _LARGE_CUT), _miller_jy),
-                         (x >= _LARGE_CUT, _hankel_all)):
-        if mask.any():
-            for dest, part in zip(out, regime(x[mask], with_y)):
-                dest[mask] = part
-    return out
+_BESSEL = {("J", 0): j0, ("J", 1): j1, ("Y", 0): y0, ("Y", 1): y1}
 
 
 def bessel(kind: str, order: int, x):
@@ -186,9 +51,7 @@ def bessel(kind: str, order: int, x):
         raise ValueError("Y requires x > 0")
     if np.any(xf < 0.0):
         raise ValueError("J requires x >= 0")
-    out = _eval_all(np.maximum(xf, 1e-308), with_y=kind == "Y")[2 * (kind == "Y") + order]
-    if kind == "J":
-        out = np.where(xf == 0.0, 1.0 - order, out)   # J0(0) = 1, J1(0) = 0
+    out = _BESSEL[kind, order](xf)
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -201,13 +64,15 @@ def _positive(x, name):
 
 def bessel_all(x):
     """All four of (J0, J1, Y0, Y1) at once; x must be positive."""
-    return _eval_all(_positive(x, "bessel_all"))
+    x = _positive(x, "bessel_all")
+    return j0(x), j1(x), y0(x), y1(x)
 
 
 def bessel_j01(x):
     """(J0, J1) at once without the Y work; x must be positive.  The values
-    are bit-identical to the J0, J1 of bessel_all on the same x."""
-    return _eval_all(_positive(x, "bessel_j01"), with_y=False)
+    are the J0, J1 of bessel_all on the same x."""
+    x = _positive(x, "bessel_j01")
+    return j0(x), j1(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import os
 
+import numpy as np
+
 from zpgd import cli
 
 
@@ -70,6 +72,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     report = (tmp_path / "ball3d_smooth_report.txt").read_text()
     assert "numerical failure: TruncationError: series tail" in report
     assert "result: FAIL" in report
+
+
+def test_characteristic_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a backward trace with a negative Jacobian is a numerical failure (4)
+    monkeypatch.setattr(cli.fs, "_trace_radial_batch",
+                        lambda problem, radii, t, rtol=1e-8: (radii, -np.ones_like(radii)))
+    code = run_cli(["run", "--config", "freespace_closed_form", "--out", str(tmp_path)])
+    assert code == 4
+    assert "numerical failure: CharacteristicError" in capsys.readouterr().err
 
 
 def test_gallery_covers_required_scenarios():

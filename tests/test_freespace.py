@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from zpgd import freespace as fs
@@ -77,6 +79,45 @@ def test_velocity_bound_random_samples():
                 x = rng.uniform(-2, 2, 3)
                 u = float(np.linalg.norm(fs.velocity(pr, x, t)))
             assert u <= L0 + 1e-8
+
+
+@st.composite
+def _piecewise_linear_q0(draw):
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=5))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(gaps) + 1,
+                           max_size=len(gaps) + 1))
+    return ScalarProfile.piecewise_linear(np.concatenate([[0.0], np.cumsum(gaps)]), values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q0=_piecewise_linear_q0(), n=st.sampled_from([1, 2, 3]),
+       eps=st.floats(0.05, 1.0), t=st.floats(0.05, 10.0), r=st.floats(0.0, 8.0))
+def test_velocity_bound_property(q0, n, eps, t, r):
+    # |q| <= sup|q0|: the Gaussian-ratio weights are positive and 0 <= G1 <= G0
+    pr = fs.FreespaceProblem(n=n, epsilon=eps, q0=q0)
+    assert abs(fs.radial_velocity(pr, r, t)) <= q0.sup_abs() + 1e-8
+
+
+def test_adaptive_budget_exhaustion_raises():
+    # a narrow peak needs many splits; a tiny budget or depth cannot reach
+    # the tolerance and must not be accepted unconverged
+    def fn(s):
+        return np.exp(-((s - 0.3) / 0.01) ** 2)[None, :]
+
+    edges = np.array([0.0, 1.0])
+    total = fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
+    assert total[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
+    with pytest.raises(fs.QuadratureBudgetError, match="budget 2"):
+        fs._adaptive(fn, edges, scale_fn=lambda rough: rough, budget=2)
+    with pytest.raises(fs.QuadratureBudgetError, match="max_depth 1"):
+        fs._adaptive(fn, edges, scale_fn=lambda rough: rough, max_depth=1)
+
+
+def test_negative_jacobian_raises_characteristic_error(monkeypatch):
+    monkeypatch.setattr(fs, "_trace_radial_batch",
+                        lambda problem, radii, t, rtol=1e-8: (radii, -np.ones_like(radii)))
+    with pytest.raises(fs.CharacteristicError, match="non-positive"):
+        fs._density_radial_batch(compact_problem(), np.linspace(0.1, 1.0, 5), 0.5)
 
 
 def test_time_domain_error():

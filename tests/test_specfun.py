@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from zpgd.specfun import (_EULER_GAMMA, DomainCase, EigenProblem,
+from zpgd.specfun import (DomainCase, EigenProblem,
                           InsufficientScanRangeError, bessel, bessel_all, bessel_j01,
                           characteristic_value, find_eigenvalues)
 
@@ -88,123 +88,26 @@ def test_bessel_first_j0_zero_against_frozen_oracle():
     assert 0.5 * (lo + hi) == pytest.approx(J0_FIRST_ZERO, abs=1e-12)
 
 
-def test_bessel_against_scipy_across_ranges():
-    from scipy import special
+def test_bessel_against_mpmath_across_ranges():
+    import mpmath as mp
 
-    x = np.concatenate([np.linspace(1e-6, 8, 1500),
-                        np.linspace(8.001, 19.999, 1500),
-                        np.linspace(20, 400, 1500)])
+    # about 200 points in each of x <= 8, 8 < x < 20 and x >= 20
+    x = np.concatenate([np.linspace(1e-6, 8, 200),
+                        np.linspace(8.001, 19.999, 200),
+                        np.linspace(20, 400, 200)])
     j0, j1, y0, y1 = bessel_all(x)
-    # the J-only path skips the Y sums but must return the same bits
     j0_only, j1_only = bessel_j01(x)
     assert np.array_equal(j0_only, j0) and np.array_equal(j1_only, j1)
-    for mine, ref in ((j0, special.j0(x)), (j1, special.j1(x)),
-                      (y0, special.y0(x)), (y1, special.y1(x))):
+    with mp.workdps(30):
+        refs = [np.array([float(f(order, mp.mpf(float(v)))) for v in x])
+                for f, order in ((mp.besselj, 0), (mp.besselj, 1),
+                                 (mp.bessely, 0), (mp.bessely, 1))]
+    for mine, ref in zip((j0, j1, y0, y1), refs):
         env = np.minimum(np.sqrt(2.0 / (np.pi * x)), 1.0)
         away = np.abs(ref) > 0.05 * env
         rel = np.abs(mine[away] - ref[away]) / np.abs(ref[away])
         assert rel.max() < 1e-12
         assert np.abs(mine - ref).max() < 1e-13 * max(1.0, np.abs(ref).max() * 10)
-
-
-def test_bessel_values_do_not_depend_on_the_batch():
-    # a point's bits on the Miller range must not depend on which other
-    # arguments share the call
-    x = np.random.default_rng(5).uniform(8.0, 20.0, 2000)
-    batched = bessel_all(x)
-    single = np.array([[f[0] for f in bessel_all(np.array([v]))] for v in x]).T
-    for name, one, many in zip(("J0", "J1", "Y0", "Y1"), single, batched):
-        assert np.count_nonzero(one != many) == 0, name
-
-
-def _fresh_series(x):
-    # the fresh-array ascending series: u = u * (-z) / (k * k), ...
-    z = 0.25 * x * x
-    u, v = np.ones_like(x), np.full_like(x, 0.5)
-    j0, j1x = np.ones_like(x), np.full_like(x, 0.5)
-    s0, s1 = np.zeros_like(x), np.full_like(x, 0.5)
-    hk, hk1 = 0.0, 1.0
-    for k in range(1, 48):
-        u = u * (-z) / (k * k)
-        v = v * (-z) / (k * (k + 1.0))
-        j0 = j0 + u
-        j1x = j1x + v
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
-        s0 = s0 - hk * u
-        s1 = s1 + (hk + hk1) * v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.log(0.5 * x) + _EULER_GAMMA
-        y0 = (2.0 / math.pi) * (lg * j0 + s0)
-        y1 = (2.0 / math.pi) * ((lg - _EULER_GAMMA) * (x * j1x) - 1.0 / x) \
-            - (x / math.pi) * (s1 - 2.0 * _EULER_GAMMA * j1x)
-    return j0, x * j1x, y0, y1
-
-
-def _fresh_miller(x):
-    # the fresh-row Miller recurrence with sign * t Neumann sums
-    n, m_top = x.shape[0], 80
-    table = np.zeros((m_top + 2, n))
-    table[m_top] = 1.0
-    for m in range(m_top, 0, -1):
-        table[m - 1] = (2.0 * m / x) * table[m] - table[m + 1]
-    even = np.zeros(n)
-    for row in table[2:m_top:2]:
-        even = even + row
-    table = table / (table[0] + 2.0 * even)
-    j0, j1 = table[0], table[1]
-    lg = np.log(0.5 * x) + _EULER_GAMMA
-    acc0, acc1, sign = np.zeros(n), np.zeros(n), 1.0
-    for k in range(1, (m_top - 2) // 2):
-        acc0 = acc0 + sign * table[2 * k] / k
-        acc1 = acc1 + sign * (table[2 * k - 1] - table[2 * k + 1]) / k
-        sign = -sign
-    y0 = (2.0 / math.pi) * (lg * j0 + 2.0 * acc0)
-    y1 = -(2.0 / math.pi) * (j0 / x - lg * j1) - (2.0 / math.pi) * acc1
-    return j0, j1, y0, y1
-
-
-def _fresh_hankel(x):
-    # one order at a time, fresh arrays, signs applied as sign * t
-    out = []
-    for order in (0.0, 1.0):
-        mu = 4.0 * order * order
-        p, q, t = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
-        sign_p, sign_q = -1.0, 1.0
-        for m in range(1, 31):
-            t = t * (mu - (2.0 * m - 1.0) ** 2) / (m * 8.0 * x)
-            if m % 2 == 1:
-                q = q + sign_q * t
-                sign_q = -sign_q
-            else:
-                p = p + sign_p * t
-                sign_p = -sign_p
-        omega = x - (2.0 * order + 1.0) * math.pi / 4.0
-        amp = np.sqrt(2.0 / (math.pi * x))
-        c, s = np.cos(omega), np.sin(omega)
-        out.append((amp * (p * c - q * s), amp * (p * s + q * c)))
-    (j0, y0), (j1, y1) = out
-    return j0, j1, y0, y1
-
-
-def test_regime_kernels_keep_their_bits():
-    # the in-place regime loops must give the fresh-array loops' bits
-    rng = np.random.default_rng(17)
-    edges = []
-    for cut in (8.0, 20.0):
-        edges += [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)]
-    x = np.concatenate([rng.uniform(1e-3, 8.0, 2000), rng.uniform(8.0, 20.0, 2000),
-                        rng.uniform(20.0, 900.0, 2000), edges])
-    ref = [np.empty_like(x) for _ in range(4)]
-    for mask, regime in ((x <= 8.0, _fresh_series), ((x > 8.0) & (x < 20.0), _fresh_miller),
-                         (x >= 20.0, _fresh_hankel)):
-        for dest, part in zip(ref, regime(x[mask])):
-            dest[mask] = part
-    names = ("J0", "J1", "Y0", "Y1")
-    for name, want, got in zip(names, ref, bessel_all(x)):
-        assert np.array_equal(want.view(np.int64), got.view(np.int64)), name
-    for name, want, got in zip(names, ref, bessel_j01(x)):
-        assert np.array_equal(want.view(np.int64), got.view(np.int64)), name
 
 
 def test_bessel_wronskian_property():
