@@ -21,9 +21,7 @@ from .bounded_green import (BoundedHopfCole, BoundedProblem, GreenEvaluator,
                             hopf_cole_boundary_state, large_time_velocity,
                             mass_flux_report, radial_mass,
                             write_eigenvalue_csv)
-from .bounded_green import density as bounded_density
 from .bounded_green import density_batch as bounded_density_batch
-from .bounded_green import velocity as bounded_velocity
 from .inviscid import (InviscidProblem, PathMinimizer, PathMinimum,
                        SolutionPanel, SolutionSample, boundary_cost,
                        interior_cost, minimize_paths, solution, solve_panel,

@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .freespace import CharacteristicError
 from .profiles import ScalarProfile
 from .radial_core import FLOAT_FMT, HopfColeState, gauss_panels
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
@@ -34,8 +32,7 @@ __all__ = [
     "build_green_evaluator",
     "green",
     "hopf_cole_boundary_state",
-    "velocity",
-    "density",
+    "density_batch",
     "large_time_velocity",
     "radial_mass",
     "mass_flux_report",
@@ -108,20 +105,13 @@ class BoundedProblem:
     def p0_profile(self) -> ScalarProfile:
         return self.rho0.times_monomial(self.n - 1)
 
-    def p_boundary_profile(self):
-        if self.rho_boundary is None:
-            return None
-        return self.rho_boundary.scaled(self.radius ** (self.n - 1))
-
-    def p_inner_profile(self):
-        if self.rho_inner is None:
-            return None
-        return self.rho_inner.scaled(self.r_inner ** (self.n - 1))
-
-    def p_outer_profile(self):
-        if self.rho_outer is None:
-            return None
-        return self.rho_outer.scaled(self.r_outer ** (self.n - 1))
+    def wall_p_profiles(self) -> tuple:
+        """(inner, outer) wall traces of p = r^(n-1) rho, None where that
+        wall's density is not supplied (a ball has only the outer wall)."""
+        a, b = self.domain
+        outer = self.rho_outer if self.is_annulus else self.rho_boundary
+        return tuple(None if rho is None else rho.scaled(r ** (self.n - 1))
+                     for rho, r in ((self.rho_inner, a), (outer, b)))
 
     def consistency_gap(self) -> float:
         """First-order consistency of initial and boundary velocities at
@@ -441,10 +431,6 @@ def hopf_cole_boundary_state(problem: BoundedProblem, n_terms: int | None = None
 # public operations
 
 
-def velocity(state: BoundedHopfCole, r, t: float):
-    return state.velocity(r, t)
-
-
 def large_time_velocity(problem: BoundedProblem, r,
                         ev: GreenEvaluator | None = None):
     """One-mode limit of the velocity; identically 0 for Neumann walls
@@ -458,83 +444,23 @@ def large_time_velocity(problem: BoundedProblem, r,
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
-def density(state: BoundedHopfCole, r: float, t: float,
-            rtol: float = 1e-8) -> float:
-    """rho(r,t): trace the characteristic of p_t + (qp)_r = 0 back to the
-    parabolic boundary, then amplify the boundary trace by
-    exp(-int q_r ds) and divide by r^(n-1)."""
-    pr = state.ev.problem
-    a, b = pr.domain
-    if not (a < r < b):
-        raise ValueError("r outside the open domain")
-    if t <= 0:
-        raise ValueError("t must be positive")
-
-    def rhs(s, y):
-        beta = min(max(y[0], a + 1e-13), b - 1e-13)
-        q, dq = state.velocity_and_derivative(beta, s)
-        return [float(q[0]), float(dq[0])]
-
-    events = []
-
-    def hit_outer(s, y):
-        return y[0] - (b - 1e-11 * (b - a))
-
-    hit_outer.terminal = True
-    events.append(hit_outer)
-    if pr.is_annulus:
-        def hit_inner(s, y):
-            return y[0] - (a + 1e-11 * (b - a))
-
-        hit_inner.terminal = True
-        events.append(hit_inner)
-
-    sol = solve_ivp(rhs, (t, 0.0), [r, 0.0], rtol=rtol, atol=1e-10,
-                    events=events, dense_output=False, max_step=max(t / 8, 1e-3))
-    if not sol.success:
-        raise CharacteristicError(f"characteristic integration failed: {sol.message}")
-    beta0 = float(sol.y[0, -1])
-    integral_qr = float(sol.y[1, -1])   # int_t^{t0} q_r ds  (negative orientation)
-    if sol.status == 1:   # hit a wall
-        t0 = float(sol.t[-1])
-        outer_hit = abs(beta0 - b) < abs(beta0 - a) or not pr.is_annulus
-        if outer_hit:
-            pw = pr.p_boundary_profile() if not pr.is_annulus else pr.p_outer_profile()
-            wall = "outer"
-        else:
-            pw = pr.p_inner_profile()
-            wall = "inner"
-        if pw is None:
-            raise DataInsufficiencyError(
-                f"characteristic reached the {wall} wall at t={t0:g} but no "
-                "boundary density was supplied (inflow sign conditions violated)")
-        p_gamma = float(pw(t0))
-    else:
-        p_gamma = float(pr.p0_profile()(beta0))
-    return p_gamma * math.exp(integral_qr) / r ** (pr.n - 1)
-
-
-def _no_inflow(pr: BoundedProblem) -> bool:
-    if pr.is_annulus:
-        return pr.q_inner <= 0.0 <= pr.q_outer
-    return pr.q_boundary >= 0.0
-
-
 def density_batch(state: BoundedHopfCole, radii, t: float,
                   rtol: float = 1e-8) -> np.ndarray:
-    """rho at many radii, one backward trace for the whole batch.
+    """rho(r, t) at many radii, one backward trace for the whole batch.
 
-    Only valid when no wall is an inflow wall (backward characteristics
-    then stay interior and no exit events can fire); otherwise this falls
-    back to the event-aware pointwise tracer."""
+    Each characteristic of p_t + (qp)_r = 0 is traced back to the parabolic
+    boundary: to its foot on the initial data or, through an inflow wall,
+    to the wall's density trace at the exit time.  The boundary value of p
+    is amplified by exp(-int q_r ds) and divided by r^(n-1)."""
     from .freespace import _rk4_doubling  # shared adaptive RK pair
 
     pr = state.ev.problem
     radii = np.asarray(radii, dtype=float)
-    if not _no_inflow(pr):
-        return np.array([density(state, float(r), t, rtol=rtol) for r in radii])
     a, b = pr.domain
     m = radii.size
+    # backward characteristics can only leave through inflow walls
+    lo = a if pr.is_annulus and pr.q_inner > 0.0 else -math.inf
+    hi = b if (pr.q_outer if pr.is_annulus else pr.q_boundary) < 0.0 else math.inf
 
     def rhs(sigma, y):
         s = t - sigma
@@ -543,12 +469,22 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
         return np.concatenate([-q, -dq])
 
     # state: feet and the accumulated d(log p)/ds integral
-    y = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
-                      rtol=rtol, atol=1e-10)
+    y, s_exit = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
+                              rtol=rtol, atol=1e-10, walls=(lo, hi))
     feet = np.clip(y[:m], a + 1e-13 * (b - a), b - 1e-13 * (b - a))
     integral_qr = y[m:]   # = -int_{t0}^{t} q_r ds
-    p0 = pr.p0_profile()
-    return p0(feet) * np.exp(integral_qr) / radii ** (pr.n - 1)
+    p_gamma = pr.p0_profile()(feet)
+    for i in np.flatnonzero(~np.isnan(s_exit)):
+        t0 = t - s_exit[i]
+        side = 0 if y[i] == lo else 1   # inner, outer
+        pw = pr.wall_p_profiles()[side]
+        if pw is None:
+            raise DataInsufficiencyError(
+                f"characteristic reached the {('inner', 'outer')[side]} wall at "
+                f"t={t0:g} but no boundary density was supplied (inflow sign "
+                "conditions violated)")
+        p_gamma[i] = pw(t0)
+    return p_gamma * np.exp(integral_qr) / radii ** (pr.n - 1)
 
 
 def radial_mass(state: BoundedHopfCole, t: float, n_panels: int = 16,

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -142,12 +140,10 @@ def _grid(cfg, key, default):
 
 
 class RunContext:
-    def __init__(self, out_dir: Path, prefix: str, tolerance_scale: float,
-                 threads: int):
+    def __init__(self, out_dir: Path, prefix: str, tolerance_scale: float):
         self.out = out_dir
         self.prefix = prefix
         self.tolerance_scale = tolerance_scale
-        self.threads = threads
         self.checks: list[tuple] = []
         self.artifacts: list[str] = []
         self.params: list[str] = []
@@ -164,12 +160,6 @@ class RunContext:
 
     def check_flag(self, name: str, ok: bool):
         self.checks.append((name, 0.0 if ok else 1.0, 0.5, ok))
-
-    def parallel_rows(self, fn, items):
-        if self.threads <= 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
     def write_report(self, mode: str):
         lines = [f"run report: mode={mode}", ""]
@@ -256,14 +246,9 @@ def run_bounded(cfg: dict, ctx: RunContext) -> None:
                       f"domain={problem.domain} terms={len(state.ev.eigs.values)}")
     ctx.params.append(f"consistency gap={problem.consistency_gap():.3g}")
 
-    def row(t):
-        q = state.velocity(grid_r, float(t))
-        p = bg.density_batch(state, grid_r, float(t)) * grid_r ** (problem.n - 1)
-        return q, p
-
-    rows = ctx.parallel_rows(row, grid_t)
-    q = np.array([r[0] for r in rows])
-    p = np.array([r[1] for r in rows])
+    q = np.array([state.velocity(grid_r, float(t)) for t in grid_t])
+    p = np.array([bg.density_batch(state, grid_r, float(t)) for t in grid_t]) \
+        * grid_r ** (problem.n - 1)
     field = RadialField(problem.n, problem.epsilon, grid_r, grid_t, q, p)
     write_radial_csv(field, str(ctx.path("field.csv")))
     bg.write_eigenvalue_csv(state.ev.eigs, ctx.path("eigenvalues.csv"))
@@ -294,15 +279,10 @@ def run_freespace(cfg: dict, ctx: RunContext) -> None:
     grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 2.0, 9])
     ctx.params.append(f"n={n} eps={eps} sup|q0|={q0.sup_abs():.6g}")
 
-    def row(t):
-        q = np.array([fs.radial_velocity(problem, float(r), float(t)) for r in grid_r])
-        return q
-
-    qrows = np.array(ctx.parallel_rows(row, grid_t))
-    p = np.zeros_like(qrows)
-    for i, t in enumerate(grid_t):
-        p[i] = fs._density_radial_batch(problem, grid_r, float(t)) \
-            * grid_r ** (n - 1)
+    qrows = np.array([[fs.radial_velocity(problem, float(r), float(t)) for r in grid_r]
+                      for t in grid_t])
+    p = np.array([fs._density_radial_batch(problem, grid_r, float(t)) for t in grid_t]) \
+        * grid_r ** (n - 1)
     field = RadialField(n, eps, grid_r, grid_t, qrows, p)
     write_radial_csv(field, str(ctx.path("field.csv")))
     ccfg = cfg.get("checks", {})
@@ -485,8 +465,7 @@ def resolve_config(path_or_name: str) -> str:
     raise FileNotFoundError(f"no config file or bundled scenario {path_or_name!r}")
 
 
-def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0,
-                 threads: int = 1) -> int:
+def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -> int:
     try:
         cfg = parse_config(config_text)
     except ConfigError as exc:
@@ -499,7 +478,7 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(cfg.get("output", {}).get("prefix", mode.replace("-", "_"))) + "_"
-    ctx = RunContext(out, prefix, tolerance_scale, threads)
+    ctx = RunContext(out, prefix, tolerance_scale)
     try:
         _HANDLERS[mode](cfg, ctx)
     except (ValidationError, KeyError, ValueError) as exc:
@@ -518,8 +497,6 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="zpgd",
                                      description="zero-pressure gas dynamics solvers")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ZPGD_THREADS", "1")))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario config")
@@ -586,7 +563,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    return run_scenario(text, args.out, args.tolerance_scale, args.threads)
+    return run_scenario(text, args.out, args.tolerance_scale)
 
 
 if __name__ == "__main__":

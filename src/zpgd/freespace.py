@@ -427,21 +427,37 @@ def velocity(problem: FreespaceProblem, x, t: float):
     return _tensor_velocity(problem, np.asarray(x, dtype=float), t)
 
 
-def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.0):
+def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.0,
+                  walls=None):
     """Step-doubled classic RK4 with Richardson extrapolation (an embedded
     4th/5th-order pair); vectorized over the state.  A step-size floor
     keeps quadrature noise in the right side from stalling the controller.
+
+    With walls=(lo, hi) the state is two rows of m entries, the positions
+    of m traces and then one quantity carried along each, and the result
+    is (y, s_exit).  A trace whose position leaves [lo, hi] on an accepted
+    step is frozen where the step's cubic Hermite interpolant meets the
+    wall, and s_exit holds that crossing (NaN for traces that stay inside).
+    A batch in which no trace leaves takes the same steps as without walls.
     """
     y = np.asarray(y0, dtype=float).copy()
     s = s0
     span = s1 - s0
     h = span / 16.0
     h_min = abs(span) * h_min_frac
+    f = rhs
+    if walls is not None:
+        m = y.size // 2
+        s_exit = np.full(m, np.nan)
+        live = np.ones(y.size, dtype=bool)
+
+        def frozen_rhs(s, y):   # the right side once some trace is frozen
+            return np.where(live, rhs(s, y), 0.0)
 
     def step(y, s, h, k1):
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
+        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(s + h, y + h * k3)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     guard = 0
@@ -453,18 +469,44 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
         if (s + h - s1) * np.sign(span) > 0:
             h = s1 - s
         # the full step and the first half step share their first stage
-        k1 = rhs(s, y)
+        k1 = f(s, y)
         y_full = step(y, s, h, k1)
         y_mid = step(y, s, 0.5 * h, k1)
-        y_half = step(y_mid, s + 0.5 * h, 0.5 * h, rhs(s + 0.5 * h, y_mid))
+        y_half = step(y_mid, s + 0.5 * h, 0.5 * h, f(s + 0.5 * h, y_mid))
         err = np.max(np.abs(y_half - y_full) / (atol + rtol * np.maximum(np.abs(y_half), 1.0)))
         if err <= 15.0 or abs(h) <= h_min:
-            y = y_half + (y_half - y_full) / 15.0
+            y_next = y_half + (y_half - y_full) / 15.0
+            if walls is not None:
+                pos = y_next[:m]
+                out = np.flatnonzero(live[:m] & ((pos < walls[0]) | (pos > walls[1])))
+                if out.size:
+                    cols = np.stack([out, out + m])
+                    ends = (y[cols], h * k1[cols], y_next[cols], h * f(s + h, y_next)[cols])
+                    wall = np.where(pos[out] < walls[0], walls[0], walls[1])
+                    theta = np.zeros(out.size)   # bisection for the fraction spent inside
+                    for k in range(1, 54):
+                        trial = theta + 0.5 ** k
+                        inside = (_hermite(trial, *ends)[0] - wall) * (pos[out] - wall) < 0.0
+                        theta = np.where(inside, trial, theta)
+                    y_next[out + m] = _hermite(theta, *ends)[1]
+                    y_next[out] = wall
+                    s_exit[out] = s + theta * h
+                    live[cols] = False
+                    f = frozen_rhs
+            y = y_next
             s = s + h
             h = h * min(3.0, max(0.3, 0.9 * (15.0 / max(err, 1e-14)) ** 0.2))
         else:
             h *= max(0.3, 0.9 * (15.0 / err) ** 0.2)
-    return y
+    return y if walls is None else (y, s_exit)
+
+
+def _hermite(theta, y0, dy0, y1, dy1):
+    """Cubic Hermite interpolant at theta in [0, 1] from the end values and
+    the end slopes scaled by the interval length."""
+    t2, t3 = theta * theta, theta ** 3
+    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (t3 - 2.0 * t2 + theta) * dy0
+            + (3.0 * t2 - 2.0 * t3) * y1 + (t3 - t2) * dy1)
 
 
 def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float,

@@ -166,15 +166,16 @@ class ViscousIVP:
         from .bounded_green import BoundedProblem  # local: avoid import cycle
 
         assert isinstance(problem, BoundedProblem)
+        p_inner, p_outer = problem.wall_p_profiles()
         if problem.is_annulus:
             return cls(problem.n, problem.epsilon, problem.r_inner, problem.r_outer,
                        problem.q0, problem.p0_profile(), q_left=problem.q_inner,
                        q_right=problem.q_outer,
-                       p_left=problem.p_inner_profile(), p_right=problem.p_outer_profile())
+                       p_left=p_inner, p_right=p_outer)
         return cls(problem.n, problem.epsilon, r_lo_factor * problem.radius,
                    problem.radius, problem.q0, problem.p0_profile(),
                    q_left=0.0, q_right=problem.q_boundary,
-                   p_right=problem.p_boundary_profile())
+                   p_right=p_outer)
 
 
 def _bc_value(bc, t):

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -130,15 +133,18 @@ def test_missing_config_resolution(tmp_path):
                     "--out", str(tmp_path)]) == 3
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZPGD_THREADS", "2")
-    code = run_cli(["run", "--config", "eigen_ball2d", "--out", str(tmp_path)])
-    assert code == 0
-
-
-def test_inviscid_scenario_runs_with_threads(tmp_path):
-    code = run_cli(["--threads", "2", "run", "--config", "inviscid_riemann_shock",
-                    "--out", str(tmp_path)])
+def test_inviscid_scenario_runs(tmp_path):
+    code = run_cli(["run", "--config", "inviscid_riemann_shock", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "inviscid_riemann_panel.csv").exists()
     assert (tmp_path / "inviscid_riemann_boundary_report.csv").exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the solvers need scipy.special only; scipy.integrate would also load
+    # scipy.optimize and scipy.sparse on every start of the CLI
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, zpgd, zpgd.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
