@@ -135,45 +135,56 @@ class MassQuadrature:
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-def _gl_panel(fn, a, b, npts=15):
-    x, w = leggauss(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = fn(mid + half * x)
-    return half * (vals @ w)
-
-
 def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
-    """Adaptive panel integration of a vector integrand fn(s)->(k,m).
+    """Adaptive panel integration of a vector integrand fn(s)->(k,m), one
+    refinement level at a time.
 
-    scale_fn maps the composite rough estimate to per-component tolerance
-    scales (a single-panel estimate can miss a narrow peak entirely and
-    drive runaway refinement, so the rough pass is composite).  A panel is
-    accepted only once it converges; one that still needs splitting at
-    max_depth, or after `budget` splits, raises QuadratureBudgetError.
+    Every level makes a single fn call: the 15-point Gauss rule on both
+    halves of every pending panel.  scale_fn maps the composite rough
+    estimate to per-component tolerance scales (a single-panel estimate
+    can miss a narrow peak entirely and drive runaway refinement, so the
+    rough pass is composite).  A panel is accepted once its halves agree
+    with it to the tolerance; one that still needs splitting at max_depth,
+    or beyond `budget` splits in all, raises QuadratureBudgetError.  The
+    accepted panels are summed in descending order of their left edge, the
+    order of a depth-first pass that refines right halves first.
     """
-    coarse0 = [_gl_panel(fn, edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    rough = np.abs(np.sum(coarse0, axis=0))
-    tol = rtol * np.asarray(scale_fn(rough))
-    stack = [(edges[i], edges[i + 1], 0, coarse0[i]) for i in range(len(edges) - 1)]
-    total = np.zeros(len(rough))
+    x, w = leggauss(15)
+
+    def rule(a, b):
+        # the rule on every panel [a_i, b_i], shape (panels, k); the stacked
+        # (k, 15) @ w products are the ones a single panel makes
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = fn((mid[:, None] + half[:, None] * x).ravel())
+        return half[:, None] * (vals.reshape(-1, a.size, x.size).transpose(1, 0, 2) @ w)
+
+    a, b = edges[:-1], edges[1:]
+    coarse = rule(a, b)
+    tol = rtol * np.asarray(scale_fn(np.abs(np.sum(coarse, axis=0))))
+    lefts, sums = [], []
     splits = 0
-    while stack:
-        a, b, depth, coarse = stack.pop()
+    for depth in range(max_depth + 1):
         m = 0.5 * (a + b)
-        left = _gl_panel(fn, a, m)
-        right = _gl_panel(fn, m, b)
+        halves = rule(np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = halves[:a.size], halves[a.size:]
         fine = left + right
-        if np.all(np.abs(fine - coarse) <= tol):
-            total += fine
-        elif depth >= max_depth or splits >= budget:
+        ok = np.all(np.abs(fine - coarse) <= tol, axis=1)
+        lefts.append(a[ok])
+        sums.append(fine[ok])
+        bad = np.flatnonzero(~ok)
+        if not bad.size:
+            break
+        if depth >= max_depth or splits + bad.size > budget:
+            i = bad[np.argmax(a[bad])]
             raise QuadratureBudgetError(
-                f"panel [{a:g}, {b:g}] unconverged at depth {depth} after {splits} "
+                f"panel [{a[i]:g}, {b[i]:g}] unconverged at depth {depth} after {splits} "
                 f"splits (max_depth {max_depth}, budget {budget})")
-        else:
-            splits += 1
-            stack.append((a, m, depth + 1, left))
-            stack.append((m, b, depth + 1, right))
-    return total
+        splits += bad.size
+        a, b = np.concatenate([a[bad], m[bad]]), np.concatenate([m[bad], b[bad]])
+        coarse = np.concatenate([left[bad], right[bad]])
+    order = np.argsort(np.concatenate(lefts))[::-1]
+    accepted = np.concatenate([np.zeros((1, coarse.shape[1])), np.concatenate(sums)[order]])
+    return np.cumsum(accepted, axis=0)[-1]   # adds in sequence, as the depth-first pass did
 
 
 def _angular_factors(n, alpha, derivs=False):
@@ -276,6 +287,11 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float,
     return float(num / den)
 
 
+_MAX_PANELS = 224     # panels of one batch grid
+_EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
+_BLOCK_CELLS = 49152  # (radius x node) cells per row block of the batch kernel
+
+
 def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
                            npts: int = 8):
     """Vectorized radial velocity q at many radii, one time (fixed composite
@@ -283,52 +299,109 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
 
     Returns (q, dq/dr); dq/dr comes from differentiating the quadrature
     (same nodes), which feeds the variational equation for the
-    characteristic Jacobian without noise-amplifying differencing.
+    characteristic Jacobian without noise-amplifying differencing.  Radii
+    spread wider than 0.7 * 224 Gaussian well widths sqrt(2 eps t) are
+    sorted and split into sub-batches of at most that spread, each with its
+    own grid.  Only for t < 1e-12 is the result q0(r), the exact t -> 0
+    limit.
     """
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    eps, n = problem.epsilon, problem.n
-    q0 = problem.q0
-    # all points share one absolute node grid so panel edges can sit
-    # exactly on the profile kinks; below the resolvable time the well is
-    # narrower than any affordable panel and the initial data is the limit
-    span = float(np.max(r) - np.min(r))
-    well = math.sqrt(2.0 * eps * max(t, 0.0))
-    max_panels = 224
-    if t < 1e-12 or span / max(well, 1e-300) > 0.7 * max_panels:
+    if t < 1e-12:
+        out = np.zeros_like(r)
         pos = r > 0
         out[pos] = problem.q0(r[pos])
-        dq = problem.q0.derivative_profile()(np.maximum(np.abs(r), 0.0))
-        return out, dq
-    w = _radial_window(problem, float(np.max(r)), t)
-    lo = max(0.0, float(np.min(r)) - w)
-    hi = float(np.max(r)) + w
-    cap = max(0.7 * well, (hi - lo) / max_panels)
+        return out, problem.q0.derivative_profile()(np.abs(r))
+    reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
+    if float(np.max(r) - np.min(r)) <= reach:
+        return _velocity_block(problem, r, t, npts)
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    q, dq = np.empty_like(r), np.empty_like(r)
+    start = 0
+    while start < rs.size:
+        stop = int(np.searchsorted(rs, rs[start] + reach, side="right"))
+        q[order[start:stop]], dq[order[start:stop]] = _velocity_block(
+            problem, rs[start:stop], t, npts)
+        start = stop
+    return q, dq
+
+
+def _velocity_block(problem, r, t, npts):
+    """(q, dq/dr) at radii r on one shared grid of npts-point Gauss panels.
+
+    All radii share one absolute node grid, so panel edges sit exactly on
+    the profile kinks.  The (radius x node) matrices are built in row
+    blocks of about _BLOCK_CELLS cells, small enough to stay in cache.
+    """
+    eps, n = problem.epsilon, problem.n
+    q0 = problem.q0
+    r_lo, r_hi = float(np.min(r)), float(np.max(r))
+    w = _radial_window(problem, r_hi, t)
+    lo = max(0.0, r_lo - w)
+    hi = r_hi + w
+    cap = max(0.7 * math.sqrt(2.0 * eps * t), (hi - lo) / _MAX_PANELS)
     edges = np.unique(np.concatenate([
         np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
         [k for k in q0.breakpoints if lo < k < hi]]))
     s, wts = gauss_panels(edges, npts)
-    q0s = q0(s)
-    phi = q0.cumulative(s)
     sn = s ** (n - 1) * wts
-    a_exp = ((r[:, None] - s[None, :]) ** 2 / (2.0 * t) + phi[None, :]) / eps
-    shift = a_exp.min(axis=1, keepdims=True)
-    wgt = np.exp(np.minimum(shift - a_exp, 700.0))
-    alpha = r[:, None] * s[None, :] / (eps * t)
-    sw = sn[None, :] * wgt
-    mask = (r > 0)
-    g0, g1, dg0, dg1 = _angular_factors(n, alpha, derivs=True)
-    da_dr = (r[:, None] - s[None, :]) / (t * eps)
-    dal_dr = s[None, :] / (eps * t)
-    den = (sw * g0).sum(axis=1)
-    num = (sw * g1 * q0s[None, :]).sum(axis=1)
-    den_r = (sw * (dg0 * dal_dr - g0 * da_dr)).sum(axis=1)
-    num_r = (sw * q0s[None, :] * (dg1 * dal_dr - g1 * da_dr)).sum(axis=1)
-    dq = np.zeros_like(r)
-    ok = mask & (den > 0)
-    out[ok] = num[ok] / den[ok]
-    dq[ok] = (num_r[ok] - out[ok] * den_r[ok]) / den[ok]
-    return out, dq
+    sq = sn * q0(s)
+    phi = q0.cumulative(s) / eps
+    cols = np.stack([sn, sq, sn * s, sq * s], axis=1)
+    sums = np.empty((r.size, 4))
+    step = max(1, _BLOCK_CELLS // s.size)
+    for i in range(0, r.size, step):
+        sums[i:i + step] = _gaussian_sums(n, r[i:i + step], 1.0 / (eps * t), s, phi, cols)
+    den, num, den_r, num_r = sums.T
+    q, dq = np.zeros_like(r), np.zeros_like(r)
+    ok = (r > 0) & (den > 0)
+    q[ok] = num[ok] / den[ok]
+    dq[ok] = (num_r[ok] - q[ok] * den_r[ok]) / (den[ok] * (eps * t))
+    return q, dq
+
+
+def _gaussian_sums(n, r, k, s, phi, cols):
+    """The Gaussian-ratio sums at radii r, one row (den, num, den_r / k,
+    num_r / k) per radius, with k = 1/(eps t), phi = int_0^s q0 / eps at the
+    nodes s and cols the per-node vectors (sn, sn q0, sn s, sn q0 s).
+
+    The weight w = exp(shift - A) is built once in place, and every sum is
+    a matrix-vector product with a column of cols.  The r-derivative keeps
+    the (w G) * (r - s) product, so no r * den - sum(s ...) cancellation
+    arises.  For n = 1, G0,1 = 1 +- e^{-2 alpha} is carried by the mirror
+    weight v = w e^{-2 alpha}.  Exponents are floored at _EXP_FLOOR: such
+    weights sit far below rounding of the row's peak weight 1, and keeping
+    them normal numbers avoids the slow underflow paths of exp and of the
+    products.
+    """
+    d = np.subtract.outer(r, s)
+    wgt = d * d
+    wgt *= 0.5 * k
+    wgt += phi
+    np.subtract(wgt.min(axis=1, keepdims=True), wgt, out=wgt)
+    np.maximum(wgt, _EXP_FLOOR, out=wgt)
+    if n == 1:
+        v = np.multiply.outer(r * (2.0 * k), s)
+        np.subtract(wgt, v, out=v)
+        np.maximum(v, _EXP_FLOOR, out=v)
+        np.exp(v, out=v)
+        np.exp(wgt, out=wgt)
+        ws, vs = wgt @ cols[:, :2], v @ cols
+        wgt *= d
+        v *= d
+        wd, vd = wgt @ cols[:, :2], v @ cols[:, :2]
+        return np.stack([ws[:, 0] + vs[:, 0], ws[:, 1] - vs[:, 1],
+                         -2.0 * vs[:, 2] - wd[:, 0] - vd[:, 0],
+                         2.0 * vs[:, 3] - wd[:, 1] + vd[:, 1]], axis=1)
+    np.exp(wgt, out=wgt)
+    g0, g1, dg0, dg1 = _angular_factors(n, np.multiply.outer(r * k, s), derivs=True)
+    for g in (g0, g1, dg0, dg1):
+        g *= wgt
+    den, num = g0 @ cols[:, 0], g1 @ cols[:, 1]
+    den_r, num_r = dg0 @ cols[:, 2], dg1 @ cols[:, 3]
+    g0 *= d
+    g1 *= d
+    return np.stack([den, num, den_r - g0 @ cols[:, 0], num_r - g1 @ cols[:, 1]], axis=1)
 
 
 # ---------------------------------------------------------------------------

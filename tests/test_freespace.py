@@ -98,12 +98,14 @@ def test_velocity_bound_property(q0, n, eps, t, r):
     assert abs(fs.radial_velocity(pr, r, t)) <= q0.sup_abs() + 1e-8
 
 
+def _narrow_peak(s):
+    return np.exp(-((s - 0.3) / 0.01) ** 2)[None, :]
+
+
 def test_adaptive_budget_exhaustion_raises():
     # a narrow peak needs many splits; a tiny budget or depth cannot reach
     # the tolerance and must not be accepted unconverged
-    def fn(s):
-        return np.exp(-((s - 0.3) / 0.01) ** 2)[None, :]
-
+    fn = _narrow_peak
     edges = np.array([0.0, 1.0])
     total = fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
     assert total[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
@@ -111,6 +113,34 @@ def test_adaptive_budget_exhaustion_raises():
         fs._adaptive(fn, edges, scale_fn=lambda rough: rough, budget=2)
     with pytest.raises(fs.QuadratureBudgetError, match="max_depth 1"):
         fs._adaptive(fn, edges, scale_fn=lambda rough: rough, max_depth=1)
+
+
+def test_adaptive_calls_fn_once_per_level():
+    # the narrow peak refines over many levels; each level evaluates all of
+    # its pending panels in one fn call
+    fn = _narrow_peak
+    calls = []
+
+    def spy(s):
+        calls.append(s.size)
+        return fn(s)
+
+    edges = np.array([0.0, 1.0])
+    total = fs._adaptive(spy, edges, scale_fn=lambda rough: rough)
+    assert total[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
+
+    def converges(max_depth):
+        try:
+            fs._adaptive(fn, edges, scale_fn=lambda rough: rough, max_depth=max_depth)
+        except fs.QuadratureBudgetError:
+            return False
+        return True
+
+    # levels = depths 0..D of the refinement tree, D the least max_depth
+    # that converges
+    levels = next(d for d in range(17) if converges(d)) + 1
+    assert levels >= 5
+    assert len(calls) <= levels + 1
 
 
 def test_negative_jacobian_raises_characteristic_error(monkeypatch):
@@ -279,12 +309,69 @@ def test_angular_factor_bound_and_derivatives():
 
 
 def test_batch_matches_scalar_adaptive():
-    pr = compact_problem(1, 0.4)
     rr = np.linspace(0.05, 3.0, 17)
-    for t in (0.1, 0.8):
+    for n in (1, 2, 3):
+        pr = compact_problem(n, 0.4)
+        for t in (0.1, 0.8):
+            qb, _ = fs._radial_velocity_batch(pr, rr, t)
+            qs = np.array([fs.radial_velocity(pr, float(r), t) for r in rr])
+            assert np.abs(qb - qs).max() < 1e-11
+
+
+def test_batch_splits_wide_spread_into_sub_batches():
+    # span/well = 188 and 940 exceed one grid's 0.7 * 224 panel widths: the
+    # batch is split, not answered with q0(r) (off by 6e-3 at t = 0.05) nor
+    # put on one coarser grid (off by 2.6e-7 at t = 0.002)
+    pr = compact_problem(1, 0.01)
+    rr = np.linspace(0.05, 6.0, 40)
+    for t in (0.05, 0.002):
+        assert (rr[-1] - rr[0]) / math.sqrt(2.0 * pr.epsilon * t) > 0.7 * 224
         qb, _ = fs._radial_velocity_batch(pr, rr, t)
         qs = np.array([fs.radial_velocity(pr, float(r), t) for r in rr])
-        assert np.abs(qb - qs).max() < 1e-11
+        assert np.abs(qb - qs).max() < 1e-8
+        assert np.abs(qb - pr.q0(rr)).max() > 1e-4
+
+
+def _elementwise_batch(problem, r, t, npts=8):
+    """The batch kernel as one elementwise formula per (radius, node) cell:
+    the same grid, summed row by row."""
+    eps, n, q0 = problem.epsilon, problem.n, problem.q0
+    w = fs._radial_window(problem, float(np.max(r)), t)
+    lo, hi = max(0.0, float(np.min(r)) - w), float(np.max(r)) + w
+    cap = max(0.7 * math.sqrt(2.0 * eps * t), (hi - lo) / 224)
+    edges = np.unique(np.concatenate([
+        np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
+        [k for k in q0.breakpoints if lo < k < hi]]))
+    s, wts = gauss_panels(edges, npts)
+    q0s = q0(s)
+    sn = s ** (n - 1) * wts
+    a_exp = ((r[:, None] - s[None, :]) ** 2 / (2.0 * t) + q0.cumulative(s)[None, :]) / eps
+    wgt = np.exp(a_exp.min(axis=1, keepdims=True) - a_exp)
+    sw = sn[None, :] * wgt
+    g0, g1, dg0, dg1 = fs._angular_factors(n, r[:, None] * s[None, :] / (eps * t),
+                                           derivs=True)
+    da_dr = (r[:, None] - s[None, :]) / (t * eps)
+    dal_dr = s[None, :] / (eps * t)
+    den = (sw * g0).sum(axis=1)
+    num = (sw * g1 * q0s[None, :]).sum(axis=1)
+    den_r = (sw * (dg0 * dal_dr - g0 * da_dr)).sum(axis=1)
+    num_r = (sw * q0s[None, :] * (dg1 * dal_dr - g1 * da_dr)).sum(axis=1)
+    q, dq = np.zeros_like(r), np.zeros_like(r)
+    ok = (r > 0) & (den > 0)
+    q[ok] = num[ok] / den[ok]
+    dq[ok] = (num_r[ok] - q[ok] * den_r[ok]) / den[ok]
+    return q, dq
+
+
+def test_batch_kernel_matches_elementwise_formula():
+    rr = np.linspace(0.0, 3.0, 31)
+    for n in (1, 2, 3):
+        pr = compact_problem(n, 0.4)
+        for t in (0.01, 0.1, 0.8, 4.0):
+            q, dq = fs._radial_velocity_batch(pr, rr, t)
+            q_ref, dq_ref = _elementwise_batch(pr, rr, t)
+            assert np.all(np.abs(q - q_ref) <= 1e-11 * np.maximum(np.abs(q_ref), 1e-3))
+            assert np.all(np.abs(dq - dq_ref) <= 1e-11 * np.maximum(np.abs(dq_ref), 1e-3))
 
 
 def test_separable_quadratic_2d_tensor_path():
