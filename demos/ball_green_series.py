@@ -53,7 +53,7 @@ def main():
     p = np.array([bg.density_batch(state, grid_r, float(t)) for t in grid_t]) \
         * grid_r[None, :] ** 2
     write_radial_csv(RadialField(3, eps, grid_r, grid_t, q, p),
-                     str(OUT / "ball3d_field.csv"))
+                     OUT / "ball3d_field.csv")
 
     ts = np.linspace(0.1, 2.0, 12)
     cfg = orc.FDSolverConfig(n_r=1200, boundary="ball", t_samples=ts)

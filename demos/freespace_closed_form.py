@@ -13,6 +13,7 @@ import numpy as np
 
 from zpgd import FreespaceProblem, ScalarProfile
 from zpgd import freespace as fs
+from zpgd.radial_core import write_csv
 
 OUT = pathlib.Path(__file__).with_name("output")
 OUT.mkdir(exist_ok=True)
@@ -28,14 +29,14 @@ def main():
                                rho0_support=2.0)
 
     worst = 0.0
-    rows = ["x,t,u,exact"]
+    rows = []
     for x in np.linspace(-5, 5, 12):
         for t in (0.1, 1.0, 10.0):
             u = fs.velocity(problem, float(x), float(t))
             exact = x / (1 + t)
             worst = max(worst, abs(u - exact) / max(abs(exact), 1e-12))
-            rows.append(f"{x!r},{t!r},{u!r},{exact!r}")
-    (OUT / "closed_form.csv").write_text("\n".join(rows) + "\n")
+            rows.append((x, t, u, exact))
+    write_csv(OUT / "closed_form.csv", ["x", "t", "u", "exact"], rows)
     print(f"velocity vs x/(1+t): worst relative gap {worst:.3e}")
 
     foot, jac = fs.trace_characteristic(problem, 2.0, 1.5)

@@ -36,7 +36,7 @@ def main():
 
     panel = iv.solve_panel(problem, np.linspace(0.08, 2.6, 64),
                            np.linspace(0.25, 1.5, 21))
-    iv.write_panel_csv(panel, str(OUT / "riemann_panel.csv"))
+    iv.write_panel_csv(panel, OUT / "riemann_panel.csv")
 
     fronts = sfm.detect_fronts(panel)
     f = fronts[0]

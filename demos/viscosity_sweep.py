@@ -14,6 +14,7 @@ import numpy as np
 from zpgd import FreespaceProblem, InviscidProblem, ScalarProfile
 from zpgd import freespace as fs
 from zpgd import inviscid as iv
+from zpgd.radial_core import write_csv
 
 OUT = pathlib.Path(__file__).with_name("output")
 OUT.mkdir(exist_ok=True)
@@ -30,18 +31,16 @@ def main():
     labels = ["fan", "plateau", "post-shock"]
     eps_list = [0.1, 0.05, 0.025]
 
-    rows = ["epsilon," + ",".join(f"err_{lbl}" for lbl in labels)]
     errs = np.zeros((len(eps_list), len(pts)))
     for j, eps in enumerate(eps_list):
         fp = FreespaceProblem(1, eps, q0=q0, rho0=p0, rho0_support=6.0)
         for k, r in enumerate(pts):
             q_eps = fs.radial_velocity(fp, r, t_eval)
             m = mz.minimize(r, t_eval)
-            q_inv = (r - m.r0) / t_eval if m.branch == "interior" \
-                else r / (t_eval - m.t2)
+            q_inv = iv._q_P_of_minimum(problem, m, r, t_eval)[0]
             errs[j, k] = abs(q_eps - q_inv)
-        rows.append(",".join([repr(eps)] + [repr(e) for e in errs[j]]))
-    (OUT / "viscosity_sweep.csv").write_text("\n".join(rows) + "\n")
+    write_csv(OUT / "viscosity_sweep.csv", ["epsilon", *(f"err_{lbl}" for lbl in labels)],
+              ([eps, *row] for eps, row in zip(eps_list, errs.tolist())))
 
     print("point        eps=0.1     eps=0.05    eps=0.025   orders")
     for k, lbl in enumerate(labels):

@@ -15,13 +15,14 @@ explicitly; a positive-root-only series would lose it and degenerate to
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .profiles import ScalarProfile
-from .radial_core import FLOAT_FMT, HopfColeState, gauss_panels
+from .radial_core import HopfColeState, gauss_panels, write_csv
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
                       bessel_j01, find_eigenvalues)
 
@@ -353,10 +354,6 @@ class BoundedHopfCole:
         k, c = self._weights(t, reference)
         return self.ev.phi(r, k=k)[0] @ c
 
-    def derivative(self, r, t: float, reference: bool = False) -> np.ndarray:
-        k, c = self._weights(t, reference)
-        return self.ev.phi(r, k=k)[1] @ c
-
     def velocity(self, r, t: float):
         """q = -eps a_r / a, evaluated in the slow-mode-relative scaling."""
         if t < self.ev.t_floor:
@@ -532,7 +529,5 @@ def mass_flux_report(state: BoundedHopfCole, times, dt: float = 0.02):
 
 
 def write_eigenvalue_csv(eigs: EigenvalueList, path):
-    with open(path, "w") as fh:
-        fh.write("index,value,residual\n")
-        for i, (v, res) in enumerate(zip(eigs.values, eigs.residuals), start=1):
-            fh.write(f"{i},{FLOAT_FMT % v},{FLOAT_FMT % res}\n")
+    write_csv(path, ["index", "value", "residual"],
+              zip(itertools.count(1), eigs.values.tolist(), eigs.residuals.tolist()))

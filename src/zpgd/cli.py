@@ -10,6 +10,7 @@ profiles given as breakpoint tables.  Exit codes: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from importlib import resources
@@ -23,16 +24,13 @@ from . import inviscid as iv
 from . import oracles as orc
 from . import shockfront as sfm
 from .profiles import ScalarProfile
-from .radial_core import FLOAT_FMT, RadialField, write_radial_csv
+from .radial_core import FLOAT_FMT, RadialField, write_csv, write_radial_csv
 from .specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
                       find_eigenvalues)
 
 NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.ConfinementError,
                     fs.QuadratureBudgetError, fs.CharacteristicError,
                     orc.StabilityError, InsufficientScanRangeError)
-
-MODES = ("freespace", "ball", "annulus", "inviscid", "verify-rh",
-         "oracle-compare", "eigen")
 
 _CONVENTION_NOTES = {
     "eigen": [
@@ -59,8 +57,6 @@ _CONVENTION_NOTES = {
         "jump brackets are inner-minus-outer: [f] = f(s-) - f(s+)",
         "multi-d residual reported in p-units (scaled by s^(n-1))",
     ],
-    "freespace": [],
-    "oracle-compare": [],
 }
 
 
@@ -250,7 +246,7 @@ def run_bounded(cfg: dict, ctx: RunContext) -> None:
     p = np.array([bg.density_batch(state, grid_r, float(t)) for t in grid_t]) \
         * grid_r ** (problem.n - 1)
     field = RadialField(problem.n, problem.epsilon, grid_r, grid_t, q, p)
-    write_radial_csv(field, str(ctx.path("field.csv")))
+    write_radial_csv(field, ctx.path("field.csv"))
     bg.write_eigenvalue_csv(state.ev.eigs, ctx.path("eigenvalues.csv"))
     ccfg = cfg.get("checks", {})
     t_probe = float(ccfg.get("robin_time", max(0.5, grid_t[0])))
@@ -284,7 +280,7 @@ def run_freespace(cfg: dict, ctx: RunContext) -> None:
     p = np.array([fs._density_radial_batch(problem, grid_r, float(t)) for t in grid_t]) \
         * grid_r ** (n - 1)
     field = RadialField(n, eps, grid_r, grid_t, qrows, p)
-    write_radial_csv(field, str(ctx.path("field.csv")))
+    write_radial_csv(field, ctx.path("field.csv"))
     ccfg = cfg.get("checks", {})
     if "closed_form" in ccfg:   # q0(r) = r: u = x/(1+t) exactly
         worst = 0.0
@@ -329,17 +325,14 @@ def run_inviscid(cfg: dict, ctx: RunContext) -> iv.SolutionPanel:
     grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 1.5, 15])
     ctx.params.append(f"n={problem.n} omega={problem.omega:.6g}")
     panel = iv.solve_panel(problem, grid_r, grid_t)
-    iv.write_panel_csv(panel, str(ctx.path("panel.csv")))
+    iv.write_panel_csv(panel, ctx.path("panel.csv"))
     ccfg = cfg.get("checks", {})
     rows = iv.weak_boundary_check(problem, grid_t, minimizer=panel.minimizer,
                                   mass_rtol=float(ccfg.get("mass_rtol", 1e-3)))
     viol = [r for r in rows if not r.ok]
-    with open(ctx.path("boundary_report.csv"), "w") as fh:
-        fh.write("t,q_origin,q_bound,mode,mass,mass_target,ok,note\n")
-        for r in rows:
-            fh.write(f"{FLOAT_FMT % r.t},{FLOAT_FMT % r.q_origin},"
-                     f"{FLOAT_FMT % r.q_bound},{r.mode},{FLOAT_FMT % r.mass},"
-                     f"{FLOAT_FMT % r.mass_target},{int(r.ok)},{r.note}\n")
+    write_csv(ctx.path("boundary_report.csv"),
+              [f.name for f in dataclasses.fields(iv.BoundaryCheckRow)],
+              map(dataclasses.astuple, rows))
     ctx.check_flag("weak boundary conditions", not viol)
     # primitive should be nondecreasing in r (nonnegative density)
     dP = np.diff(panel.P, axis=1)
@@ -396,7 +389,7 @@ def run_oracle_compare(cfg: dict, ctx: RunContext) -> None:
         for i, t in enumerate(grid_t):
             qs = state.velocity(field.grid_r[win], float(t))
             worst = max(worst, float(np.abs(qs - field.q[i][win]).max()))
-        write_radial_csv(field, str(ctx.path("fd_field.csv")))
+        write_radial_csv(field, ctx.path("fd_field.csv"))
         ctx.params.append(f"fd grid={config.n_r} case={problem.case.value}")
         ctx.check("series vs fd velocity gap", worst, float(ccfg.get("linf", 1e-3)))
         return
@@ -414,13 +407,11 @@ def run_oracle_compare(cfg: dict, ctx: RunContext) -> None:
             for k, r in enumerate(pts):
                 q_eps = fs.radial_velocity(fp, float(r), t_eval)
                 m = mz.minimize(float(r), t_eval)
-                q_inv = (r - m.r0) / t_eval if m.branch == "interior" \
-                    else r / (t_eval - m.t2)
+                q_inv = iv._q_P_of_minimum(problem, m, float(r), t_eval)[0]
                 errs[j, k] = abs(q_eps - q_inv)
-        with open(ctx.path("eps_sweep.csv"), "w") as fh:
-            fh.write("epsilon," + ",".join(f"err_r{FLOAT_FMT % p}" for p in pts) + "\n")
-            for j, eps in enumerate(eps_list):
-                fh.write(",".join([FLOAT_FMT % eps] + [FLOAT_FMT % e for e in errs[j]]) + "\n")
+        write_csv(ctx.path("eps_sweep.csv"),
+                  ["epsilon", *(f"err_r{FLOAT_FMT % p}" for p in pts)],
+                  ([eps, *row] for eps, row in zip(eps_list, errs.tolist())))
         mono = bool(np.all(np.diff(errs, axis=0) < 1e-12))
         orders = np.log(errs[:-1] / errs[1:]) / math.log(2.0)
         ctx.params.append(f"epsilons={eps_list}")
@@ -472,7 +463,7 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     mode = str(cfg.get("mode", "")).strip()
-    if mode not in MODES:
+    if mode not in _HANDLERS:
         print(f"validation error: unknown mode {mode!r}", file=sys.stderr)
         return 3
     out = Path(out_dir)
@@ -499,10 +490,12 @@ def main(argv=None) -> int:
                                      description="zero-pressure gas dynamics solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default="zpgd_out")
-    p_run.add_argument("--tolerance-scale", type=float, default=1.0)
+    for name, help_text in (("run", "run a scenario config"),
+                            ("verify", "alias of run: same checks, same artifacts")):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--out", default="zpgd_out")
+        p_run.add_argument("--tolerance-scale", type=float, default=1.0)
 
     sub.add_parser("list-scenarios", help="print the bundled scenario gallery")
 
@@ -518,11 +511,6 @@ def main(argv=None) -> int:
     p_eig.add_argument("--q-inner", type=float, default=0.0)
     p_eig.add_argument("--q-outer", type=float, default=0.0)
     p_eig.add_argument("--out", default="zpgd_out")
-
-    p_ver = sub.add_parser("verify", help="alias of run: same checks, same artifacts")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--out", default="zpgd_out")
-    p_ver.add_argument("--tolerance-scale", type=float, default=1.0)
 
     args = parser.parse_args(argv)
     if args.command == "list-scenarios":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .freespace import surface_measure
 from .profiles import ScalarProfile
-from .radial_core import FLOAT_FMT
+from .radial_core import RadialField, write_radial_csv
 
 __all__ = [
     "InviscidProblem",
@@ -68,12 +68,6 @@ class InviscidProblem:
         """V(s) = int_0^s (q_bound^+)^2 / 2."""
         return self._vsq_half.cumulative(s)
 
-    def q0_cumulative(self, r0):
-        return self.q0.cumulative(r0)
-
-    def p0_tail(self, r0):
-        return self.p0.tail_integral(r0)
-
 
 @dataclass
 class PathMinimum:
@@ -87,10 +81,10 @@ class PathMinimum:
     def check_value(self, problem: InviscidProblem, r: float, t: float) -> float:
         """|value - re-evaluation at the stored minimizers|."""
         if self.branch == "interior":
-            v = interior_cost(r, self.r0, t) + problem.q0_cumulative(self.r0)
+            v = interior_cost(r, self.r0, t) + problem.q0.cumulative(self.r0)
         else:
             v = (boundary_cost(r, self.r0, t, self.t1, self.t2, problem)
-                 + problem.q0_cumulative(self.r0))
+                 + problem.q0.cumulative(self.r0))
         return abs(v - self.value)
 
 
@@ -143,7 +137,7 @@ class _BoundaryTables:
         self.t_max = t_max
         r0_hi = t_max * problem._sup_q0 * 2.0 + 1.0
         r0g = np.linspace(0.0, r0_hi, grid)
-        c0 = problem.q0_cumulative(r0g)
+        c0 = problem.q0.cumulative(r0g)
         self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, grid)])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cost = r0g[None, :] ** 2 / (2.0 * self.t1[:, None]) + c0[None, :]
@@ -206,11 +200,11 @@ class PathMinimizer:
         pr = self.problem
         r0_hi = r + t * (pr._sup_q0 + pr._vplus.sup_abs(0.0, t)) + 1.0
         r0g = np.linspace(0.0, r0_hi, self.grid)
-        vals = (r - r0g) ** 2 / (2.0 * t) + pr.q0_cumulative(r0g)
+        vals = (r - r0g) ** 2 / (2.0 * t) + pr.q0.cumulative(r0g)
         k = int(np.argmin(vals))
         lo = r0g[max(k - 1, 0)]
         hi = r0g[min(k + 1, len(r0g) - 1)]
-        fun = lambda x: (r - x) ** 2 / (2.0 * t) + pr.q0_cumulative(x)
+        fun = lambda x: (r - x) ** 2 / (2.0 * t) + pr.q0.cumulative(x)
         return _line_min(fun, lo, hi, kinks=pr.q0.breakpoints)
 
     def _boundary(self, r: float, t: float, prune_above: float = math.inf):
@@ -251,7 +245,7 @@ class PathMinimizer:
         else:
             launch = r0 * r0 / (2.0 * t1)
         return (-(pr.sojourn_gain(t2) - pr.sojourn_gain(t1)) + launch
-                + r * r / (2.0 * (t - t2)) + pr.q0_cumulative(r0))
+                + r * r / (2.0 * (t - t2)) + pr.q0.cumulative(r0))
 
     def _descend(self, r, t, r0, t1, t2, cell, rounds=5):
         """Coordinate descent with shrinking brackets around the seed."""
@@ -331,7 +325,7 @@ class SolutionSample:
 def _q_P_of_minimum(problem: InviscidProblem, m: PathMinimum, r: float, t: float):
     if m.branch == "interior":
         q = (r - m.r0) / t
-        P = -problem.p0_tail(m.r0)
+        P = -problem.p0.tail_integral(m.r0)
     else:
         q = r / (t - m.t2)
         P = -float(problem.p_bound(m.t2)) / problem.omega
@@ -486,14 +480,6 @@ def weak_boundary_check(problem: InviscidProblem, times,
 
 def write_panel_csv(panel: SolutionPanel, path):
     """radial_core schema plus branch {I,B} and discontinuity flags."""
-    with open(path, "w") as fh:
-        fh.write(f"# n={panel.problem.n} epsilon=0\n")
-        fh.write("r,t,q,p,rho,branch,disc\n")
-        rho = panel.rho
-        for i, t in enumerate(panel.grid_t):
-            for j, r in enumerate(panel.grid_r):
-                fh.write(",".join([
-                    FLOAT_FMT % r, FLOAT_FMT % t, FLOAT_FMT % panel.q[i, j],
-                    FLOAT_FMT % panel.p[i, j], FLOAT_FMT % rho[i, j],
-                    panel.branch[i, j], "1" if panel.disc[i, j] else "0",
-                ]) + "\n")
+    field = RadialField(panel.n, 0.0, panel.grid_r, panel.grid_t, panel.q, panel.p,
+                        delta_flags=panel.disc)
+    write_radial_csv(field, path, {"branch": panel.branch, "disc": panel.disc})

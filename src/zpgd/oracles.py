@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profiles import ScalarProfile
-from .radial_core import RadialField
+from .radial_core import RadialField, write_csv
 
 __all__ = [
     "FDSolverConfig",
@@ -651,15 +651,11 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
 
 
 def write_particle_csv(traj: StickyTrajectory, path):
-    from .radial_core import FLOAT_FMT
-
-    with open(path, "w") as fh:
-        fh.write("t,index,r,m,v\n")
-        for k, t in enumerate(traj.times):
-            for i, (r, m, v) in enumerate(zip(traj.positions[k], traj.masses[k],
-                                              traj.velocities[k])):
-                fh.write(f"{FLOAT_FMT % t},{i},{FLOAT_FMT % r},"
-                         f"{FLOAT_FMT % m},{FLOAT_FMT % v}\n")
+    write_csv(path, ["t", "index", "r", "m", "v"],
+              ((t, i, r, m, v)
+               for t, rs, ms, vs in zip(traj.times, traj.positions, traj.masses,
+                                        traj.velocities)
+               for i, (r, m, v) in enumerate(zip(rs, ms, vs))))
 
 
 def riemann_particles(q_left: float, q_right: float, p_left: float, p_right: float,

@@ -4,11 +4,15 @@ The multi-dimensional fields are carried by their radial components:
 u = (x/r) q(r,t) and rho = r^-(n-1) p(r,t).  This module holds the sampled
 containers for (q, p) and for the linearizing variable a with
 q = -eps a_r / a, the residual evaluators every other module's tests lean
-on (4th order in r, 2nd order in t), and the CSV round trip.
+on (4th order in r, 2nd order in t), the CSV round trip, and `write_csv`,
+the one writer every CSV artifact goes through.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +29,7 @@ __all__ = [
     "velocity_from_hopf_cole",
     "viscous_residual",
     "heat_residual",
+    "write_csv",
     "write_radial_csv",
     "read_radial_csv",
 ]
@@ -254,45 +259,51 @@ def heat_residual(state: HopfColeState, epsilon: float, n: int) -> np.ndarray:
 # CSV round trip
 
 
-def _format_row(vals):
-    return ",".join(FLOAT_FMT % v for v in vals)
+def _opened(path_or_buf, mode: str):
+    """A path (str, bytes or os.PathLike) opened in `mode` and closed on
+    exit; any other object is taken as an open text buffer and left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        return open(path_or_buf, mode)
+    return nullcontext(path_or_buf)
+
+
+def write_csv(path_or_buf, names, rows, comment: str | None = None):
+    """Write an optional '# comment' line, the header `names` and one line
+    per row.  Strings pass through unchanged; every other value (float,
+    int, bool, NaN) prints as FLOAT_FMT.  The first row fixes which columns
+    are strings, through one format string for the whole table."""
+    with _opened(path_or_buf, "w") as buf:
+        if comment is not None:
+            buf.write(f"# {comment}\n")
+        buf.write(",".join(names) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        if len(first) != len(names):
+            raise ValueError(f"row has {len(first)} values for {len(names)} columns")
+        fmt = ",".join("%s" if isinstance(v, str) else FLOAT_FMT for v in first) + "\n"
+        buf.write(fmt % tuple(first))
+        buf.writelines(fmt % tuple(row) for row in rows)
 
 
 def write_radial_csv(field: RadialField, path_or_buf, extra_columns: dict | None = None):
     """Columns r,t,q,p,rho (t-major), one metadata header line with n and
     epsilon.  extra_columns maps name -> (len(t), len(r)) array of strings
-    or floats appended after rho."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "w")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
-        buf.write(f"# n={field.n} epsilon={FLOAT_FMT % field.epsilon}\n")
-        names = ["r", "t", "q", "p", "rho"] + list(extra_columns or {})
-        buf.write(",".join(names) + "\n")
-        rho = field.rho
-        for i, t in enumerate(field.grid_t):
-            for j, r in enumerate(field.grid_r):
-                row = _format_row([r, t, field.q[i, j], field.p[i, j], rho[i, j]])
-                for name, arr in (extra_columns or {}).items():
-                    v = arr[i][j] if not isinstance(arr[i], str) else arr[i]
-                    row += "," + (v if isinstance(v, str) else FLOAT_FMT % v)
-                buf.write(row + "\n")
-    finally:
-        if close:
-            buf.close()
+    or numbers appended after rho."""
+    extra = {name: np.asarray(col) for name, col in (extra_columns or {}).items()}
+    arrays = (field.q, field.p, field.rho, *extra.values())
+    r = field.grid_r.tolist()
+    # one time slice at a time: Python floats format fastest, and only one
+    # slice of them is alive at once
+    rows = (row for i, t in enumerate(field.grid_t.tolist())
+            for row in zip(r, itertools.repeat(t), *(a[i].tolist() for a in arrays)))
+    write_csv(path_or_buf, ["r", "t", "q", "p", "rho", *extra], rows,
+              comment=f"n={field.n} epsilon={FLOAT_FMT % field.epsilon}")
 
 
 def read_radial_csv(path_or_buf) -> RadialField:
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "r")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    with _opened(path_or_buf, "r") as buf:
         header = buf.readline().strip()
         if not header.startswith("#"):
             raise ValueError("missing metadata header line")
@@ -302,9 +313,6 @@ def read_radial_csv(path_or_buf) -> RadialField:
         cols = buf.readline().strip().split(",")
         idx = {c: k for k, c in enumerate(cols)}
         data = [line.strip().split(",") for line in buf if line.strip()]
-    finally:
-        if close:
-            buf.close()
     rs = sorted({float(row[idx["r"]]) for row in data})
     ts = sorted({float(row[idx["t"]]) for row in data})
     grid_r = np.array(rs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_core import FLOAT_FMT
+from .radial_core import write_csv
 
 __all__ = [
     "ShockFront",
@@ -118,13 +118,9 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
     mz = panel.minimizer
     problem = panel.problem
 
-    def q_at(r, t):
+    def qP_at(r, t):
         m = mz.minimize(float(r), float(t))
-        return _q_P_of_minimum(problem, m, float(r), float(t))[0]
-
-    def P_at(r, t):
-        m = mz.minimize(float(r), float(t))
-        return _q_P_of_minimum(problem, m, float(r), float(t))[1]
+        return _q_P_of_minimum(problem, m, float(r), float(t))
 
     # per-slice detections; candidates that refine to a smooth steep region
     # (no genuine one-sided gap, e.g. a rarefaction fan) are discarded
@@ -135,9 +131,9 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
             lo = grid_r[grp[0]]
             hi = grid_r[min(grp[-1] + 1, grid_r.size - 1)]
             if refine:
-                srad = _refine_jump(lambda r: q_at(r, t), lo, hi)
+                srad = _refine_jump(lambda r: qP_at(r, t)[0], lo, hi)
                 d = 1e-9 * max(1.0, srad)
-                gap = q_at(srad - d, t) - q_at(srad + d, t)
+                gap = qP_at(srad - d, t)[0] - qP_at(srad + d, t)[0]
                 if gap <= max(threshold, 1e-6):
                     continue
             else:
@@ -198,11 +194,13 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
         for k, (t, s) in enumerate(zip(times, svals)):
             d = side_offset * max(1.0, s)
             dtr = trace_offset * max(1.0, s)
-            qm[k] = q_at(s - dtr, t)
-            qp[k] = q_at(s + dtr, t)
-            ev[k] = P_at(s + d, t) - P_at(s - d, t)
-            pm[k] = (P_at(s - d, t) - P_at(s - d - dtr, t)) / dtr
-            pp[k] = (P_at(s + d + dtr, t) - P_at(s + d, t)) / dtr
+            qm[k] = qP_at(s - dtr, t)[0]
+            qp[k] = qP_at(s + dtr, t)[0]
+            P_in = qP_at(s - d, t)[1]
+            P_out = qP_at(s + d, t)[1]
+            ev[k] = P_out - P_in
+            pm[k] = (P_in - qP_at(s - d - dtr, t)[1]) / dtr
+            pp[k] = (qP_at(s + d + dtr, t)[1] - P_out) / dtr
         fronts.append(ShockFront(panel.n, times, svals, ev, qm, qp, pm, pp))
     fronts.sort(key=lambda f: f.times[0])
     return fronts
@@ -268,12 +266,9 @@ def rh_residual_multid(front: ShockFront):
 def write_front_csv(front: ShockFront, path):
     res_speed, res_mass = rh_residual_1d(front)
     res_multi = rh_residual_multid(front)
-    with open(path, "w") as fh:
-        fh.write("# jump brackets: inner trace minus outer trace, "
-                 "[f] = f(s-) - f(s+)\n")
-        fh.write("t,s,e,q_plus,q_minus,p_plus,p_minus,res_speed,res_mass,res_multid\n")
-        for k in range(front.times.size):
-            fh.write(",".join(FLOAT_FMT % v for v in (
-                front.times[k], front.s[k], front.e[k], front.q_plus[k],
-                front.q_minus[k], front.p_plus[k], front.p_minus[k],
-                res_speed[k], res_mass[k], res_multi[k])) + "\n")
+    cols = (front.times, front.s, front.e, front.q_plus, front.q_minus,
+            front.p_plus, front.p_minus, res_speed, res_mass, res_multi)
+    write_csv(path, ["t", "s", "e", "q_plus", "q_minus", "p_plus", "p_minus",
+                     "res_speed", "res_mass", "res_multid"],
+              np.column_stack(cols).tolist(),
+              comment="jump brackets: inner trace minus outer trace, [f] = f(s-) - f(s+)")

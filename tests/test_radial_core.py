@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zpgd.radial_core import (HopfColeState, OriginError, PositivityError,
                               RadialField, fd_derivative, fd_weights, gauss_panels,
                               heat_residual, lift_to_vector, read_radial_csv,
-                              velocity_from_hopf_cole, viscous_residual,
+                              velocity_from_hopf_cole, viscous_residual, write_csv,
                               write_radial_csv)
 
 
@@ -181,6 +184,43 @@ def test_csv_round_trip():
     assert np.array_equal(back.grid_r, field.grid_r)
     assert np.array_equal(back.q, field.q)
     assert np.array_equal(back.p, field.p)
+
+
+def test_csv_round_trip_through_path(tmp_path):
+    field = _linear_flow_field(nr=5, nt=3)
+    path = tmp_path / "field.csv"
+    write_radial_csv(field, path)
+    back = read_radial_csv(path)
+    assert np.array_equal(back.q, field.q)
+    assert np.array_equal(back.p, field.p)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=hnp.arrays(float, (3, 4), elements=_finite),
+       p=hnp.arrays(float, (3, 4), elements=_finite))
+def test_csv_round_trip_is_exact(q, p):
+    field = RadialField(2, 0.25, np.linspace(1.0, 2.5, 4), np.linspace(0.0, 1.0, 3), q, p)
+    buf = io.StringIO()
+    write_radial_csv(field, buf)
+    buf.seek(0)
+    back = read_radial_csv(buf)
+    assert np.array_equal(back.q, field.q)
+    assert np.array_equal(back.p, field.p)
+
+
+def test_write_csv_text():
+    rows = [("I", 3, True, 0.1, math.nan), ("B", -1, False, 1e-300, 2.5)]
+    buf = io.StringIO()
+    write_csv(buf, ["branch", "index", "ok", "value", "gap"], rows)
+    assert buf.getvalue() == ("branch,index,ok,value,gap\n"
+                              "I,3,1,0.10000000000000001,nan\n"
+                              "B,-1,0,1e-300,2.5\n")
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b"], [(0.5, "x")], comment="n=3 epsilon=0")
+    assert buf.getvalue() == "# n=3 epsilon=0\na,b\n0.5,x\n"
 
 
 def test_field_validation():
