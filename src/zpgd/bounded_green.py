@@ -376,14 +376,12 @@ class BoundedHopfCole:
         pr = self.ev.problem
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         if t < self.ev.t_floor:
-            q0 = pr.q0
-            dq0 = q0.derivative_profile()
-            d2q0 = dq0.derivative_profile()
+            q0, dq0, d2q0 = pr.q0.with_derivatives(rr, 2)
             nm1 = pr.n - 1
-            qdot = (-q0(rr) * dq0(rr) + 0.5 * pr.epsilon *
-                    (d2q0(rr) + nm1 / rr * dq0(rr) - nm1 / rr ** 2 * q0(rr)))
-            q = q0(rr) + t * qdot
-            dq = dq0(rr)   # O(t) correction dropped; only used below the floor
+            qdot = (-q0 * dq0 + 0.5 * pr.epsilon *
+                    (d2q0 + nm1 / rr * dq0 - nm1 / rr ** 2 * q0))
+            q = q0 + t * qdot
+            dq = dq0   # O(t) correction dropped; only used below the floor
             return q, dq
         k, c = self._weights(t, reference=True)
         phi0, phi1 = self.ev.phi(rr, k=k)

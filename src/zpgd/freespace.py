@@ -307,10 +307,8 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
     """
     r = np.asarray(r, dtype=float)
     if t < 1e-12:
-        out = np.zeros_like(r)
-        pos = r > 0
-        out[pos] = problem.q0(r[pos])
-        return out, problem.q0.derivative_profile()(np.abs(r))
+        q, dq = problem.q0.with_derivatives(np.abs(r), 1)
+        return np.where(r > 0, q, 0.0), dq
     reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
     if float(np.max(r) - np.min(r)) <= reach:
         return _velocity_block(problem, r, t, npts)
@@ -534,6 +532,7 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     guard = 0
+    k1 = None   # f(s, y); a rejected attempt leaves s, y and f as they were
     while (s1 - s) * np.sign(span) > 1e-14 * abs(span):
         guard += 1
         if guard > 100000:
@@ -542,7 +541,8 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
         if (s + h - s1) * np.sign(span) > 0:
             h = s1 - s
         # the full step and the first half step share their first stage
-        k1 = f(s, y)
+        if k1 is None:
+            k1 = f(s, y)
         y_full = step(y, s, h, k1)
         y_mid = step(y, s, 0.5 * h, k1)
         y_half = step(y_mid, s + 0.5 * h, 0.5 * h, f(s + 0.5 * h, y_mid))
@@ -568,6 +568,7 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
                     f = frozen_rhs
             y = y_next
             s = s + h
+            k1 = None
             h = h * min(3.0, max(0.3, 0.9 * (15.0 / max(err, 1e-14)) ** 0.2))
         else:
             h *= max(0.3, 0.9 * (15.0 / err) ** 0.2)

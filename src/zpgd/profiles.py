@@ -51,6 +51,8 @@ class ScalarProfile:
     _cum_list: list = field(init=False, repr=False, compare=False)
     # sup_abs() over the whole line, filled on first use
     _sup_whole: float | None = field(init=False, repr=False, compare=False)
+    # coefficient tables of f, f', f'', ..., extended on first use
+    _deriv_coeffs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -79,6 +81,7 @@ class ScalarProfile:
         object.__setattr__(self, "_int_rows", self._int_coeffs[:, ::-1].tolist())
         object.__setattr__(self, "_cum_list", self._cum.tolist())
         object.__setattr__(self, "_sup_whole", None)
+        object.__setattr__(self, "_deriv_coeffs", [cf])
 
     # ------------------------------------------------------------------
     # constructors
@@ -156,6 +159,18 @@ class ScalarProfile:
         idx, dx = self._locate(xf)
         val = self._gather_horner(self.coeffs, idx, dx)
         return float(val[0]) if scalar else val
+
+    def with_derivatives(self, x, k: int):
+        """(f, f', ..., f^(k)) at the points x from one _locate.
+
+        Each entry is an array of x's shape, bit-identical to evaluating
+        derivative_profile() applied j times (same table, same Horner pass
+        on the same piece and clamped offset); beyond the degree the rows
+        are zero."""
+        x = np.asarray(x, dtype=float)
+        idx, dx = self._locate(x)
+        return tuple(self._gather_horner(self._derivative_coeffs(j), idx, dx)
+                     for j in range(k + 1))
 
     def cumulative(self, x):
         """Exact integral from breakpoints[0] to x (clamped pieces extend
@@ -273,12 +288,19 @@ class ScalarProfile:
     def scaled(self, factor: float) -> "ScalarProfile":
         return ScalarProfile(self.breakpoints, self.coeffs * float(factor))
 
+    def _derivative_coeffs(self, k: int) -> np.ndarray:
+        """Local coefficient table of the k-th derivative (kept once built)."""
+        tables = self._deriv_coeffs
+        while len(tables) <= k:
+            cf = tables[-1]
+            dcf = cf[:, 1:] * np.arange(1, cf.shape[1])
+            if dcf.shape[1] == 0:
+                dcf = np.zeros((cf.shape[0], 1))
+            tables.append(dcf)
+        return tables[k]
+
     def derivative_profile(self) -> "ScalarProfile":
-        ks = np.arange(1, self.coeffs.shape[1])
-        dcf = self.coeffs[:, 1:] * ks
-        if dcf.shape[1] == 0:
-            dcf = np.zeros((self.coeffs.shape[0], 1))
-        return ScalarProfile(self.breakpoints, dcf)
+        return ScalarProfile(self.breakpoints, self._derivative_coeffs(1))
 
     def times_monomial(self, k: int) -> "ScalarProfile":
         """Profile multiplied by x**k (exact, piecewise)."""

@@ -358,6 +358,31 @@ def test_inflow_exit_matches_solve_ivp_reference():
         assert gap[:exits].max() < 2e-8
 
 
+def test_wall_trace_evaluates_no_point_twice(monkeypatch):
+    # rejected steps and wall exits: every (s, y) the shared integrator
+    # asks for is new, also after it switches to the frozen right side
+    from zpgd import freespace as fs
+
+    st = bg.hopf_cole_boundary_state(_inflow_annulus(ScalarProfile.constant(0.7)))
+    rr = np.array([1.01, 1.05, 1.2, 1.5, 1.95])
+    ref = bg.density_batch(st, rr, 1.5)
+    seen = set()
+
+    def checked(rhs):
+        def wrapped(s, y):
+            key = (s, y.tobytes())
+            assert key not in seen, f"rhs evaluated twice at s={s!r}"
+            seen.add(key)
+            return rhs(s, y)
+        return wrapped
+
+    plain = fs._rk4_doubling
+    monkeypatch.setattr(fs, "_rk4_doubling",
+                        lambda rhs, *args, **kw: plain(checked(rhs), *args, **kw))
+    assert np.array_equal(bg.density_batch(st, rr, 1.5), ref)
+    assert seen
+
+
 def test_mass_flux_identity_inflow_wall():
     # rho_inner = 1 equals rho0 at the inner corner, so the density is
     # continuous across the characteristic leaving the corner.  With
@@ -392,6 +417,29 @@ def test_velocity_below_floor_raises():
     st = bg.hopf_cole_boundary_state(pr)
     with pytest.raises(bg.TruncationError):
         st.velocity(0.5, st.time_floor / 10.0)
+
+
+@pytest.mark.parametrize("make", [lambda: ball3d_problem(),
+                                  lambda: _inflow_annulus(ScalarProfile.constant(0.7))],
+                         ids=["ball3d", "inflow-annulus"])
+def test_velocity_and_derivative_below_floor_is_taylor_limit(make):
+    # below t_floor the right side is q0 + t*qdot and q0' with qdot from
+    # q_t = -q q_r + eps/2 (q_rr + (n-1)/r q_r - (n-1)/r^2 q); the O(t)
+    # term of dq is dropped, so the right side jumps at t_floor
+    pr = make()
+    st = bg.hopf_cole_boundary_state(pr)
+    a, b = pr.domain
+    rr = np.linspace(a + 0.01 * (b - a), b, 13)
+    q0 = pr.q0
+    dq0 = q0.derivative_profile()
+    d2q0 = dq0.derivative_profile()
+    nm1 = pr.n - 1
+    for t in (0.0, 1e-9, 0.3 * st.time_floor, 0.999 * st.time_floor):
+        qdot = (-q0(rr) * dq0(rr) + 0.5 * pr.epsilon *
+                (d2q0(rr) + nm1 / rr * dq0(rr) - nm1 / rr ** 2 * q0(rr)))
+        q, dq = st.velocity_and_derivative(rr, t)
+        assert np.array_equal(q.view(np.int64), (q0(rr) + t * qdot).view(np.int64))
+        assert np.array_equal(dq.view(np.int64), dq0(rr).view(np.int64))
 
 
 def test_eigenvalue_csv(tmp_path):

@@ -256,16 +256,21 @@ def test_total_mass_non_radial_n1_keeps_full_line():
 
 
 def test_rk4_doubling_reuses_first_stage():
-    seen = set()
+    # y' = -rate y.  At rate 100 RK4 is unstable at the first step, span/16,
+    # so that attempt is rejected and the retry must reuse f(s0, y0).
+    for rate in (1.0, 100.0):
+        seen = set()
 
-    def rhs(s, y):
-        key = (s, y.tobytes())
-        assert key not in seen, f"rhs evaluated twice at s={s!r}"
-        seen.add(key)
-        return -y
+        def rhs(s, y):
+            key = (s, y.tobytes())
+            assert key not in seen, f"rhs evaluated twice at s={s!r}"
+            seen.add(key)
+            return -rate * y
 
-    y = fs._rk4_doubling(rhs, np.array([1.0]), 0.0, 1.0)
-    assert abs(y[0] - math.exp(-1.0)) < 1e-8
+        y = fs._rk4_doubling(rhs, np.array([1.0]), 0.0, 1.0)
+        assert abs(y[0] - math.exp(-rate)) < 1e-8
+    # an accepted first attempt would evaluate nothing below span/64
+    assert min(s for s, _ in seen if s > 0.0) < 1.0 / 64.0
 
 
 def test_total_mass_radial_n3():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from zpgd.profiles import ScalarProfile
@@ -109,6 +111,44 @@ def test_derivative_profile():
     p = ScalarProfile.from_pieces([0.0, 2.0], [[1.0, 3.0, -1.0]])
     d = p.derivative_profile()
     assert d(0.5) == pytest.approx(3.0 - 1.0)
+
+
+@st.composite
+def _piecewise_polynomial(draw):
+    degree = draw(st.integers(0, 7))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=5))
+    start = draw(st.floats(-2.0, 2.0))
+    coeff = st.floats(-10.0, 10.0)
+    rows = [draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+            for _ in gaps]
+    return ScalarProfile.from_pieces(start + np.concatenate([[0.0], np.cumsum(gaps)]),
+                                     rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=_piecewise_polynomial(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+       data=st.data())
+def test_with_derivatives_matches_repeated_derivative_profile(prof, fractions, data):
+    bp = prof.breakpoints
+    lo, hi = bp[0], bp[-1]
+    # inside the range, on every breakpoint and beyond both clamped ends
+    x = np.array([*bp, *(lo + np.asarray(fractions) * (hi - lo)),
+                  lo - 0.7, hi + 1.3, lo - 1e-300, hi + 1e-9])
+    k = data.draw(st.integers(0, prof.degree + 1), label="k")
+    rows = prof.with_derivatives(x, k)
+    assert len(rows) == k + 1
+    d = prof
+    for j, row in enumerate(rows):
+        ref = d(x)
+        assert row.shape == x.shape
+        assert np.array_equal(row.view(np.int64), ref.view(np.int64)), j
+        nxt = d.derivative_profile()
+        # the table differentiated term by term, one power at a time
+        dcf = d.coeffs[:, 1:] * np.arange(1, d.coeffs.shape[1])
+        assert np.array_equal(nxt.coeffs, dcf if dcf.size else np.zeros((len(dcf), 1)))
+        d = nxt
+    if k == prof.degree + 1:
+        assert not np.any(rows[-1])
 
 
 def test_validation():
