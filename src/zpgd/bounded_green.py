@@ -313,9 +313,10 @@ def green(ev: GreenEvaluator, r: float, xi: float, t: float) -> float:
 
 class BoundedHopfCole:
     """a(r,t) = integral G(r,xi,t) exp(-(1/eps) int_0^xi q0) dxi and the
-    derived velocity; weight integrals are precomputed once."""
+    derived velocity; weight integrals are precomputed once on 10-point
+    Gauss panels."""
 
-    def __init__(self, ev: GreenEvaluator, quad_points: int = 10):
+    def __init__(self, ev: GreenEvaluator):
         self.ev = ev
         pr = ev.problem
         a, b = pr.domain
@@ -325,7 +326,7 @@ class BoundedHopfCole:
         edges = np.unique(np.concatenate(
             [np.linspace(a, b, n_panels + 1),
              [k for k in pr.q0.breakpoints if a < k < b]]))
-        nodes, wts = gauss_panels(edges, quad_points)
+        nodes, wts = gauss_panels(edges, 10)
         expo = -pr.q0.cumulative(nodes) / pr.epsilon
         self._shift = float(expo.max())
         weight = np.exp(expo - self._shift) * nodes ** (pr.n - 1) * wts
@@ -355,16 +356,12 @@ class BoundedHopfCole:
         return self.ev.phi(r, k=k)[0] @ c
 
     def velocity(self, r, t: float):
-        """q = -eps a_r / a, evaluated in the slow-mode-relative scaling."""
+        """q = -eps a_r / a, the q of velocity_and_derivative; only defined
+        at and above the series floor."""
         if t < self.ev.t_floor:
             raise TruncationError(
                 f"t={t:g} below the series floor {self.ev.t_floor:g}")
-        k, c = self._weights(t, reference=True)
-        phi, dphi = self.ev.phi(r, k=k)
-        den = phi @ c
-        if np.any(np.abs(den) < 1e-300):
-            raise TruncationError("series denominator underflow")
-        out = -self.ev.problem.epsilon * (dphi @ c) / den
+        out = self.velocity_and_derivative(r, t)[0]
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
     def velocity_and_derivative(self, r, t: float):
@@ -417,9 +414,9 @@ class BoundedHopfCole:
         return HopfColeState(np.asarray(grid_r, float), np.asarray(grid_t, float), vals)
 
 
-def hopf_cole_boundary_state(problem: BoundedProblem, n_terms: int | None = None,
-                             t_floor: float | None = None) -> BoundedHopfCole:
-    return BoundedHopfCole(build_green_evaluator(problem, n_terms, t_floor))
+def hopf_cole_boundary_state(problem: BoundedProblem,
+                             n_terms: int | None = None) -> BoundedHopfCole:
+    return BoundedHopfCole(build_green_evaluator(problem, n_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,7 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
 
     # state: feet and the accumulated d(log p)/ds integral
     y, s_exit = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
-                              rtol=rtol, atol=1e-10, walls=(lo, hi))
+                              rtol=rtol, walls=(lo, hi))
     feet = np.clip(y[:m], a + 1e-13 * (b - a), b - 1e-13 * (b - a))
     integral_qr = y[m:]   # = -int_{t0}^{t} q_r ds
     p_gamma = pr.p0_profile()(feet)
@@ -482,14 +479,14 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
     return p_gamma * np.exp(integral_qr) / radii ** (pr.n - 1)
 
 
-def radial_mass(state: BoundedHopfCole, t: float, n_panels: int = 16,
-                quad_points: int = 6) -> float:
-    """m(t) = integral of p = r^(n-1) rho over the domain width."""
+def radial_mass(state: BoundedHopfCole, t: float) -> float:
+    """m(t) = integral of p = r^(n-1) rho over the domain width, on 16
+    Gauss panels of 6 points."""
     pr = state.ev.problem
     a, b = pr.domain
     lo = a + 1e-4 * (b - a) if not pr.is_annulus else a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
-    nodes, wts = gauss_panels(np.linspace(lo, hi, n_panels + 1), quad_points)
+    nodes, wts = gauss_panels(np.linspace(lo, hi, 16 + 1), 6)
     dens = density_batch(state, nodes, t)
     total = float((dens * nodes ** (pr.n - 1)) @ wts)
     if not pr.is_annulus:

@@ -251,8 +251,7 @@ def _radial_integrand(problem, r, t, shift):
     return fn
 
 
-def radial_velocity(problem: FreespaceProblem, r: float, t: float,
-                    rtol: float = 1e-11) -> float:
+def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
     """Radial velocity component q(r, t) by adaptive quadrature."""
     if t <= 0:
         raise TimeDomainError("t must be positive")
@@ -279,9 +278,7 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float,
         [k for k in kinks if lo < k < hi]]))
     L0 = max(problem.q0.sup_abs(), 1e-300)
     fn = _radial_integrand(problem, r, t, shift)
-    den, num = _adaptive(fn, edges,
-                         scale_fn=lambda rough: [rough[0], rough[0] * L0],
-                         rtol=rtol)
+    den, num = _adaptive(fn, edges, scale_fn=lambda rough: [rough[0], rough[0] * L0])
     if den <= 0.0 or not math.isfinite(den):
         raise ConfinementError("velocity quadrature denominator degenerate")
     return float(num / den)
@@ -290,10 +287,10 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float,
 _MAX_PANELS = 224     # panels of one batch grid
 _EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
 _BLOCK_CELLS = 49152  # (radius x node) cells per row block of the batch kernel
+_PANEL_POINTS = 8     # Gauss points per panel of the batch grid
 
 
-def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
-                           npts: int = 8):
+def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
     """Vectorized radial velocity q at many radii, one time (fixed composite
     rule per point; intended for smooth profiles inside the tracer).
 
@@ -311,7 +308,7 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
         return np.where(r > 0, q, 0.0), dq
     reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
     if float(np.max(r) - np.min(r)) <= reach:
-        return _velocity_block(problem, r, t, npts)
+        return _velocity_block(problem, r, t)
     order = np.argsort(r, kind="stable")
     rs = r[order]
     q, dq = np.empty_like(r), np.empty_like(r)
@@ -319,13 +316,14 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float,
     while start < rs.size:
         stop = int(np.searchsorted(rs, rs[start] + reach, side="right"))
         q[order[start:stop]], dq[order[start:stop]] = _velocity_block(
-            problem, rs[start:stop], t, npts)
+            problem, rs[start:stop], t)
         start = stop
     return q, dq
 
 
-def _velocity_block(problem, r, t, npts):
-    """(q, dq/dr) at radii r on one shared grid of npts-point Gauss panels.
+def _velocity_block(problem, r, t):
+    """(q, dq/dr) at radii r on one shared grid of _PANEL_POINTS-point Gauss
+    panels.
 
     All radii share one absolute node grid, so panel edges sit exactly on
     the profile kinks.  The (radius x node) matrices are built in row
@@ -341,7 +339,7 @@ def _velocity_block(problem, r, t, npts):
     edges = np.unique(np.concatenate([
         np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
         [k for k in q0.breakpoints if lo < k < hi]]))
-    s, wts = gauss_panels(edges, npts)
+    s, wts = gauss_panels(edges, _PANEL_POINTS)
     sn = s ** (n - 1) * wts
     sq = sn * q0(s)
     phi = q0.cumulative(s) / eps
@@ -406,8 +404,7 @@ def _gaussian_sums(n, r, k, s, phi, cols):
 # general potentials
 
 
-def _line_velocity(problem: FreespaceProblem, x: float, t: float,
-                   rtol: float = 1e-11) -> float:
+def _line_velocity(problem: FreespaceProblem, x: float, t: float) -> float:
     """General 1-D potential: adaptive integral over the whole line with an
     expanding confinement window."""
     eps = problem.epsilon
@@ -439,28 +436,29 @@ def _line_velocity(problem: FreespaceProblem, x: float, t: float,
     edges = np.linspace(lo, hi, max(13, int(math.ceil((hi - lo) / width_cap)) + 1))
     gscale = max(float(np.max(np.abs([problem.grad(v) for v in np.linspace(lo, hi, 65)]))),
                  1e-6)
-    den, num = _adaptive(fn, edges,
-                         scale_fn=lambda rough: [rough[0], rough[0] * gscale],
-                         rtol=rtol)
+    den, num = _adaptive(fn, edges, scale_fn=lambda rough: [rough[0], rough[0] * gscale])
     if den <= 0 or not math.isfinite(den):
         raise ConfinementError("velocity quadrature denominator degenerate")
     return float(num / den)
 
 
-def _tensor_velocity(problem: FreespaceProblem, x: np.ndarray, t: float,
-                     half_points: int = 28) -> np.ndarray:
+_TENSOR_HALF_POINTS = 28   # grid points on each side of x per axis
+
+
+def _tensor_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.ndarray:
     """Reference tensor-grid evaluation for general n = 2, 3 potentials
     (moderate tolerance; the radial path is the accurate one)."""
     eps, n = problem.epsilon, problem.n
     w = math.sqrt(2.0 * t * (45.0 * eps + 4.0)) + 2.0
     for _ in range(40):
-        axes = [np.linspace(x[k] - w, x[k] + w, 2 * half_points + 1) for k in range(n)]
+        axes = [np.linspace(x[k] - w, x[k] + w, 2 * _TENSOR_HALF_POINTS + 1)
+                for k in range(n)]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         f = np.array([problem.phi0(p) for p in pts])
         f = f + ((pts - x[None, :]) ** 2).sum(axis=1) / (2.0 * t)
         fmin = f.min()
-        interior = f.reshape([2 * half_points + 1] * n)
+        interior = f.reshape([2 * _TENSOR_HALF_POINTS + 1] * n)
         edge_min = min(interior[0].min(), interior[-1].min(),
                        interior[:, 0].min(), interior[:, -1].min())
         if edge_min - fmin > eps * math.log(1e17):
@@ -498,11 +496,11 @@ def velocity(problem: FreespaceProblem, x, t: float):
     return _tensor_velocity(problem, np.asarray(x, dtype=float), t)
 
 
-def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.0,
-                  walls=None):
+def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, walls=None):
     """Step-doubled classic RK4 with Richardson extrapolation (an embedded
-    4th/5th-order pair); vectorized over the state.  A step-size floor
-    keeps quadrature noise in the right side from stalling the controller.
+    4th/5th-order pair); vectorized over the state, with absolute tolerance
+    1e-10.  A step-size floor of 1/1500 of the span keeps quadrature noise
+    in the right side from stalling the controller.
 
     With walls=(lo, hi) the state is two rows of m entries, the positions
     of m traces and then one quantity carried along each, and the result
@@ -515,7 +513,7 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
     s = s0
     span = s1 - s0
     h = span / 16.0
-    h_min = abs(span) * h_min_frac
+    h_min = abs(span) * (1.0 / 1500.0)
     f = rhs
     if walls is not None:
         m = y.size // 2
@@ -546,7 +544,7 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, atol=1e-10, h_min_frac=1.0 / 1500.
         y_full = step(y, s, h, k1)
         y_mid = step(y, s, 0.5 * h, k1)
         y_half = step(y_mid, s + 0.5 * h, 0.5 * h, f(s + 0.5 * h, y_mid))
-        err = np.max(np.abs(y_half - y_full) / (atol + rtol * np.maximum(np.abs(y_half), 1.0)))
+        err = np.max(np.abs(y_half - y_full) / (1e-10 + rtol * np.maximum(np.abs(y_half), 1.0)))
         if err <= 15.0 or abs(h) <= h_min:
             y_next = y_half + (y_half - y_full) / 15.0
             if walls is not None:
@@ -583,8 +581,7 @@ def _hermite(theta, y0, dy0, y1, dy1):
             + (3.0 * t2 - 2.0 * t3) * y1 + (t3 - t2) * dy1)
 
 
-def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float,
-                        rtol=1e-8):
+def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
     """Backward feet for a batch of radii at a common time and d(foot)/dr
     via the variational equation integrated alongside."""
     radii = np.asarray(radii, dtype=float)
@@ -596,14 +593,15 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float,
         q, dq = _radial_velocity_batch(problem, np.maximum(beta, 0.0), s)
         return np.concatenate([-q, -dq * w])
 
-    state = _rk4_doubling(rhs, np.concatenate([radii, np.ones(m)]), 0.0, t, rtol=rtol)
+    state = _rk4_doubling(rhs, np.concatenate([radii, np.ones(m)]), 0.0, t)
     return state[:m], state[m:]
 
 
-def trace_characteristic(problem: FreespaceProblem, x, t: float, fd_step=2e-3):
+def trace_characteristic(problem: FreespaceProblem, x, t: float):
     """Backward characteristic foot X0 = X(x,t,0) and the Jacobian
-    determinant of x -> X0, by a finite-difference cloud of neighbor
-    trajectories (radial problems trace 3 radii; general ones 2n+1 points).
+    determinant of x -> X0.  Radial problems integrate the variational
+    equation along one trace; general ones difference a cloud of 2n+1
+    trajectories spaced 2e-3 (1 + |x|) apart.
     """
     if t <= 0:
         raise TimeDomainError("t must be positive")
@@ -621,7 +619,7 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float, fd_step=2e-3):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     n = problem.n
     cloud = [xv]
-    h = fd_step * (1.0 + float(np.linalg.norm(xv)))
+    h = 2e-3 * (1.0 + float(np.linalg.norm(xv)))
     for k in range(n):
         e = np.zeros(n)
         e[k] = h

@@ -41,6 +41,8 @@ __all__ = [
 
 _VALUE_TIE = 1e-9     # minimizer value gap treated as a tie
 _Q_GAP = 1e-4         # velocity gap that flags a genuine discontinuity
+_GRID = 2048          # nodes of the seeding scans and of the boundary tables
+_ORIGIN_PROBE = 1e-5  # radius at which weak_boundary_check reads q(0+, t)
 
 
 @dataclass
@@ -132,13 +134,13 @@ class _BoundaryTables:
     one dense table serves every (r, t) query.
     """
 
-    def __init__(self, problem: InviscidProblem, t_max: float, grid: int = 2048):
+    def __init__(self, problem: InviscidProblem, t_max: float):
         self.problem = problem
         self.t_max = t_max
         r0_hi = t_max * problem._sup_q0 * 2.0 + 1.0
-        r0g = np.linspace(0.0, r0_hi, grid)
+        r0g = np.linspace(0.0, r0_hi, _GRID)
         c0 = problem.q0.cumulative(r0g)
-        self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, grid)])
+        self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, _GRID)])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cost = r0g[None, :] ** 2 / (2.0 * self.t1[:, None]) + c0[None, :]
         cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
@@ -155,14 +157,15 @@ class _BoundaryTables:
         self.w_best = best
 
 
-def _line_min(fun, lo, hi, kinks=(), iters=90):
-    """Golden-section line search plus explicit kink candidates."""
+def _line_min(fun, lo, hi, kinks=()):
+    """Golden-section line search (at most 90 steps) plus explicit kink
+    candidates."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -190,16 +193,14 @@ def _line_min(fun, lo, hi, kinks=(), iters=90):
 class PathMinimizer:
     """Caches the boundary tables; evaluates Q(r, t) pointwise."""
 
-    def __init__(self, problem: InviscidProblem, t_max: float = 10.0,
-                 grid: int = 2048):
+    def __init__(self, problem: InviscidProblem, t_max: float = 10.0):
         self.problem = problem
-        self.grid = grid
-        self.tables = _BoundaryTables(problem, t_max, grid)
+        self.tables = _BoundaryTables(problem, t_max)
 
     def _interior(self, r: float, t: float):
         pr = self.problem
         r0_hi = r + t * (pr._sup_q0 + pr._vplus.sup_abs(0.0, t)) + 1.0
-        r0g = np.linspace(0.0, r0_hi, self.grid)
+        r0g = np.linspace(0.0, r0_hi, _GRID)
         vals = (r - r0g) ** 2 / (2.0 * t) + pr.q0.cumulative(r0g)
         k = int(np.argmin(vals))
         lo = r0g[max(k - 1, 0)]
@@ -207,11 +208,11 @@ class PathMinimizer:
         fun = lambda x: (r - x) ** 2 / (2.0 * t) + pr.q0.cumulative(x)
         return _line_min(fun, lo, hi, kinks=pr.q0.breakpoints)
 
-    def _boundary(self, r: float, t: float, prune_above: float = math.inf):
+    def _boundary(self, r: float, t: float, prune_above: float):
         pr = self.problem
         tb = self.tables
         if t > tb.t_max:
-            self.tables = _BoundaryTables(pr, 2.0 * t, self.grid)
+            self.tables = _BoundaryTables(pr, 2.0 * t)
             tb = self.tables
         n_ok = int(np.searchsorted(tb.t1, t * (1.0 - 1e-9)))
         if n_ok < 3:
@@ -224,14 +225,13 @@ class PathMinimizer:
         # local (geometric) grid spacings set the refinement brackets
         gap2 = t2g[min(k + 1, t2g.size - 1)] - t2g[max(k - 1, 0)]
         gap1 = tb.t1[min(i1 + 1, tb.t1.size - 1)] - tb.t1[max(i1 - 1, 0)]
-        cell = max(gap1, gap2, t / self.grid)
+        cell = max(gap1, gap2, t / _GRID)
         seed_val = float(total[k])
-        if math.isfinite(prune_above):
-            # descent can improve the seed by at most ~cell * local slope
-            slope = (pr._vplus.sup_abs(0.0, t) ** 2
-                     + r * r / (t - t2g[k]) ** 2 + pr._sup_q0 ** 2 + 1.0)
-            if seed_val - 4.0 * cell * slope > prune_above:
-                return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
+        # descent can improve the seed by at most ~cell * local slope
+        slope = (pr._vplus.sup_abs(0.0, t) ** 2
+                 + r * r / (t - t2g[k]) ** 2 + pr._sup_q0 ** 2 + 1.0)
+        if seed_val - 4.0 * cell * slope > prune_above:
+            return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
         return self._descend(r, t, tb.g_r0[i1], tb.t1[i1], t2g[k], cell=cell)
 
     def _cost(self, r, t, r0, t1, t2):
@@ -247,8 +247,9 @@ class PathMinimizer:
         return (-(pr.sojourn_gain(t2) - pr.sojourn_gain(t1)) + launch
                 + r * r / (2.0 * (t - t2)) + pr.q0.cumulative(r0))
 
-    def _descend(self, r, t, r0, t1, t2, cell, rounds=5):
-        """Coordinate descent with shrinking brackets around the seed."""
+    def _descend(self, r, t, r0, t1, t2, cell):
+        """Coordinate descent, five rounds of shrinking brackets around the
+        seed."""
         pr = self.problem
         kt = pr.q_bound.breakpoints
         kr = pr.q0.breakpoints
@@ -259,7 +260,7 @@ class PathMinimizer:
             if v < best:
                 r0, t1, best = wr0, wt1, v
         span = 3.0 * cell
-        for _ in range(rounds):
+        for _ in range(5):
             if t1 > 0.0:
                 x, v = _line_min(lambda z: self._cost(r, t, z, t1, t2),
                                  max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05,
@@ -298,10 +299,8 @@ class PathMinimizer:
         return PathMinimum("boundary", r0_b, t1_b, t2_b, v_b, gap)
 
 
-def minimize_paths(problem: InviscidProblem, r: float, t: float,
-                   minimizer: PathMinimizer | None = None) -> PathMinimum:
-    mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * t, 1.0))
-    return mz.minimize(r, t)
+def minimize_paths(problem: InviscidProblem, r: float, t: float) -> PathMinimum:
+    return PathMinimizer(problem, t_max=max(2.0 * t, 1.0)).minimize(r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +332,23 @@ def _q_P_of_minimum(problem: InviscidProblem, m: PathMinimum, r: float, t: float
 
 
 def solution(problem: InviscidProblem, r: float, t: float,
-             minimizer: PathMinimizer | None = None,
-             dr: float | None = None) -> SolutionSample:
-    """(q, P, p) at one point; p comes from one-sided differences of P on
-    whichever side is locally smooth, and points where distinct minimizers
-    tie (within 1e-9 in value but differ in q by more than 1e-4) are
-    returned as two-sided discontinuity samples."""
+             minimizer: PathMinimizer | None = None) -> SolutionSample:
+    """(q, P, p) at one point.  p comes from the one-sided differences of P
+    over h = max(1e-7, 1e-7 r) (the left point clamped at 1e-14): their
+    mean away from a jump, and at a flagged jump the one with the smaller
+    |p|.  A jump is flagged where the one-sided q differ by more than
+    1e-4 + 10 h / t; such points are returned as two-sided discontinuity
+    samples."""
     mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * t, 1.0))
     m = mz.minimize(r, t)
     q, P = _q_P_of_minimum(problem, m, r, t)
-    h = dr if dr is not None else max(1e-7, 1e-7 * r)
+    h = max(1e-7, 1e-7 * r)
     m_l = mz.minimize(max(r - h, 1e-14), t)
     m_r = mz.minimize(r + h, t)
     q_l, P_l = _q_P_of_minimum(problem, m_l, max(r - h, 1e-14), t)
     q_r, P_r = _q_P_of_minimum(problem, m_r, r + h, t)
     disc = (abs(q_r - q_l) > _Q_GAP + 10.0 * h / t)
-    p_left = (P - P_l) / min(h, r - 1e-14 if r > h else h)
+    p_left = (P - P_l) / min(h, r - 1e-14)
     p_right = (P_r - P) / h
     p = 0.5 * (p_left + p_right) if not disc else (p_left if abs(p_left) < abs(p_right) else p_right)
     return SolutionSample(r, t, q, P, p, m.branch, m, disc,
@@ -379,11 +379,10 @@ class SolutionPanel:
         return self.p / self.grid_r[None, :] ** (self.problem.n - 1)
 
 
-def solve_panel(problem: InviscidProblem, grid_r, grid_t,
-                minimizer: PathMinimizer | None = None) -> SolutionPanel:
+def solve_panel(problem: InviscidProblem, grid_r, grid_t) -> SolutionPanel:
     grid_r = np.asarray(grid_r, dtype=float)
     grid_t = np.asarray(grid_t, dtype=float)
-    mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * float(grid_t[-1]), 1.0))
+    mz = PathMinimizer(problem, t_max=max(2.0 * float(grid_t[-1]), 1.0))
     nt, nr = grid_t.size, grid_r.size
     q = np.empty((nt, nr))
     P = np.empty((nt, nr))
@@ -395,29 +394,24 @@ def solve_panel(problem: InviscidProblem, grid_r, grid_t,
             q[i, j] = qq
             P[i, j] = PP
             branch[i, j] = "I" if m.branch == "interior" else "B"
-    # p by one-sided differences away from detected jumps
+    # p by one-sided differences away from detected jumps: the forward one
+    # unless the cell to the right jumps, else the backward one; a point
+    # with jumps on both sides gets NaN.  Both ends of a jump are flagged.
     p = np.empty_like(P)
     disc = np.zeros((nt, nr), dtype=bool)
     for i in range(nt):
         dq = np.abs(np.diff(q[i]))
         jump = dq > (_Q_GAP + 5.0 * np.diff(grid_r) / grid_t[i])
-        cells = np.nonzero(jump)[0]
         for j in range(nr):
-            left_ok = j - 1 >= 0 and not jump[j - 1] if j - 1 < len(jump) else j - 1 >= 0
-            right_ok = j < len(jump) and not jump[j]
-            if j > 0 and (j - 1) in cells:
-                left_ok = False
-            if j in cells:
-                right_ok = False
-            if right_ok:
+            if j < nr - 1 and not jump[j]:
                 p[i, j] = (P[i, j + 1] - P[i, j]) / (grid_r[j + 1] - grid_r[j])
-            elif left_ok and j > 0:
+            elif j > 0 and not jump[j - 1]:
                 p[i, j] = (P[i, j] - P[i, j - 1]) / (grid_r[j] - grid_r[j - 1])
             else:
                 p[i, j] = np.nan
                 disc[i, j] = True
-        for j in cells:
-            disc[i, j] = disc[i, j + 1] = True
+        disc[i, :-1] |= jump
+        disc[i, 1:] |= jump
     return SolutionPanel(problem, grid_r, grid_t, q, P, p, branch, disc, mz)
 
 
@@ -439,11 +433,11 @@ class BoundaryCheckRow:
 
 def weak_boundary_check(problem: InviscidProblem, times,
                         minimizer: PathMinimizer | None = None,
-                        probe: float = 1e-5, mass_rtol: float = 1e-3):
+                        mass_rtol: float = 1e-3):
     """Per time sample: either q(0+,t) = q_bound(t), or q(0+,t) <= 0 with
     q(0+,t)^2 <= (q_bound^+)^2; and the total mass matches p_bound(t)
-    whenever q(0+,t) > 0.  Mass is read off the primitive:
-    omega * int_0^inf p = -omega * P(0+, t)."""
+    whenever q(0+,t) > 0.  The traces at 0+ are read at r = _ORIGIN_PROBE;
+    mass is read off the primitive: omega * int_0^inf p = -omega * P(0+, t)."""
     times = np.asarray(times, dtype=float)
     mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * float(times[-1]), 1.0))
     rows = []
@@ -451,11 +445,11 @@ def weak_boundary_check(problem: InviscidProblem, times,
         t = float(t)
         qb = float(problem.q_bound(t))
         qbp = max(qb, 0.0)
-        m = mz.minimize(probe, t)
-        q0p, P0p = _q_P_of_minimum(problem, m, probe, t)
+        m = mz.minimize(_ORIGIN_PROBE, t)
+        q0p, P0p = _q_P_of_minimum(problem, m, _ORIGIN_PROBE, t)
         mass = -problem.omega * P0p
         target = float(problem.p_bound(t))
-        tol_q = max(50.0 * probe / t, 1e-6)
+        tol_q = max(50.0 * _ORIGIN_PROBE / t, 1e-6)
         if abs(q0p - qb) <= tol_q:
             mode = "attained"
             ok = True

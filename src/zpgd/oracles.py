@@ -79,19 +79,14 @@ def _thomas_solve(factors, rhs):
 
 
 def fd_heat_solve(n_dim: int, epsilon: float, initial, t_end: float,
-                  r_outer: float, r_inner: float | None = None,
-                  q_outer: float = 0.0, q_inner: float = 0.0,
-                  n_cells: int = 1200, n_steps: int | None = None):
-    """Evolve a_t = (eps/2)[a_rr + (n-1)/r a_r] with the Robin data
-    eps a_r + q a = 0 at the walls (even reflection across the origin for
-    the ball).  Returns (cell_centers, a(t_end))."""
-    ball = r_inner is None
-    lo = 0.0 if ball else r_inner
-    h = (r_outer - lo) / n_cells
-    r = lo + (np.arange(n_cells) + 0.5) * h
+                  r_outer: float, q_outer: float = 0.0, n_cells: int = 1200):
+    """Evolve a_t = (eps/2)[a_rr + (n-1)/r a_r] on the ball of radius
+    r_outer with the Robin data eps a_r + q_outer a = 0 at the wall and
+    even reflection across the origin.  Returns (cell_centers, a(t_end))."""
+    h = r_outer / n_cells
+    r = (np.arange(n_cells) + 0.5) * h
     a = np.asarray(initial(r), dtype=float)
-    if n_steps is None:
-        n_steps = max(400, int(40 * t_end / (h * h) ** 0.5))
+    n_steps = max(400, int(40 * t_end / (h * h) ** 0.5))
     dt = t_end / n_steps
 
     nm1 = n_dim - 1
@@ -100,13 +95,9 @@ def fd_heat_solve(n_dim: int, epsilon: float, initial, t_end: float,
     lower = 1.0 / h ** 2 - nm1 / (2.0 * h * r)
     upper = 1.0 / h ** 2 + nm1 / (2.0 * h * r)
     diag = np.full(n_cells, -2.0 / h ** 2)
-    if ball:
-        diag[0] += lower[0]            # a_{-1} = a_0 (even reflection)
-    else:
-        k1 = epsilon / h
-        diag[0] += lower[0] * (k1 + 0.5 * q_inner) / (k1 - 0.5 * q_inner)
-    k2 = epsilon / h
-    diag[-1] += upper[-1] * (k2 - 0.5 * q_outer) / (k2 + 0.5 * q_outer)
+    diag[0] += lower[0]            # a_{-1} = a_0 (even reflection)
+    k = epsilon / h
+    diag[-1] += upper[-1] * (k - 0.5 * q_outer) / (k + 0.5 * q_outer)
     gl = lower.copy()
     gl[0] = 0.0
     gu = upper.copy()
@@ -130,20 +121,28 @@ def fd_heat_solve(n_dim: int, epsilon: float, initial, t_end: float,
 # viscous radial system
 
 
+_CFL = 0.4   # advective Courant number of fd_viscous_solve's time step
+
+
 @dataclass
 class FDSolverConfig:
     """Grid and stepping controls for fd_viscous_solve.
 
     boundary: 'ball' (regularity on the left, Dirichlet q_B on the right),
     'annulus' (Dirichlet both walls) or 'line' (1-D truncation of free
-    space; Dirichlet callables of t allowed on both walls).
+    space; Dirichlet callables of t allowed on both walls).  'annulus' and
+    'line' run the same scheme; they differ only in the data of the ivp.
     """
 
     n_r: int = 1200
-    cfl: float = 0.4
     boundary: str = "ball"
     t_samples: np.ndarray | None = None
     speed_bound: float | None = None  # advective bound used for dt; estimated if None
+
+    def __post_init__(self):
+        if self.boundary not in ("ball", "annulus", "line"):
+            raise ValueError(f"boundary must be 'ball', 'annulus' or 'line', "
+                             f"not {self.boundary!r}")
 
 
 @dataclass
@@ -162,7 +161,10 @@ class ViscousIVP:
     p_right: object = None
 
     @classmethod
-    def from_bounded(cls, problem, r_lo_factor: float = 1e-3):
+    def from_bounded(cls, problem):
+        """The viscous problem of a BoundedProblem; a ball is cut off at
+        r = 1e-3 R, where the regularity condition stands in for the
+        origin."""
         from .bounded_green import BoundedProblem  # local: avoid import cycle
 
         assert isinstance(problem, BoundedProblem)
@@ -172,7 +174,7 @@ class ViscousIVP:
                        problem.q0, problem.p0_profile(), q_left=problem.q_inner,
                        q_right=problem.q_outer,
                        p_left=p_inner, p_right=p_outer)
-        return cls(problem.n, problem.epsilon, r_lo_factor * problem.radius,
+        return cls(problem.n, problem.epsilon, 1e-3 * problem.radius,
                    problem.radius, problem.q0, problem.p0_profile(),
                    q_left=0.0, q_right=problem.q_boundary,
                    p_right=p_outer)
@@ -201,10 +203,10 @@ def fd_viscous_solve(ivp: ViscousIVP, config: FDSolverConfig) -> RadialField:
     if qmax is None:
         qmax = max(ivp.q0.sup_abs(), abs(_bc_value(ivp.q_left, 0.0)),
                    abs(_bc_value(ivp.q_right, 0.0)), 1e-3) * 1.5
-    dt = config.cfl * h / qmax
+    dt = _CFL * h / qmax
     n_steps = max(int(math.ceil(t_end / dt)), 2)
     dt = t_end / n_steps
-    if dt > config.cfl * h / max(qmax / 1.5, 1e-12) + 1e-15:
+    if dt > _CFL * h / max(qmax / 1.5, 1e-12) + 1e-15:
         raise StabilityError("time step exceeds the advective CFL bound")
 
     q = np.asarray(ivp.q0(r), dtype=float)
@@ -336,14 +338,8 @@ def brute_force_Q(problem, r: float, t: float, grid_density: int = 200,
     """
     if grid_density < 50:
         raise ValueError("grid_density must be >= 50")
-    vplus = problem.q_bound.positive_part()
-    vsq = vplus.squared()
-
-    def vint(s):
-        return 0.5 * vsq.cumulative(s)
-
     sup_q0 = problem.q0.sup_abs()
-    sup_qb = vplus.sup_abs(0.0, t)
+    sup_qb = problem._vplus.sup_abs(0.0, t)
     r0_hi = r + t * (sup_q0 + sup_qb) + 1.0
 
     def interior_scan(r0_lo_s, r0_hi_s, g):
@@ -356,7 +352,7 @@ def brute_force_Q(problem, r: float, t: float, grid_density: int = 200,
         r0 = np.linspace(max(r0_lo_s, 0.0), r0_hi_s, g)
         tg1 = np.linspace(max(t1_lo, 0.0), min(t1_hi, t * (1 - 1e-12)), g)
         tg2 = np.linspace(max(t2_lo, 1e-12 * t), min(t2_hi, t * (1 - 1e-9)), g)
-        v1 = vint(tg1)
+        v1 = problem.sojourn_gain(tg1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cost1 = r0[:, None] ** 2 / (2.0 * tg1[None, :]) + v1[None, :]
         if tg1[0] == 0.0:
@@ -366,7 +362,7 @@ def brute_force_Q(problem, r: float, t: float, grid_density: int = 200,
         idx = np.searchsorted(tg1, tg2 - 1e-15 * max(t, 1.0), side="left") - 1
         valid = idx >= 0
         idxc = np.clip(idx, 0, tg1.size - 1)
-        tail = r * r / (2.0 * (t - tg2)) - vint(tg2)
+        tail = r * r / (2.0 * (t - tg2)) - problem.sojourn_gain(tg2)
         total = m1[:, idxc] + tail[None, :]
         total[:, ~valid] = np.inf
         total += problem.q0.cumulative(r0)[:, None]

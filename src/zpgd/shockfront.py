@@ -1,9 +1,9 @@
 """Discontinuity detection and Rankine-Hugoniot verification.
 
 Front positions are localized per time slice from velocity jumps in a
-sampled panel, refined by bisection on the pointwise solution when one is
-attached, and linked across slices by nearest-neighbor continuation.  The
-delta amplitude is the primitive jump e(t) = P(s+, t) - P(s-, t) >= 0.
+sampled panel, refined by bisection on the pointwise solution, and linked
+across slices by nearest-neighbor continuation.  The delta amplitude is
+the primitive jump e(t) = P(s+, t) - P(s-, t) >= 0.
 
 Jump brackets are oriented inner-minus-outer, [f] = f(s-) - f(s+); with
 that orientation the front relations read
@@ -39,7 +39,8 @@ __all__ = [
 
 @dataclass
 class ShockFront:
-    """Sampled trajectory of one discontinuity."""
+    """Sampled trajectory of one discontinuity.  A front that ends in a
+    merger holds no link to the front that continues it."""
 
     n: int
     times: np.ndarray
@@ -49,7 +50,6 @@ class ShockFront:
     q_plus: np.ndarray    # outer trace (r > s)
     p_minus: np.ndarray
     p_plus: np.ndarray
-    merged_into: int | None = None   # index of the successor front, if any
 
     def __post_init__(self):
         for name in ("times", "s", "e", "q_minus", "q_plus", "p_minus", "p_plus"):
@@ -69,7 +69,7 @@ class ShockFront:
         return self.e / self.s ** (self.n - 1)
 
 
-def _slice_jumps(grid_r, q_row, threshold):
+def _slice_jumps(q_row, threshold):
     dq = np.abs(np.diff(q_row))
     cells = np.nonzero(dq > threshold)[0]
     groups = []
@@ -81,11 +81,11 @@ def _slice_jumps(grid_r, q_row, threshold):
     return groups
 
 
-def _refine_jump(q_of_r, lo, hi, iters=60):
+def _refine_jump(q_of_r, lo, hi):
     """Bisect toward the jump of a piecewise-smooth function: recurse into
-    the half with the larger variation."""
+    the half with the larger variation, at most 60 times."""
     qlo, qhi = q_of_r(lo), q_of_r(hi)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-12 * max(1.0, abs(mid)):
             break
@@ -97,16 +97,22 @@ def _refine_jump(q_of_r, lo, hi, iters=60):
     return 0.5 * (lo + hi)
 
 
-def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
-                  side_offset: float = 1e-7, trace_offset: float = 1e-4):
+def detect_fronts(panel):
     """Locate discontinuities in an inviscid SolutionPanel.
 
-    Per slice, radii where q jumps by more than threshold_frac * sup|q|
-    are linked across slices by nearest-neighbor continuation; colliding
-    fronts are terminated and a merged front started (merged_into points
-    at the successor).  With refine=True (and the panel's attached
-    problem) positions are bisected on the pointwise solution and the
-    traces/e(t) are read off one-sided evaluations.
+    Refinement is always on and every threshold is fixed.  Per slice, each
+    group of adjacent cells where q jumps by more than 1e-3 sup|q| is
+    bisected to a radius s on the pointwise solution of the panel's
+    minimizer.  A candidate whose one-sided q at s -+ 1e-9 max(1, s)
+    differ by no more than max(1e-3 sup|q|, 1e-6) is a steep smooth region
+    and is dropped.  Detections are linked across slices by
+    nearest-neighbor continuation.  When two tracks claim the same
+    detection, both end and a new track starts at that slice: the first
+    slice where both parents fall in one jump group, which can come before
+    the true merge time.  No track holds a link to its parents or to its
+    successor.  The traces q_-, q_+ are read 1e-4 max(1, s) from the front,
+    e(t) is the P jump across s -+ 1e-7 max(1, s), and p_-, p_+ are
+    one-sided differences of P over 1e-4 max(1, s) beyond those points.
     """
     from .inviscid import SolutionPanel, _q_P_of_minimum  # local import
 
@@ -114,7 +120,7 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
     grid_r = panel.grid_r
     grid_t = panel.grid_t
     sup_q = max(float(np.abs(panel.q).max()), 1e-30)
-    threshold = threshold_frac * sup_q
+    threshold = 1e-3 * sup_q
     mz = panel.minimizer
     problem = panel.problem
 
@@ -127,17 +133,14 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
     per_slice = []
     for i, t in enumerate(grid_t):
         locs = []
-        for grp in _slice_jumps(grid_r, panel.q[i], threshold):
+        for grp in _slice_jumps(panel.q[i], threshold):
             lo = grid_r[grp[0]]
             hi = grid_r[min(grp[-1] + 1, grid_r.size - 1)]
-            if refine:
-                srad = _refine_jump(lambda r: qP_at(r, t)[0], lo, hi)
-                d = 1e-9 * max(1.0, srad)
-                gap = qP_at(srad - d, t)[0] - qP_at(srad + d, t)[0]
-                if gap <= max(threshold, 1e-6):
-                    continue
-            else:
-                srad = 0.5 * (lo + hi)
+            srad = _refine_jump(lambda r: qP_at(r, t)[0], lo, hi)
+            d = 1e-9 * max(1.0, srad)
+            gap = qP_at(srad - d, t)[0] - qP_at(srad + d, t)[0]
+            if gap <= max(threshold, 1e-6):
+                continue
             locs.append(srad)
         per_slice.append(locs)
 
@@ -171,20 +174,15 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
             else:
                 # collision (or fresh front): terminate the parents and
                 # start a merged track at this slice
-                for tr in owners:
-                    tr["merged"] = True
-                    all_fronts_raw.append(tr)
-                new_open.append({"times": [t], "s": [s], "merged": False})
+                all_fronts_raw.extend(owners)
+                new_open.append({"times": [t], "s": [s]})
         open_tracks = new_open
     all_fronts_raw.extend(open_tracks)
-    all_fronts_raw = [tr for tr in all_fronts_raw if len(tr["times"]) >= 1]
 
     # assemble ShockFront objects with one-sided traces
     fronts = []
     for tr in all_fronts_raw:
         times = np.asarray(tr["times"])
-        if times.size < 1:
-            continue
         svals = np.asarray(tr["s"])
         qm = np.empty_like(svals)
         qp = np.empty_like(svals)
@@ -192,8 +190,8 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
         pp = np.empty_like(svals)
         ev = np.empty_like(svals)
         for k, (t, s) in enumerate(zip(times, svals)):
-            d = side_offset * max(1.0, s)
-            dtr = trace_offset * max(1.0, s)
+            d = 1e-7 * max(1.0, s)
+            dtr = 1e-4 * max(1.0, s)
             qm[k] = qP_at(s - dtr, t)[0]
             qp[k] = qP_at(s + dtr, t)[0]
             P_in = qP_at(s - d, t)[1]
@@ -207,15 +205,9 @@ def detect_fronts(panel, threshold_frac: float = 1e-3, refine: bool = True,
 
 
 def _time_derivative(times, values):
-    """2nd-order derivative on a (possibly nonuniform) time grid."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    if times.size < 3:
-        out[:] = np.gradient(values, times) if times.size > 1 else 0.0
-        return out
-    out = np.gradient(values, times, edge_order=2)
-    return out
+    """2nd-order derivative on a (possibly nonuniform) time grid of at
+    least 3 samples."""
+    return np.gradient(values, times, edge_order=2)
 
 
 def rh_residual_1d(front: ShockFront):

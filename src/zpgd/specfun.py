@@ -285,9 +285,9 @@ def find_eigenvalues(problem: EigenProblem, count: int,
     return EigenvalueList(problem, roots, resid, step)
 
 
-def _bisect_batch(g, lo, hi, iters: int = 200):
+def _bisect_batch(g, lo, hi):
     flo = g(lo)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.all((hi - lo) <= 4.0 * np.spacing(mid)):
             break

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpgd import inviscid as iv
 from zpgd import oracles as orc
@@ -121,6 +123,18 @@ def test_solution_examples():
     assert not s0.discontinuity
 
 
+def test_solution_p_next_to_origin():
+    # for r <= h = 1e-7 the left point clamps at 1e-14, so the left
+    # difference spans r - 1e-14, not h; n = 1, q = 0 and p0 = 1 near 0
+    prob = make_problem(n=1, p0=ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[1.0], [0.0]]),
+                        qb=ZERO)
+    mz = iv.PathMinimizer(prob, t_max=1.0)
+    for r in (1e-8, 5e-8, 1e-7):
+        s = iv.solution(prob, r, 0.5, minimizer=mz)
+        assert not s.discontinuity
+        assert s.p == pytest.approx(1.0, abs=1e-6)
+
+
 def test_riemann_shock_speed_and_two_sided_sample():
     # q0 = a for r < r*, b < a beyond: front at r* + (a+b)/2 t
     a, b, rstar = 1.0, 0.0, 1.0
@@ -156,6 +170,30 @@ def test_panel_monotone_primitive_and_branch_interval():
             assert np.all(cols[: last + 1])
     finite_p = panel.p[~np.isnan(panel.p)]
     assert finite_p.min() > -1e-6
+
+
+@st.composite
+def _outflow_problem(draw):
+    """Random piecewise-linear q0 in [-1, 1], p0 >= 0 ending in a zero piece,
+    a constant origin velocity <= 0 and n in {1, 2, 3}."""
+    k = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    q0 = ScalarProfile.piecewise_linear(
+        xs, draw(st.lists(st.floats(-1.0, 1.0), min_size=k + 1, max_size=k + 1)))
+    p_vals = draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k))
+    p0 = ScalarProfile.piecewise_linear([*xs, xs[-1] + 0.5], [*p_vals, 0.0, 0.0])
+    return iv.InviscidProblem(draw(st.sampled_from([1, 2, 3])), q0, p0,
+                              ScalarProfile.constant(draw(st.floats(-1.0, 0.0))),
+                              ScalarProfile.constant(1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(prob=_outflow_problem())
+def test_panel_primitive_monotone_on_random_data(prob):
+    # P(., t) is nondecreasing in r for p0 >= 0, to the CLI's own tolerance
+    panel = iv.solve_panel(prob, np.linspace(0.05, 3.0, 16), np.linspace(0.25, 1.5, 4))
+    assert np.diff(panel.P, axis=1).min() >= -1e-8
 
 
 def test_weak_boundary_absorbing_and_inflow():

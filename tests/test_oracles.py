@@ -14,6 +14,14 @@ def test_fd_viscous_trivial_stays_zero():
     assert np.abs(fld.q).max() < 1e-13
 
 
+def test_fd_config_rejects_unknown_boundary():
+    for ok in ("ball", "annulus", "line"):
+        assert orc.FDSolverConfig(boundary=ok).boundary == ok
+    for bad in ("Ball", "disc", ""):
+        with pytest.raises(ValueError, match="boundary"):
+            orc.FDSolverConfig(boundary=bad)
+
+
 def test_fd_viscous_reduces_to_burgers_closed_form():
     # n = 1 on a truncated line: u = x/(1+t) exactly for any viscosity
     ivp = orc.ViscousIVP(
