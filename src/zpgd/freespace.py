@@ -286,7 +286,7 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
 
 _MAX_PANELS = 224     # panels of one batch grid
 _EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
-_BLOCK_CELLS = 49152  # (radius x node) cells per row block of the batch kernel
+_BLOCK_ROWS = 64      # sorted radii per row block of the batch kernel
 _PANEL_POINTS = 8     # Gauss points per panel of the batch grid
 
 
@@ -296,19 +296,17 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
 
     Returns (q, dq/dr); dq/dr comes from differentiating the quadrature
     (same nodes), which feeds the variational equation for the
-    characteristic Jacobian without noise-amplifying differencing.  Radii
-    spread wider than 0.7 * 224 Gaussian well widths sqrt(2 eps t) are
-    sorted and split into sub-batches of at most that spread, each with its
-    own grid.  Only for t < 1e-12 is the result q0(r), the exact t -> 0
-    limit.
+    characteristic Jacobian without noise-amplifying differencing.  The
+    radii are stable-sorted once and split into sub-batches that spread at
+    most 0.7 * 224 Gaussian well widths sqrt(2 eps t), each with its own
+    grid; q and dq come back in the caller's order.  Only for t < 1e-12 is
+    the result q0(r), the exact t -> 0 limit.
     """
     r = np.asarray(r, dtype=float)
     if t < 1e-12:
         q, dq = problem.q0.with_derivatives(np.abs(r), 1)
         return np.where(r > 0, q, 0.0), dq
     reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
-    if float(np.max(r) - np.min(r)) <= reach:
-        return _velocity_block(problem, r, t)
     order = np.argsort(r, kind="stable")
     rs = r[order]
     q, dq = np.empty_like(r), np.empty_like(r)
@@ -322,16 +320,19 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
 
 
 def _velocity_block(problem, r, t):
-    """(q, dq/dr) at radii r on one shared grid of _PANEL_POINTS-point Gauss
-    panels.
+    """(q, dq/dr) at sorted radii r on one shared grid of _PANEL_POINTS-point
+    Gauss panels.
 
-    All radii share one absolute node grid, so panel edges sit exactly on
-    the profile kinks.  The (radius x node) matrices are built in row
-    blocks of about _BLOCK_CELLS cells, small enough to stay in cache.
+    All radii share one absolute node grid over [r[0] - w, r[-1] + w], w
+    the _radial_window, so panel edges sit exactly on the profile kinks.
+    The radii are summed in row blocks of _BLOCK_ROWS, each over only the
+    nodes in [block start - w, block end + w]: every row's exponent minimum
+    lies within t sup|q0| of its radius, so each row keeps its shift and
+    its kept weights, and the nodes dropped lie outside its window.
     """
     eps, n = problem.epsilon, problem.n
     q0 = problem.q0
-    r_lo, r_hi = float(np.min(r)), float(np.max(r))
+    r_lo, r_hi = float(r[0]), float(r[-1])
     w = _radial_window(problem, r_hi, t)
     lo = max(0.0, r_lo - w)
     hi = r_hi + w
@@ -345,9 +346,11 @@ def _velocity_block(problem, r, t):
     phi = q0.cumulative(s) / eps
     cols = np.stack([sn, sq, sn * s, sq * s], axis=1)
     sums = np.empty((r.size, 4))
-    step = max(1, _BLOCK_CELLS // s.size)
-    for i in range(0, r.size, step):
-        sums[i:i + step] = _gaussian_sums(n, r[i:i + step], 1.0 / (eps * t), s, phi, cols)
+    for i in range(0, r.size, _BLOCK_ROWS):
+        blk = r[i:i + _BLOCK_ROWS]
+        a, b = np.searchsorted(s, [blk[0] - w, blk[-1] + w])
+        sums[i:i + blk.size] = _gaussian_sums(n, blk, 1.0 / (eps * t), s[a:b], phi[a:b],
+                                              cols[a:b])
     den, num, den_r, num_r = sums.T
     q, dq = np.zeros_like(r), np.zeros_like(r)
     ok = (r > 0) & (den > 0)
@@ -360,6 +363,8 @@ def _gaussian_sums(n, r, k, s, phi, cols):
     """The Gaussian-ratio sums at radii r, one row (den, num, den_r / k,
     num_r / k) per radius, with k = 1/(eps t), phi = int_0^s q0 / eps at the
     nodes s and cols the per-node vectors (sn, sn q0, sn s, sn q0 s).
+    _velocity_block passes one row block of sorted radii and the slice of
+    its shared grid that covers the block's windows.
 
     The weight w = exp(shift - A) is built once in place, and every sum is
     a matrix-vector product with a column of cols.  The r-derivative keeps

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -215,6 +215,43 @@ def test_total_mass_conservation():
     assert abs(mz) < 1e-12
 
 
+@settings(max_examples=5, deadline=None)
+@given(q0=_piecewise_linear_q0(), eps=st.floats(0.2, 1.0), t=st.floats(0.1, 2.0))
+def test_total_mass_conservation_property(q0, eps, t):
+    # m(t) = m(0) to the scenarios' mass_tol, through the batched tracer on
+    # the scenarios' hump.  n = 1 only: an n = 2 or 3 example takes 5-11 s.
+    # q0(0) >= 0: an inward cone at the origin gathers mass into a delta
+    # there from t = 0+, which no fixed panel rule resolves.
+    assume(q0(0.0) >= 0.0)
+    # q0 is scaled down until t times its summed slope jumps (the last one
+    # to the constant beyond its end) is at most 1/8.  This keeps t before
+    # the first shock, but the bound is numerical: the tracer's step floor
+    # forces steps across each kink's layer as s -> 0 and loses mass in
+    # proportion to t |jump| (CHANGES.md FOUND; test below).
+    x = np.asarray(q0.breakpoints)
+    slopes = np.append(np.diff(q0(x)) / np.diff(x), 0.0)
+    strain = t * float(np.abs(np.diff(slopes)).sum())
+    if strain > 0.125:
+        q0 = q0.scaled(0.125 / strain)
+    pr = fs.FreespaceProblem(n=1, epsilon=eps, q0=q0, rho0=smooth_bump_rho(),
+                             rho0_support=2.0)
+    m0, _ = fs.total_mass(pr, 0.0)
+    m, _ = fs.total_mass(pr, t)
+    assert abs(m - m0) <= 1e-5 * m0
+
+
+@pytest.mark.xfail(strict=True, reason="the tracer's step floor t/1500 forces steps across "
+                                       "the kink of q0 as s -> 0 (CHANGES.md FOUND)")
+def test_total_mass_conservation_across_q0_kink():
+    # q0 rises to 1 on [0, 0.1] and stays there: t |jump| = 1, mass drift 3.4e-5
+    q0 = ScalarProfile.piecewise_linear([0.0, 0.1], [0.0, 1.0])
+    pr = fs.FreespaceProblem(n=1, epsilon=0.2, q0=q0, rho0=smooth_bump_rho(),
+                             rho0_support=2.0)
+    m0, _ = fs.total_mass(pr, 0.0)
+    m, _ = fs.total_mass(pr, 0.1)
+    assert abs(m - m0) <= 1e-5 * m0
+
+
 def _full_line_mass(pr, t, quad):
     """(mass, error estimate) with both of total_mass's grids on the whole
     line [-R, R]."""
@@ -337,9 +374,9 @@ def test_batch_splits_wide_spread_into_sub_batches():
         assert np.abs(qb - pr.q0(rr)).max() > 1e-4
 
 
-def _elementwise_batch(problem, r, t, npts=8):
-    """The batch kernel as one elementwise formula per (radius, node) cell:
-    the same grid, summed row by row."""
+def _elementwise_grid(problem, r, t):
+    """One sub-batch of the batch kernel as one elementwise formula per
+    (radius, node) cell: the same grid, every row summed over all of it."""
     eps, n, q0 = problem.epsilon, problem.n, problem.q0
     w = fs._radial_window(problem, float(np.max(r)), t)
     lo, hi = max(0.0, float(np.min(r)) - w), float(np.max(r)) + w
@@ -347,7 +384,7 @@ def _elementwise_batch(problem, r, t, npts=8):
     edges = np.unique(np.concatenate([
         np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
         [k for k in q0.breakpoints if lo < k < hi]]))
-    s, wts = gauss_panels(edges, npts)
+    s, wts = gauss_panels(edges, 8)
     q0s = q0(s)
     sn = s ** (n - 1) * wts
     a_exp = ((r[:, None] - s[None, :]) ** 2 / (2.0 * t) + q0.cumulative(s)[None, :]) / eps
@@ -368,15 +405,45 @@ def _elementwise_batch(problem, r, t, npts=8):
     return q, dq
 
 
+def _elementwise_batch(problem, r, t):
+    """The batch kernel's sub-batches of sorted radii, spread at most
+    0.7 * 224 well widths, each on its own grid by _elementwise_grid; q and
+    dq in the caller's order."""
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    reach = 0.7 * 224 * math.sqrt(2.0 * problem.epsilon * t)
+    q, dq = np.empty_like(r), np.empty_like(r)
+    start = 0
+    while start < rs.size:
+        stop = int(np.searchsorted(rs, rs[start] + reach, side="right"))
+        q[order[start:stop]], dq[order[start:stop]] = _elementwise_grid(
+            problem, rs[start:stop], t)
+        start = stop
+    return q, dq
+
+
 def test_batch_kernel_matches_elementwise_formula():
-    rr = np.linspace(0.0, 3.0, 31)
-    for n in (1, 2, 3):
-        pr = compact_problem(n, 0.4)
-        for t in (0.01, 0.1, 0.8, 4.0):
-            q, dq = fs._radial_velocity_batch(pr, rr, t)
-            q_ref, dq_ref = _elementwise_batch(pr, rr, t)
-            assert np.all(np.abs(q - q_ref) <= 1e-11 * np.maximum(np.abs(q_ref), 1e-3))
-            assert np.all(np.abs(dq - dq_ref) <= 1e-11 * np.maximum(np.abs(dq_ref), 1e-3))
+    # the 31 radii fit one row block; the 200 shuffled ones hold r = 0
+    # twice, repeated radii, 150 radii on the hump (three row blocks of 64)
+    # and 40 far radii, whose spread splits the batch at t = 0.01 and 0.1
+    rng = np.random.default_rng(12)
+    shuffled = np.concatenate([[0.0, 0.0], np.repeat([0.5, 1.25], 4),
+                               rng.uniform(0.0, 3.0, 150), rng.uniform(3.0, 60.0, 40)])
+    rng.shuffle(shuffled)
+    assert np.ptp(shuffled) > 0.7 * 224 * math.sqrt(2.0 * 0.4 * 0.1)
+    for rr in (np.linspace(0.0, 3.0, 31), shuffled):
+        order = np.argsort(rr, kind="stable")
+        for n in (1, 2, 3):
+            pr = compact_problem(n, 0.4)
+            for t in (0.01, 0.1, 0.8, 4.0):
+                q, dq = fs._radial_velocity_batch(pr, rr, t)
+                q_ref, dq_ref = _elementwise_batch(pr, rr, t)
+                assert np.all(np.abs(q - q_ref) <= 1e-11 * np.maximum(np.abs(q_ref), 1e-3))
+                assert np.all(np.abs(dq - dq_ref) <= 1e-11 * np.maximum(np.abs(dq_ref), 1e-3))
+                # q and dq come back in the caller's order
+                q_sorted, dq_sorted = fs._radial_velocity_batch(pr, rr[order], t)
+                assert np.array_equal(q[order], q_sorted)
+                assert np.array_equal(dq[order], dq_sorted)
 
 
 def test_separable_quadratic_2d_tensor_path():

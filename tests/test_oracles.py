@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpgd import oracles as orc
 from zpgd.profiles import ScalarProfile
@@ -184,6 +186,31 @@ def test_sticky_conservation_per_merge():
         assert traj.masses[k].sum() == pytest.approx(m0, rel=1e-12)
         assert (traj.masses[k] * traj.velocities[k]).sum() == pytest.approx(
             mom0, rel=1e-10, abs=1e-10)
+
+
+@st.composite
+def _particle_sets(draw):
+    k = draw(st.integers(1, 40))
+    rs = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)))
+    ms = draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))
+    vs = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+    return [orc.Particle(r, m, v) for r, m, v in zip(rs, ms, vs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=_particle_sets(), t_end=st.floats(0.1, 5.0))
+def test_sticky_conservation_property(parts, t_end):
+    # without absorption every merge is perfectly inelastic: total mass and
+    # momentum stay those of the seeds at every sample time
+    times = np.linspace(0.0, t_end, 5)
+    traj = orc.sticky_particle_run(parts, times, absorb_at_origin=False)
+    m0 = sum(p.m for p in parts)
+    mom0 = sum(p.m * p.v for p in parts)
+    for k in range(times.size):
+        assert traj.masses[k].sum() == pytest.approx(m0, rel=1e-12)
+        assert (traj.masses[k] * traj.velocities[k]).sum() == pytest.approx(
+            mom0, rel=1e-10, abs=1e-10)
+        assert np.all(np.diff(traj.positions[k]) >= -1e-9 * (1.0 + np.abs(traj.positions[k][1:])))
 
 
 def test_sticky_absorption_at_origin():
