@@ -37,7 +37,8 @@ __all__ = [
 
 
 class StabilityError(RuntimeError):
-    """Configured step violates the advective stability bound."""
+    """Configured step violates the advective stability bound, the velocity
+    outgrew it, or an implicit system has a zero or non-finite pivot."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,33 +46,69 @@ class StabilityError(RuntimeError):
 
 
 def _thomas_factor(lower, diag, upper):
-    """Thomas-algorithm factors (lower, cp, dp) as Python float lists, so
-    the per-step solve runs on Python floats (same operations, same bits
-    as numpy scalars, a fraction of the per-element cost)."""
+    """Thomas-algorithm factors of the tridiagonal A with rows
+    (lower[i], diag[i], upper[i]); lower[0] and upper[-1] are unused.
+
+    The factor loop runs on Python floats without pivoting: A = L U with
+    L lower bidiagonal (diagonal dp, subdiagonal lower) and U unit upper
+    bidiagonal (superdiagonal cp).  The factors are returned as LAPACK's
+    LU factors of the transposed matrix Aᵀ = Uᵀ Lᵀ, ready for
+    ``dgttrs(..., trans='T')``: dl = cp[:-1], d = dp, du = lower[1:],
+    du2 = 0 and ipiv = 1..m, the identity permutation.  The wrapper takes
+    no system smaller than 3, so one with n < 3 rows is padded to m = 3
+    with decoupled identity rows (d = 1, zero couplings, zero right side).
+    Returns (dgttrs, (dl, d, du, du2, ipiv), pad), pad being the m - n
+    zeros appended to each right side.
+
+    Raises StabilityError on a zero or non-finite pivot dp[i]: gttrs never
+    checks its pivots, so a singular system would otherwise solve silently.
+    """
+    # imported here: scipy.linalg adds tens of ms and several MB to a start,
+    # and only the FD oracles need it
+    from scipy.linalg.lapack import dgttrs
+
     lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
     n = len(diag)
     cp = [0.0] * n
     dp = [0.0] * n
-    cp[0] = upper[0] / diag[0]
-    dp[0] = diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        dp[i] = denom
-        cp[i] = upper[i] / denom if i < n - 1 else 0.0
-    return lower, cp, dp
+    try:
+        cp[0] = upper[0] / diag[0]
+        dp[0] = diag[0]
+        for i in range(1, n):
+            denom = diag[i] - lower[i] * cp[i - 1]
+            dp[i] = denom
+            cp[i] = upper[i] / denom if i < n - 1 else 0.0
+    except ZeroDivisionError:
+        raise StabilityError("tridiagonal system has a zero pivot") from None
+    d = np.array(dp)
+    if not np.all(np.isfinite(d) & (d != 0.0)):
+        raise StabilityError("tridiagonal system has a zero or non-finite pivot")
+    m = max(n, 3)
+    dl, du = np.zeros(m - 1), np.zeros(m - 1)
+    dl[:n - 1] = cp[:-1]
+    du[:n - 1] = lower[1:]
+    d = np.concatenate((d, np.ones(m - n)))
+    ipiv = np.arange(1, m + 1, dtype=np.intc)
+    return dgttrs, (dl, d, du, np.zeros(m - 2), ipiv), np.zeros(m - n)
 
 
 def _thomas_solve(factors, rhs):
-    lower, cp, dp = factors
-    b = rhs.tolist()
-    n = len(b)
-    y = [0.0] * n
-    y[0] = prev = b[0] / dp[0]
-    for i in range(1, n):
-        y[i] = prev = (b[i] - lower[i] * prev) / dp[i]
-    for i in range(n - 2, -1, -1):
-        y[i] = prev = y[i] - cp[i] * prev
-    return np.array(y)
+    """Solve A x = rhs with the factors of _thomas_factor; returns a fresh
+    float64 array of len(rhs).
+
+    With trans='T' the reference dgtts2 first solves with the transpose of
+    LAPACK's U (our L) by the Thomas forward sweep
+    y[i] = (b[i] - lower[i]*y[i-1] - 0*y[i-2]) / dp[i], then with the
+    transpose of LAPACK's L (our U), ipiv being the identity, by the back
+    sweep y[i] = y[i] - cp[i]*y[i+1]: the same operations in the same order
+    as the Python-float recurrence, so the same bits.  The extra
+    - 0*y[i-2] can only turn a -0 partial result into +0."""
+    gttrs, lu, pad = factors
+    n = len(rhs)
+    x, info = gttrs(*lu, np.concatenate((rhs, pad)), trans="T", overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"dgttrs rejected argument {-info}")
+    return x[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,15 @@ def test_inviscid_scenario_runs(tmp_path):
     assert (tmp_path / "inviscid_riemann_boundary_report.csv").exists()
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_and_linalg_unloaded():
     # the solvers need scipy.special only; scipy.integrate would also load
-    # scipy.optimize and scipy.sparse on every start of the CLI
+    # scipy.optimize and scipy.sparse on every start of the CLI, and
+    # scipy.linalg (tens of ms, several MB resident) is for the FD oracles alone
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, zpgd, zpgd.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, zpgd, zpgd.cli as c\n"
+            "for name, _ in c.bundled_scenarios():\n"
+            "    c.parse_config(c.resolve_config(name))\n"
+            "print(sorted({'scipy.integrate', 'scipy.linalg'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

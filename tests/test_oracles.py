@@ -98,18 +98,24 @@ def _tridiag_residual(lower, diag, upper, y, rhs):
     return np.max(np.abs(ay - rhs) / scale)
 
 
+def _ball3d_ivp():
+    q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 0.0, 0.75, -0.5], [0.25]])
+    return orc.ViscousIVP(3, 0.5, 1e-3, 1.0, q0, ScalarProfile.constant(1.0), q_right=0.25)
+
+
 def test_thomas_solve_matches_numpy_recurrence(monkeypatch):
     rng = np.random.default_rng(23)
     systems = []
-    for n in (1, 2, 1200):
+    for n in (1, 2, 3, 1200):
         for _ in range(5):
             lower, upper = rng.normal(size=n), rng.normal(size=n)
             diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)) \
                 * rng.choice([-1.0, 1.0], n)
             rhs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n)
             systems.append((lower, diag, upper, rhs))
-    # the SBDF2 and startup factorizations of a ball3d viscous problem, with
-    # the right-hand sides of its first steps
+    # the SBDF2 and startup factorizations of a ball3d viscous problem and the
+    # Crank-Nicolson factorization of a ball3d heat problem, with the
+    # right-hand sides of their first steps
     factored, solved = [], []
     factor, solve = orc._thomas_factor, orc._thomas_solve
 
@@ -119,24 +125,49 @@ def test_thomas_solve_matches_numpy_recurrence(monkeypatch):
         return fac
 
     def record_solve(fac, rhs):
-        solved.append((fac, rhs.copy()))
+        if len(solved) < 60:
+            solved.append((fac, rhs.copy()))
         return solve(fac, rhs)
 
     monkeypatch.setattr(orc, "_thomas_factor", record_factor)
     monkeypatch.setattr(orc, "_thomas_solve", record_solve)
-    q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 0.0, 0.75, -0.5], [0.25]])
-    ivp = orc.ViscousIVP(3, 0.5, 1e-3, 1.0, q0, ScalarProfile.constant(1.0), q_right=0.25)
-    orc.fd_viscous_solve(ivp, orc.FDSolverConfig(n_r=1200, t_samples=np.array([0.0, 0.01])))
-    assert len(factored) == 2 and len(solved) >= 3
+    orc.fd_viscous_solve(_ball3d_ivp(), orc.FDSolverConfig(n_r=1200,
+                                                           t_samples=np.array([0.0, 0.01])))
+    n_viscous = len(solved)
+    orc.fd_heat_solve(3, 0.5, lambda r: np.cos(r) + 0.5 * r, 0.05, 1.0, q_outer=0.3)
+    assert len(factored) == 3 and 3 <= n_viscous < len(solved) == 60
     for fac, args in factored:
         systems += [(*args, rhs) for used, rhs in solved if used is fac]
-    assert len(systems) == 15 + len(solved)
+    assert len(systems) == 20 + len(solved)
     for lower, diag, upper, rhs in systems:
         y = solve(factor(lower, diag, upper), rhs)
-        assert isinstance(y, np.ndarray) and y.dtype == np.float64
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == rhs.shape
         want = _numpy_thomas(lower, diag, upper, rhs)
         assert np.array_equal(y.view(np.int64), want.view(np.int64))
         assert _tridiag_residual(lower, diag, upper, y, rhs) < 1e-13
+
+
+def test_fd_viscous_run_matches_numpy_recurrence(monkeypatch):
+    # a whole run as shipped against the same run on the in-test reference
+    cfg = orc.FDSolverConfig(n_r=300, t_samples=np.linspace(0.0, 0.05, 6))
+    shipped = orc.fd_viscous_solve(_ball3d_ivp(), cfg)
+    monkeypatch.setattr(orc, "_thomas_factor", lambda *rows: rows)
+    monkeypatch.setattr(orc, "_thomas_solve", lambda rows, rhs: _numpy_thomas(*rows, rhs))
+    ref = orc.fd_viscous_solve(_ball3d_ivp(), cfg)
+    assert np.array_equal(shipped.q.view(np.int64), ref.q.view(np.int64))
+    assert np.array_equal(shipped.p.view(np.int64), ref.p.view(np.int64))
+
+
+def test_thomas_factor_rejects_singular_and_nonfinite_pivots():
+    lower, upper = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
+    # singular 3 x 3: the pivots are 1, 1, 0, and the last one divides nothing
+    with pytest.raises(orc.StabilityError, match="pivot"):
+        orc._thomas_factor(lower, np.array([1.0, 2.0, 1.0]), upper)
+    # a zero pivot mid-way
+    with pytest.raises(orc.StabilityError, match="pivot"):
+        orc._thomas_factor(lower, np.array([1.0, 1.0, 1.0]), upper)
+    with pytest.raises(orc.StabilityError, match="pivot"):
+        orc._thomas_factor(lower, np.array([1.0, np.nan, 1.0]), upper)
 
 
 def test_fd_heat_constant_preserved():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpgd import inviscid as iv
 from zpgd import shockfront as sfm
@@ -40,6 +42,21 @@ def test_detect_riemann_front_and_growth():
     # entropy: q_- >= s_dot >= q_+
     sdot = 0.5 * (f.q_minus + f.q_plus)
     assert np.all(f.q_minus + 1e-9 >= sdot) and np.all(sdot >= f.q_plus - 1e-9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=st.floats(-1.0, 1.5), b=st.floats(-1.0, 1.5), rstar=st.floats(0.5, 1.5),
+       n=st.integers(1, 3))
+def test_entropy_sign_at_fronts(a, b, rstar, n):
+    # every slice of every front: a nonnegative delta, q_- >= q_+, and a
+    # front speed between the traces, at ShockFront's own tolerances
+    panel = iv.solve_panel(riemann_problem(a, b, rstar, n), np.linspace(0.08, 2.6, 24),
+                           np.linspace(0.25, 1.5, 6))
+    for f in sfm.detect_fronts(panel):
+        sdot = 0.5 * (f.q_minus + f.q_plus)
+        assert np.all(f.e >= -1e-10)
+        assert np.all(f.q_minus >= f.q_plus - 1e-8)
+        assert np.all(f.q_minus >= sdot - 1e-8) and np.all(sdot >= f.q_plus - 1e-8)
 
 
 def test_rh_residuals_small_and_multid_equivalent():
