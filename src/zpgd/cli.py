@@ -30,6 +30,7 @@ from .specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
 
 NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.ConfinementError,
                     fs.QuadratureBudgetError, fs.CharacteristicError,
+                    fs.MassConcentrationError,
                     orc.StabilityError, InsufficientScanRangeError)
 
 _CONVENTION_NOTES = {

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .profiles import ScalarProfile
 from .radial_core import gauss_panels, leggauss
@@ -62,6 +61,12 @@ class QuadratureBudgetError(RuntimeError):
 class CharacteristicError(RuntimeError):
     """A backward characteristic could not be traced: the step size
     underflowed or the Jacobian of x -> X0 came out non-positive."""
+
+
+class MassConcentrationError(RuntimeError):
+    """rho0 carries mass but the density is zero at every mass-quadrature
+    node: the flow has gathered all of it into a point mass (a delta at the
+    origin) that no panel rule sees."""
 
 
 def surface_measure(n: int) -> float:
@@ -196,6 +201,7 @@ def _angular_factors(n, alpha, derivs=False):
             return 1.0 + e, 1.0 - e
         return 1.0 + e, 1.0 - e, -2.0 * e, 2.0 * e
     if n == 2:
+        from scipy.special import i0e, i1e
         g0 = i0e(alpha)
         g1 = i1e(alpha)
         if not derivs:
@@ -701,7 +707,9 @@ def total_mass(problem: FreespaceProblem, t: float,
     support.  Returns (mass, error estimate) where the estimate compares
     against half the panel count (the two node sets share one backward
     trace).  A radial n = 1 density is even, so its line integral is folded
-    onto [0, R] with half the panels of each grid and doubled."""
+    onto [0, R] with half the panels of each grid and doubled.  Raises
+    MassConcentrationError when rho0 carries mass but the density at t is
+    zero at every node, rather than report a total loss as (0, 0)."""
     quad = quad or MassQuadrature()
     radius = _support_image_radius(problem, t, quad)
     fold = problem.n == 1 and problem.is_radial
@@ -721,6 +729,9 @@ def total_mass(problem: FreespaceProblem, t: float,
         vals = np.array([density(problem, r, t) for r in nodes])
     else:
         raise NotImplementedError("mass quadrature is radial or 1-D")
+    if t > 0.0 and not np.any(vals) and any(_rho0_value(problem, r) for r in nodes):
+        raise MassConcentrationError(
+            f"density vanishes at every mass node at t = {t:g}, but rho0 does not")
     if half_line:
         vals = vals * surface_measure(problem.n) * np.abs(nodes) ** (problem.n - 1)
     m1 = float(vals[: n1.size] @ w1)

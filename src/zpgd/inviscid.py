@@ -42,6 +42,7 @@ __all__ = [
 _VALUE_TIE = 1e-9     # minimizer value gap treated as a tie
 _Q_GAP = 1e-4         # velocity gap that flags a genuine discontinuity
 _GRID = 2048          # nodes of the seeding scans and of the boundary tables
+_TABLE_ROWS = 64      # t1 rows per block of the boundary-table cost (about 1 MB)
 _ORIGIN_PROBE = 1e-5  # radius at which weak_boundary_check reads q(0+, t)
 
 
@@ -141,11 +142,17 @@ class _BoundaryTables:
         r0g = np.linspace(0.0, r0_hi, _GRID)
         c0 = problem.q0.cumulative(r0g)
         self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, _GRID)])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cost = r0g[None, :] ** 2 / (2.0 * self.t1[:, None]) + c0[None, :]
-        cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
-        g_idx = np.argmin(cost, axis=1)
-        self.g = cost[np.arange(len(self.t1)), g_idx]
+        self.g = np.empty(self.t1.size)
+        g_idx = np.empty(self.t1.size, dtype=np.intp)
+        r0g_sq = r0g ** 2
+        for lo in range(0, self.t1.size, _TABLE_ROWS):
+            rows = slice(lo, lo + _TABLE_ROWS)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cost = r0g_sq / (2.0 * self.t1[rows, None]) + c0
+            if lo == 0:
+                cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
+            g_idx[rows] = np.argmin(cost, axis=1)
+            self.g[rows] = cost[np.arange(cost.shape[0]), g_idx[rows]]
         self.g_r0 = r0g[g_idx]
         self.w = self.g + problem.sojourn_gain(self.t1)
         best = np.empty(len(self.w), dtype=int)

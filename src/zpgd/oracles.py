@@ -551,15 +551,7 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
     right[:n_seed] = np.arange(1, n_seed + 1)
     right[n_seed - 1:n_seed] = n
     left[:n_seed] = np.arange(-1, n_seed - 1)
-    parent = np.arange(n)      # union-find: seed -> current cluster row
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+    parent = np.arange(n)      # merge forest: row -> the row it merged into
 
     def pos(i, t):
         return rs[i] + vs[i] * (t - tref[i])
@@ -606,14 +598,20 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
         while k_out < sample_times.size and sample_times[k_out] <= up_to + 1e-15:
             t = sample_times[k_out]
             rows = np.nonzero(alive)[0]
-            order = np.argsort([pos(i, t) for i in rows], kind="stable")
+            x = rs[rows] + vs[rows] * (t - tref[rows])
+            order = np.argsort(x, kind="stable")
             rows = rows[order]
-            rowmap = {int(i): k for k, i in enumerate(rows)}
-            snaps_pos.append(np.array([pos(i, t) for i in rows]))
+            snaps_pos.append(x[order])
             snaps_m.append(ms[rows].copy())
             snaps_v.append(vs[rows].copy())
-            seedrow = np.array([rowmap.get(find(s), -1) for s in range(n)])
-            snaps_seed.append(seedrow)
+            # cluster root of every seed by pointer doubling: shock clusters
+            # chain thousands of merges deep
+            root, up = parent, parent[parent]
+            while not np.array_equal(up, root):
+                root, up = up, up[up]
+            row_of = np.full(n, -1)
+            row_of[rows] = np.arange(rows.size)
+            snaps_seed.append(row_of[root])
             absorbed[k_out] = absorbed_total
             k_out += 1
 
@@ -669,7 +667,7 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
         vs[i] = v_new
         rs[i] = x
         tref[i] = tau
-        parent[find(j)] = find(i)
+        parent[j] = i
         right[i] = right[j]
         if right[i] < n:
             left[right[i]] = i

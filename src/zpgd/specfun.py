@@ -1,10 +1,12 @@
 """Bessel functions J0, J1, Y0, Y1 and transcendental eigenvalue solvers.
 
 J0, J1, Y0 and Y1 come from scipy.special (Cephes double-precision
-routines); this module adds the domain checks.  On top of them sit the
-characteristic equations for the four radial Robin eigenvalue problems
-(disc and spherical ball, planar and spherical annulus) and a
-bracketed-bisection root scanner.
+routines); this module adds the domain checks.  scipy.special is imported
+on the first Bessel call, so runs that never evaluate one (the inviscid
+solver, n = 1 free space) do not pay for loading it.  On top of the
+evaluators sit the characteristic equations for the four radial Robin
+eigenvalue problems (disc and spherical ball, planar and spherical annulus)
+and a bracketed-bisection root scanner.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import j0, j1, y0, y1
 
 __all__ = [
     "DomainCase",
@@ -35,9 +36,6 @@ class InsufficientScanRangeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Bessel evaluators
 
-_BESSEL = {("J", 0): j0, ("J", 1): j1, ("Y", 0): y0, ("Y", 1): y1}
-
-
 def bessel(kind: str, order: int, x):
     """Bessel function of the given kind ('J' or 'Y') and order (0 or 1);
     J takes x >= 0, Y needs x > 0."""
@@ -51,7 +49,8 @@ def bessel(kind: str, order: int, x):
         raise ValueError("Y requires x > 0")
     if np.any(xf < 0.0):
         raise ValueError("J requires x >= 0")
-    out = _BESSEL[kind, order](xf)
+    from scipy import special
+    out = getattr(special, f"{kind.lower()}{order}")(xf)
     return float(out[0]) if x.ndim == 0 else out
 
 
@@ -64,6 +63,7 @@ def _positive(x, name):
 
 def bessel_all(x):
     """All four of (J0, J1, Y0, Y1) at once; x must be positive."""
+    from scipy.special import j0, j1, y0, y1
     x = _positive(x, "bessel_all")
     return j0(x), j1(x), y0(x), y1(x)
 
@@ -71,6 +71,7 @@ def bessel_all(x):
 def bessel_j01(x):
     """(J0, J1) at once without the Y work; x must be positive.  The values
     are the J0, J1 of bessel_all on the same x."""
+    from scipy.special import j0, j1
     x = _positive(x, "bessel_j01")
     return j0(x), j1(x)
 

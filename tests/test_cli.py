@@ -141,9 +141,9 @@ def test_inviscid_scenario_runs(tmp_path):
 
 
 def test_import_leaves_scipy_integrate_and_linalg_unloaded():
-    # the solvers need scipy.special only; scipy.integrate would also load
-    # scipy.optimize and scipy.sparse on every start of the CLI, and
-    # scipy.linalg (tens of ms, several MB resident) is for the FD oracles alone
+    # no solver needs scipy.integrate, which would also load scipy.optimize
+    # and scipy.sparse on every start of the CLI, and scipy.linalg (tens of
+    # ms, several MB resident) is for the FD oracles alone
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, zpgd, zpgd.cli as c\n"
             "for name, _ in c.bundled_scenarios():\n"
@@ -152,3 +152,26 @@ def test_import_leaves_scipy_integrate_and_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_special_loads_on_first_bessel_call(tmp_path):
+    # loading scipy.special is a large share of a start's time and resident
+    # memory, and inviscid and n = 1 free-space runs never evaluate a Bessel
+    # function
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, zpgd, zpgd.cli as c\n"
+            "import numpy as np\n"
+            "for name, _ in c.bundled_scenarios():\n"
+            "    c.parse_config(c.resolve_config(name))\n"
+            "seen = ['scipy.special' in sys.modules]\n"
+            "code = c.run_scenario(c.resolve_config('inviscid_riemann_shock'), sys.argv[1])\n"
+            "seen.append('scipy.special' in sys.modules)\n"
+            "x = np.linspace(0.05, 40.0, 801)\n"
+            "j0, j1 = zpgd.specfun.bessel_j01(x)\n"
+            "seen.append('scipy.special' in sys.modules)\n"
+            "import scipy.special as sp\n"
+            "same = j0.tobytes() == sp.j0(x).tobytes() and j1.tobytes() == sp.j1(x).tobytes()\n"
+            "print('RESULT', code, *seen, same)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "RESULT 0 False False True True"

@@ -252,6 +252,18 @@ def test_total_mass_conservation_across_q0_kink():
     assert abs(m - m0) <= 1e-5 * m0
 
 
+def test_total_mass_raises_once_all_mass_sits_at_the_origin():
+    # q0 = 2 -> -2.3545 on [0, 0.1]: the inward flow gathers all of
+    # m(0) = 1.6254 into a point mass at the origin, and every node's
+    # backward foot lands outside rho0's support
+    q0 = ScalarProfile.piecewise_linear([0.0, 0.1], [2.0, -2.3545])
+    pr = fs.FreespaceProblem(n=1, epsilon=0.2, q0=q0, rho0=smooth_bump_rho(),
+                             rho0_support=2.0)
+    assert fs.total_mass(pr, 0.0)[0] == pytest.approx(1.6253968, rel=1e-7)
+    with pytest.raises(fs.MassConcentrationError):
+        fs.total_mass(pr, 2.0)
+
+
 def _full_line_mass(pr, t, quad):
     """(mass, error estimate) with both of total_mass's grids on the whole
     line [-R, R]."""

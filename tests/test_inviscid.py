@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from zpgd import inviscid as iv
 from zpgd import oracles as orc
@@ -231,3 +233,71 @@ def test_panel_csv(tmp_path):
     assert lines[1] == "r,t,q,p,rho,branch,disc"
     assert len(lines) == 2 + 8 * 3
     assert lines[2].endswith(",I,0")
+
+
+def _c09_problems():
+    # the three problems of acceptance criterion 9
+    bump = 0.5 * P.polymul([0.0, 1.0], P.polypow([1.0, 0.0, -0.25], 4))
+    return [
+        iv.InviscidProblem(3, ScalarProfile.from_pieces([0.0, 2.0, 3.0], [list(bump), [0.0]]),
+                           P0, ScalarProfile.constant(0.8),
+                           ScalarProfile.constant(4 * math.pi * 1.5)),
+        iv.InviscidProblem(2, ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[1.0], [0.0]]), P0,
+                           ScalarProfile.piecewise_linear([0.0, 0.8, 1.6, 2.6],
+                                                          [0.9, 0.3, -0.6, 0.4]),
+                           ScalarProfile.constant(2 * math.pi * 1.5)),
+        iv.InviscidProblem(1, ScalarProfile.constant(0.5), P0,
+                           ScalarProfile.piecewise_linear([0.0, 1.0, 2.0, 3.0],
+                                                          [-0.4, 0.7, -0.2, 0.1]),
+                           ScalarProfile.piecewise_linear([0.0, 4.0], [3.0, 4.0])),
+    ]
+
+
+def _dense_tables(problem, t_max):
+    """The boundary tables from one dense (t1, r0) cost matrix."""
+    r0g = np.linspace(0.0, t_max * problem._sup_q0 * 2.0 + 1.0, 2048)
+    c0 = problem.q0.cumulative(r0g)
+    t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, 2048)])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cost = r0g[None, :] ** 2 / (2.0 * t1[:, None]) + c0[None, :]
+    cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
+    g_idx = np.argmin(cost, axis=1)
+    g = cost[np.arange(len(t1)), g_idx]
+    w = g + problem.sojourn_gain(t1)
+    w_best = np.empty(len(w), dtype=int)
+    cur = 0
+    for i in range(len(w)):
+        if w[i] < w[cur]:
+            cur = i
+        w_best[i] = cur
+    return {"t1": t1, "g": g, "g_r0": r0g[g_idx], "w": w, "w_best": w_best}
+
+
+def _assert_tables_equal(tables, ref):
+    for name, want in ref.items():
+        got = getattr(tables, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_boundary_tables_match_dense_formula_byte_for_byte():
+    for prob in _c09_problems():
+        for t_max in (1.0, 4.0, 20.0):
+            _assert_tables_equal(iv._BoundaryTables(prob, t_max), _dense_tables(prob, t_max))
+        # a query past t_max rebuilds the tables at twice its time
+        mz = iv.PathMinimizer(prob, t_max=1.0)
+        mz.minimize(0.5, 3.0)
+        assert mz.tables.t_max == 6.0
+        _assert_tables_equal(mz.tables, _dense_tables(prob, 6.0))
+
+
+def test_boundary_table_build_memory():
+    # the cost is taken in row blocks: a dense 2049 x 2048 matrix and its
+    # temporaries peak at about 64 MiB
+    prob = _c09_problems()[0]
+    tracemalloc.start()
+    try:
+        iv._BoundaryTables(prob, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

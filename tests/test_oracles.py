@@ -237,11 +237,18 @@ def test_sticky_conservation_property(parts, t_end):
     traj = orc.sticky_particle_run(parts, times, absorb_at_origin=False)
     m0 = sum(p.m for p in parts)
     mom0 = sum(p.m * p.v for p in parts)
+    seed_m = np.array([p.m for p in parts])
     for k in range(times.size):
         assert traj.masses[k].sum() == pytest.approx(m0, rel=1e-12)
         assert (traj.masses[k] * traj.velocities[k]).sum() == pytest.approx(
             mom0, rel=1e-10, abs=1e-10)
         assert np.all(np.diff(traj.positions[k]) >= -1e-9 * (1.0 + np.abs(traj.positions[k][1:])))
+        # each row holds exactly the seeds that map to it
+        rows = traj.cluster_of_seed[k]
+        assert rows.min() >= 0
+        np.testing.assert_allclose(
+            np.bincount(rows, weights=seed_m, minlength=traj.masses[k].size),
+            traj.masses[k], rtol=1e-12)
 
 
 def test_sticky_absorption_at_origin():
