@@ -132,7 +132,8 @@ class _BoundaryTables:
         g(t1) = min_{r0 >= 0} [ r0^2/(2 t1) + C0(r0) ]   (g(0) = 0, r0 = 0),
 
     so g, w and the cumulative argmin of w depend only on the problem and
-    one dense table serves every (r, t) query.
+    one dense table serves every (r, t) query.  V on the t1 grid is kept as
+    v: the t2 scan runs on the same grid.
     """
 
     def __init__(self, problem: InviscidProblem, t_max: float):
@@ -154,7 +155,8 @@ class _BoundaryTables:
             g_idx[rows] = np.argmin(cost, axis=1)
             self.g[rows] = cost[np.arange(cost.shape[0]), g_idx[rows]]
         self.g_r0 = r0g[g_idx]
-        self.w = self.g + problem.sojourn_gain(self.t1)
+        self.v = problem.sojourn_gain(self.t1)
+        self.w = self.g + self.v
         best = np.empty(len(self.w), dtype=int)
         cur = 0
         for i in range(len(self.w)):
@@ -204,18 +206,19 @@ class PathMinimizer:
         self.problem = problem
         self.tables = _BoundaryTables(problem, t_max)
 
-    def _interior(self, r: float, t: float):
+    def _interior(self, r: float, t: float, sup_v: float):
         pr = self.problem
-        r0_hi = r + t * (pr._sup_q0 + pr._vplus.sup_abs(0.0, t)) + 1.0
+        r0_hi = r + t * (pr._sup_q0 + sup_v) + 1.0
         r0g = np.linspace(0.0, r0_hi, _GRID)
         vals = (r - r0g) ** 2 / (2.0 * t) + pr.q0.cumulative(r0g)
         k = int(np.argmin(vals))
         lo = r0g[max(k - 1, 0)]
         hi = r0g[min(k + 1, len(r0g) - 1)]
-        fun = lambda x: (r - x) ** 2 / (2.0 * t) + pr.q0.cumulative(x)
+        two_t = 2.0 * t
+        fun = lambda x: (r - x) ** 2 / two_t + pr.q0.cumulative(x)
         return _line_min(fun, lo, hi, kinks=pr.q0.breakpoints)
 
-    def _boundary(self, r: float, t: float, prune_above: float):
+    def _boundary(self, r: float, t: float, prune_above: float, sup_v: float):
         pr = self.problem
         tb = self.tables
         if t > tb.t_max:
@@ -226,7 +229,7 @@ class PathMinimizer:
             return 0.0, 0.0, 0.5 * t, math.inf
         t2g = tb.t1[1:n_ok]            # t2 > 0 strictly
         wbest = tb.w_best[1:n_ok]
-        total = tb.w[wbest] - pr.sojourn_gain(t2g) + r * r / (2.0 * (t - t2g))
+        total = tb.w[wbest] - tb.v[1:n_ok] + r * r / (2.0 * (t - t2g))
         k = int(np.argmin(total))
         i1 = int(wbest[k])
         # local (geometric) grid spacings set the refinement brackets
@@ -235,24 +238,51 @@ class PathMinimizer:
         cell = max(gap1, gap2, t / _GRID)
         seed_val = float(total[k])
         # descent can improve the seed by at most ~cell * local slope
-        slope = (pr._vplus.sup_abs(0.0, t) ** 2
+        slope = (sup_v ** 2
                  + r * r / (t - t2g[k]) ** 2 + pr._sup_q0 ** 2 + 1.0)
         if seed_val - 4.0 * cell * slope > prune_above:
             return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
         return self._descend(r, t, tb.g_r0[i1], tb.t1[i1], t2g[k], cell=cell)
 
-    def _cost(self, r, t, r0, t1, t2):
+    def _line(self, r, t, r0=None, t1=None, t2=None):
+        """The path cost boundary_cost + C0(r0) as a function of the one
+        coordinate left None, with the other two fixed.
+
+        Every term the fixed coordinates settle (V, C0, launch, tail) is
+        evaluated once, so a call costs one cumulative; the terms still add
+        as -(V(t2) - V(t1)) + launch + tail + C0(r0), the bits of the full
+        sum.  Paths outside 0 <= t1 < t2 < t, and a positive launch radius
+        with t1 = 0, cost +inf."""
         pr = self.problem
-        if not (0.0 <= t1 < t2 < t):
-            return math.inf
-        if t1 == 0.0:
-            if r0 > 0.0:
-                return math.inf
-            launch = 0.0
-        else:
-            launch = r0 * r0 / (2.0 * t1)
-        return (-(pr.sojourn_gain(t2) - pr.sojourn_gain(t1)) + launch
-                + r * r / (2.0 * (t - t2)) + pr.q0.cumulative(r0))
+        V, C0 = pr.sojourn_gain, pr.q0.cumulative
+        off = lambda z: math.inf
+        if r0 is None:
+            if not (0.0 <= t1 < t2 < t):
+                return off
+            gain, tail = -(V(t2) - V(t1)), r * r / (2.0 * (t - t2))
+            if t1 == 0.0:
+                # the launch term is 0.0; adding it keeps the sum's bits
+                return lambda z: math.inf if z > 0.0 else ((gain + 0.0) + tail) + C0(z)
+            two_t1 = 2.0 * t1
+            return lambda z: ((gain + z * z / two_t1) + tail) + C0(z)
+        r0_sq, c0 = r0 * r0, C0(r0)
+        if t1 is None:
+            if not (0.0 < t2 < t):
+                return off
+            v2, tail = V(t2), r * r / (2.0 * (t - t2))
+
+            def along_t1(z):
+                if not (0.0 <= z < t2) or (z == 0.0 and r0 > 0.0):
+                    return math.inf
+                launch = 0.0 if z == 0.0 else r0_sq / (2.0 * z)
+                return ((-(v2 - V(z)) + launch) + tail) + c0
+            return along_t1
+        if not (0.0 <= t1 < t) or (t1 == 0.0 and r0 > 0.0):
+            return off
+        v1 = V(t1)
+        launch = 0.0 if t1 == 0.0 else r0_sq / (2.0 * t1)
+        return lambda z: (((-(V(z) - v1) + launch) + r * r / (2.0 * (t - z))) + c0
+                          if t1 < z < t else math.inf)
 
     def _descend(self, r, t, r0, t1, t2, cell):
         """Coordinate descent, five rounds of shrinking brackets around the
@@ -260,31 +290,31 @@ class PathMinimizer:
         pr = self.problem
         kt = pr.q_bound.breakpoints
         kr = pr.q0.breakpoints
-        best = self._cost(r, t, r0, t1, t2)
+        best = self._line(r, t, r0, t1)(t2)
         # the degenerate two-segment family is always a candidate
-        for wt1, wr0 in ((t1, r0), (0.0, 0.0)):
-            v = self._cost(r, t, wr0, wt1, t2)
-            if v < best:
-                r0, t1, best = wr0, wt1, v
+        two_segment = self._line(r, t, 0.0, 0.0)
+        v = two_segment(t2)
+        if v < best:
+            r0, t1, best = 0.0, 0.0, v
         span = 3.0 * cell
         for _ in range(5):
             if t1 > 0.0:
-                x, v = _line_min(lambda z: self._cost(r, t, z, t1, t2),
+                x, v = _line_min(self._line(r, t, t1=t1, t2=t2),
                                  max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05,
                                  kinks=kr)
                 if v <= best:
                     r0, best = x, v
-                x, v = _line_min(lambda z: self._cost(r, t, r0, z, t2),
+                x, v = _line_min(self._line(r, t, r0=r0, t2=t2),
                                  max(1e-15 * t, t1 - span), min(t2 * (1 - 1e-13), t1 + span),
                                  kinks=kt)
                 if v <= best:
                     t1, best = x, v
-            x, v = _line_min(lambda z: self._cost(r, t, r0, t1, z),
+            x, v = _line_min(self._line(r, t, r0, t1),
                              max(t1 * (1 + 1e-13), t2 - span, 1e-15 * t),
                              min(t * (1 - 1e-13), t2 + span), kinks=kt)
             if v <= best:
                 t2, best = x, v
-            v0 = self._cost(r, t, 0.0, 0.0, t2)
+            v0 = two_segment(t2)
             if v0 < best:
                 r0, t1, best = 0.0, 0.0, v0
             span *= 0.25
@@ -293,12 +323,15 @@ class PathMinimizer:
     def minimize(self, r: float, t: float) -> PathMinimum:
         if r <= 0 or t <= 0:
             raise ValueError("need r > 0 and t > 0")
-        r0_i, v_i = self._interior(r, t)
-        if self.problem._vplus.sup_abs() == 0.0:
-            # no sojourn credit: a reflected path costs at least the straight
-            # one at the same launch radius, so the interior branch wins
+        vplus = self.problem._vplus
+        # no sojourn credit: a reflected path costs at least the straight
+        # one at the same launch radius, so the interior branch wins
+        no_credit = vplus.sup_abs() == 0.0
+        sup_v = 0.0 if no_credit else vplus.sup_abs(0.0, t)
+        r0_i, v_i = self._interior(r, t, sup_v)
+        if no_credit:
             return PathMinimum("interior", r0_i, None, None, v_i, math.inf)
-        r0_b, t1_b, t2_b, v_b = self._boundary(r, t, prune_above=v_i)
+        r0_b, t1_b, t2_b, v_b = self._boundary(r, t, prune_above=v_i, sup_v=sup_v)
         gap = abs(v_i - v_b)
         # ties break toward the interior branch
         if v_i <= v_b + _VALUE_TIE:

@@ -39,9 +39,9 @@ class ScalarProfile:
 
     breakpoints: np.ndarray
     coeffs: np.ndarray
-    _piece_integrals: np.ndarray = field(init=False, repr=False, compare=False)
     _widths: np.ndarray = field(init=False, repr=False, compare=False)
-    _int_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    _inner: np.ndarray = field(init=False, repr=False, compare=False)
+    _int_cols: np.ndarray = field(init=False, repr=False, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
     # Python-list copies of the tables for the scalar path (see _scalar_eval)
     _bp_list: list = field(init=False, repr=False, compare=False)
@@ -51,8 +51,9 @@ class ScalarProfile:
     _cum_list: list = field(init=False, repr=False, compare=False)
     # sup_abs() over the whole line, filled on first use
     _sup_whole: float | None = field(init=False, repr=False, compare=False)
-    # coefficient tables of f, f', f'', ..., extended on first use
-    _deriv_coeffs: list = field(init=False, repr=False, compare=False)
+    # coefficient tables of f, f', f'', ..., extended on first use; each is
+    # stored as contiguous per-power columns, (d, m), for the array path
+    _deriv_cols: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -68,20 +69,21 @@ class ScalarProfile:
         # Exact integral of each piece over its interval, for cumulative().
         widths = np.diff(bp)
         ks = np.arange(1, cf.shape[1] + 1)
-        piece = (cf / ks) * widths[:, None] ** ks
-        object.__setattr__(self, "_piece_integrals", piece.sum(axis=1))
+        int_cf = cf / ks
+        piece = int_cf * widths[:, None] ** ks
         object.__setattr__(self, "_widths", widths)
-        object.__setattr__(self, "_int_coeffs", cf / ks)
+        object.__setattr__(self, "_inner", bp[1:-1].copy())
+        object.__setattr__(self, "_int_cols", np.ascontiguousarray(int_cf.T))
         object.__setattr__(self, "_cum",
                            np.concatenate([[0.0], np.cumsum(piece.sum(axis=1))]))
         # Rows are stored highest coefficient first, in Horner order.
         object.__setattr__(self, "_bp_list", bp.tolist())
         object.__setattr__(self, "_width_list", widths.tolist())
         object.__setattr__(self, "_coeff_rows", cf[:, ::-1].tolist())
-        object.__setattr__(self, "_int_rows", self._int_coeffs[:, ::-1].tolist())
+        object.__setattr__(self, "_int_rows", int_cf[:, ::-1].tolist())
         object.__setattr__(self, "_cum_list", self._cum.tolist())
         object.__setattr__(self, "_sup_whole", None)
-        object.__setattr__(self, "_deriv_coeffs", [cf])
+        object.__setattr__(self, "_deriv_cols", [np.ascontiguousarray(cf.T)])
 
     # ------------------------------------------------------------------
     # constructors
@@ -113,22 +115,32 @@ class ScalarProfile:
     # evaluation
 
     def _locate(self, x):
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.breakpoints) - 2)
-        dx = x - self.breakpoints[idx]
-        # clamp: freeze dx at the ends so out-of-range queries see end values
-        dx = np.clip(dx, 0.0, self._widths[idx])
+        """Piece index and clamped offset of each point of the array x.
+
+        Counting the interior breakpoints <= x gives the piece with the
+        index already clamped to [0, m-1] (NaN sorts last, into the last
+        piece).  The offset is frozen at [0, width] so out-of-range queries
+        see end values.  NaN passes through both bounds, and -0.0 becomes
+        +0.0: np.maximum returns its second operand on a tie of zeros."""
+        idx = np.searchsorted(self._inner, x, side="right")
+        dx = x - self.breakpoints.take(idx)
+        np.maximum(dx, 0.0, out=dx)
+        np.minimum(dx, self._widths.take(idx), out=dx)
         return idx, dx
 
-    def _gather_horner(self, cf, idx, dx):
-        d = cf.shape[1]
-        acc = cf[idx, d - 1]
-        for k in range(d - 2, -1, -1):
-            acc = acc * dx + cf[idx, k]
+    @staticmethod
+    def _horner(cols, idx, dx):
+        """sum_k cols[k, idx] * dx**k by Horner, from one gather of every
+        power's column."""
+        rows = cols.take(idx, axis=1)
+        acc = rows[-1].copy()
+        for row in rows[-2::-1]:
+            acc *= dx
+            acc += row
         return acc
 
     def _scalar_eval(self, rows, x):
-        """One-point _locate and _gather_horner on Python floats.
+        """One-point _locate and _horner on Python floats.
 
         The IEEE operations and their order are those of the array path, so
         the results are bit-identical; returns (piece, clamped dx, value)."""
@@ -139,7 +151,7 @@ class ScalarProfile:
         elif i > len(bp) - 2:
             i = len(bp) - 2
         dx = x - bp[i]
-        # np.clip(dx, 0.0, w): -0.0 maps to +0.0, NaN passes through
+        # the clamp of _locate: -0.0 becomes +0.0, NaN passes through
         if dx <= 0.0:
             dx = 0.0
         elif dx >= self._width_list[i]:
@@ -157,7 +169,7 @@ class ScalarProfile:
         scalar = x.ndim == 0
         xf = np.atleast_1d(x)
         idx, dx = self._locate(xf)
-        val = self._gather_horner(self.coeffs, idx, dx)
+        val = self._horner(self._deriv_cols[0], idx, dx)
         return float(val[0]) if scalar else val
 
     def with_derivatives(self, x, k: int):
@@ -168,8 +180,8 @@ class ScalarProfile:
         on the same piece and clamped offset); beyond the degree the rows
         are zero."""
         x = np.asarray(x, dtype=float)
-        idx, dx = self._locate(x)
-        return tuple(self._gather_horner(self._derivative_coeffs(j), idx, dx)
+        idx, dx = self._locate(np.atleast_1d(x))
+        return tuple(self._horner(self._derivative_cols(j), idx, dx).reshape(x.shape)
                      for j in range(k + 1))
 
     def cumulative(self, x):
@@ -190,8 +202,9 @@ class ScalarProfile:
         xf = np.atleast_1d(x)
         bp = self.breakpoints
         idx, dx = self._locate(xf)
-        partial = self._gather_horner(self._int_coeffs, idx, dx) * dx
-        out = self._cum[idx] + partial
+        out = self._horner(self._int_cols, idx, dx)
+        out *= dx
+        out += self._cum.take(idx)
         below = xf < bp[0]
         above = xf > bp[-1]
         if below.any():
@@ -288,19 +301,20 @@ class ScalarProfile:
     def scaled(self, factor: float) -> "ScalarProfile":
         return ScalarProfile(self.breakpoints, self.coeffs * float(factor))
 
-    def _derivative_coeffs(self, k: int) -> np.ndarray:
-        """Local coefficient table of the k-th derivative (kept once built)."""
-        tables = self._deriv_coeffs
+    def _derivative_cols(self, k: int) -> np.ndarray:
+        """Per-power columns of the k-th derivative's local coefficient
+        table (kept once built)."""
+        tables = self._deriv_cols
         while len(tables) <= k:
-            cf = tables[-1]
-            dcf = cf[:, 1:] * np.arange(1, cf.shape[1])
-            if dcf.shape[1] == 0:
-                dcf = np.zeros((cf.shape[0], 1))
-            tables.append(dcf)
+            cols = tables[-1]
+            dcols = cols[1:] * np.arange(1, cols.shape[0])[:, None]
+            if dcols.shape[0] == 0:
+                dcols = np.zeros((1, cols.shape[1]))
+            tables.append(dcols)
         return tables[k]
 
     def derivative_profile(self) -> "ScalarProfile":
-        return ScalarProfile(self.breakpoints, self._derivative_coeffs(1))
+        return ScalarProfile(self.breakpoints, self._derivative_cols(1).T)
 
     def times_monomial(self, k: int) -> "ScalarProfile":
         """Profile multiplied by x**k (exact, piecewise)."""

@@ -81,10 +81,10 @@ def _slice_jumps(q_row, threshold):
     return groups
 
 
-def _refine_jump(q_of_r, lo, hi):
-    """Bisect toward the jump of a piecewise-smooth function: recurse into
-    the half with the larger variation, at most 60 times."""
-    qlo, qhi = q_of_r(lo), q_of_r(hi)
+def _refine_jump(q_of_r, lo, hi, qlo, qhi):
+    """Bisect toward the jump of a piecewise-smooth function, given its
+    values qlo, qhi at the bracket ends: recurse into the half with the
+    larger variation, at most 60 times."""
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if hi - lo < 1e-12 * max(1.0, abs(mid)):
@@ -134,9 +134,10 @@ def detect_fronts(panel):
     for i, t in enumerate(grid_t):
         locs = []
         for grp in _slice_jumps(panel.q[i], threshold):
-            lo = grid_r[grp[0]]
-            hi = grid_r[min(grp[-1] + 1, grid_r.size - 1)]
-            srad = _refine_jump(lambda r: qP_at(r, t)[0], lo, hi)
+            # the panel holds q at the bracket ends, from the same minimizer
+            j_lo, j_hi = grp[0], min(grp[-1] + 1, grid_r.size - 1)
+            srad = _refine_jump(lambda r: qP_at(r, t)[0], grid_r[j_lo], grid_r[j_hi],
+                                panel.q[i, j_lo], panel.q[i, j_hi])
             d = 1e-9 * max(1.0, srad)
             gap = qP_at(srad - d, t)[0] - qP_at(srad + d, t)[0]
             if gap <= max(threshold, 1e-6):

@@ -263,14 +263,15 @@ def _dense_tables(problem, t_max):
     cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
     g_idx = np.argmin(cost, axis=1)
     g = cost[np.arange(len(t1)), g_idx]
-    w = g + problem.sojourn_gain(t1)
+    v = problem.sojourn_gain(t1)
+    w = g + v
     w_best = np.empty(len(w), dtype=int)
     cur = 0
     for i in range(len(w)):
         if w[i] < w[cur]:
             cur = i
         w_best[i] = cur
-    return {"t1": t1, "g": g, "g_r0": r0g[g_idx], "w": w, "w_best": w_best}
+    return {"t1": t1, "g": g, "g_r0": r0g[g_idx], "v": v, "w": w, "w_best": w_best}
 
 
 def _assert_tables_equal(tables, ref):
@@ -288,6 +289,50 @@ def test_boundary_tables_match_dense_formula_byte_for_byte():
         mz.minimize(0.5, 3.0)
         assert mz.tables.t_max == 6.0
         _assert_tables_equal(mz.tables, _dense_tables(prob, 6.0))
+
+
+def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():
+    # the descent's line functions add their terms in boundary_cost's order,
+    # so re-evaluating a result at its own minimizers gives the same bits
+    from zpgd import cli
+
+    problems = _c09_problems() + [
+        cli._inviscid_problem_from(cli.parse_config(cli.resolve_config(name)))
+        for name in ("inviscid_inflow", "verify_rh_riemann")]
+    branches = set()
+    for prob in problems:
+        mz = iv.PathMinimizer(prob, t_max=4.0)
+        for t in np.linspace(0.1, 2.0, 9):
+            for r in np.linspace(0.05, 2.5, 12):
+                m = mz.minimize(float(r), float(t))
+                assert m.check_value(prob, float(r), float(t)) == 0.0, (r, t, m)
+                branches.add(m.branch)
+    assert branches == {"interior", "boundary"}
+
+
+def test_descent_line_functions_carry_boundary_cost_bits():
+    # each line function of the descent fixes two of (r0, t1, t2); at any
+    # point it must return boundary_cost + C0(r0) bit for bit
+    q0 = ScalarProfile.piecewise_linear([0.0, 0.6, 1.4, 2.2], [0.5, 0.7, -0.3, 0.0])
+    qb = ScalarProfile.piecewise_linear([0.0, 0.7, 1.5, 2.5], [0.9, 0.4, -0.5, 0.3])
+    prob = iv.InviscidProblem(2, q0, P0, qb, ScalarProfile.constant(20.0))
+    mz = iv.PathMinimizer(prob, t_max=4.0)
+    rng = np.random.default_rng(11)
+    for k in range(400):
+        r, t, r0 = (float(v) for v in rng.uniform([0.05, 0.1, 0.0], [2.5, 2.0, 2.5]))
+        t1, t2 = (float(v) for v in np.sort(rng.uniform(0.0, t, 2)))
+        if k % 10 == 0:
+            r0, t1 = 0.0, 0.0          # the two-segment family
+        want = iv.boundary_cost(r, r0, t, t1, t2, prob) + q0.cumulative(r0)
+        assert mz._line(r, t, t1=t1, t2=t2)(r0) == want
+        assert mz._line(r, t, r0=r0, t2=t2)(t1) == want
+        assert mz._line(r, t, r0, t1)(t2) == want
+    # outside 0 <= t1 < t2 < t, or a positive launch radius at t1 = 0
+    assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.6) == math.inf
+    assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.0) == math.inf
+    assert mz._line(1.0, 1.0, t1=0.0, t2=0.5)(0.1) == math.inf
+    assert mz._line(1.0, 1.0, 0.5, 0.2)(1.0) == math.inf
+    assert mz._line(1.0, 1.0, t1=0.6, t2=0.5)(0.1) == math.inf
 
 
 def test_boundary_table_build_memory():

@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -79,11 +80,15 @@ def _acceptance_bump():
     ScalarProfile.piecewise_linear([0.5, 1.0, 3.0], [-1.0, 2.0, 0.25]),
     _acceptance_bump().derivative_profile(),
     _acceptance_bump(),
-], ids=["deg0-const", "deg0-step", "deg1", "deg1-offset", "deg8", "deg9-bump"])
+    # a -0.0 constant term: the value at x = -0.0 is +0.0 only if the clamp
+    # maps the offset -0.0 to +0.0 (1.0 * -0.0 + -0.0 would be -0.0)
+    ScalarProfile.from_pieces([0.0, 1.0], [[-0.0, 1.0]]),
+], ids=["deg0-const", "deg0-step", "deg1", "deg1-offset", "deg8", "deg9-bump",
+        "deg1-signed-zero"])
 def test_scalar_path_is_bit_identical_to_array_path(prof):
     bp = prof.breakpoints
     xs = [*bp, *(bp[:-1] + 0.5 * prof._widths), *(bp[:-1] + 0.3 * prof._widths),
-          bp[0] - 0.7, bp[-1] + 1.3]
+          bp[0] - 0.7, bp[-1] + 1.3, -0.0]
     for x in xs:
         for f in (prof, prof.cumulative):
             ref = f(np.array([x]))[0]
@@ -149,6 +154,65 @@ def test_with_derivatives_matches_repeated_derivative_profile(prof, fractions, d
         d = nxt
     if k == prof.degree + 1:
         assert not np.any(rows[-1])
+
+
+def _reference_locate(bp, x):
+    """Piece and clamped offset as the array kernel found them before: a
+    clipped searchsorted index and np.clip with per-point upper bounds."""
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(bp) - 2)
+    return idx, np.clip(x - bp[idx], 0.0, np.diff(bp)[idx])
+
+
+def _reference_horner(cf, idx, dx):
+    """Horner with one 2-D gather per coefficient."""
+    d = cf.shape[1]
+    acc = cf[idx, d - 1]
+    for k in range(d - 2, -1, -1):
+        acc = acc * dx + cf[idx, k]
+    return acc
+
+
+def _reference_cumulative(prof, x):
+    bp, cf = prof.breakpoints, prof.coeffs
+    ks = np.arange(1, cf.shape[1] + 1)
+    cum = np.concatenate([[0.0], np.cumsum(((cf / ks) * np.diff(bp)[:, None] ** ks).sum(axis=1))])
+    idx, dx = _reference_locate(bp, x)
+    out = cum[idx] + _reference_horner(cf / ks, idx, dx) * dx
+    ends = _reference_horner(cf, *_reference_locate(bp, bp[[0, -1]]))
+    out = np.where(x < bp[0], (x - bp[0]) * ends[0], out)
+    return np.where(x > bp[-1], cum[-1] + (x - bp[-1]) * ends[1], out)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=_piecewise_polynomial(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+       rnd=st.randoms(use_true_random=False))
+# x = -0.0 against a breakpoint at +0.0 and a -0.0 constant term
+@example(prof=ScalarProfile.from_pieces([0.0, 1.0], [[-0.0, 1.0]]), fractions=[],
+         rnd=random.Random(0))
+def test_array_kernel_matches_gather_and_clip_formula_bit_for_bit(prof, fractions, rnd):
+    bp = prof.breakpoints
+    lo, hi = bp[0], bp[-1]
+    pts = [*bp, *(lo + np.asarray(fractions) * (hi - lo)), lo - 0.7, hi + 1.3,
+           lo - 1e-300, hi + 1e-9, math.nan, 0.0, -0.0]
+    # unsorted, with repeats
+    pts += pts[: len(pts) // 2]
+    rnd.shuffle(pts)
+    x = np.array(pts + pts[:1] if len(pts) % 2 else pts)
+    for xs in (x, x.reshape(2, -1)):
+        idx, dx = _reference_locate(bp, xs)
+        assert _same_bits(prof(xs), _reference_horner(prof.coeffs, idx, dx))
+        assert _same_bits(prof.cumulative(xs), _reference_cumulative(prof, xs))
+        cf = prof.coeffs
+        for row in prof.with_derivatives(xs, prof.degree + 1):
+            assert _same_bits(row, _reference_horner(cf, idx, dx))
+            cf = cf[:, 1:] * np.arange(1, cf.shape[1])
+            if cf.shape[1] == 0:
+                cf = np.zeros((cf.shape[0], 1))
 
 
 def test_validation():
