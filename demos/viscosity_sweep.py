@@ -36,8 +36,7 @@ def main():
         fp = FreespaceProblem(1, eps, q0=q0, rho0=p0, rho0_support=6.0)
         for k, r in enumerate(pts):
             q_eps = fs.radial_velocity(fp, r, t_eval)
-            m = mz.minimize(r, t_eval)
-            q_inv = iv._q_P_of_minimum(problem, m, r, t_eval)[0]
+            q_inv = mz.solve_at(r, t_eval)[1]
             errs[j, k] = abs(q_eps - q_inv)
     write_csv(OUT / "viscosity_sweep.csv", ["epsilon", *(f"err_{lbl}" for lbl in labels)],
               ([eps, *row] for eps, row in zip(eps_list, errs.tolist())))

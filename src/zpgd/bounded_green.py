@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
 
 __all__ = [
     "BoundedProblem",
+    "Wall",
     "GreenEvaluator",
     "BoundedHopfCole",
     "build_green_evaluator",
@@ -48,6 +50,24 @@ class TruncationError(RuntimeError):
 class DataInsufficiencyError(RuntimeError):
     """A backward characteristic reached a wall whose density trace was not
     supplied (the inflow sign conditions are violated)."""
+
+
+class Wall(NamedTuple):
+    """A Robin wall: radius, wall velocity, outward sign (-1 inner, +1
+    outer) and trace of p = r^(n-1) rho (None where no density is given)."""
+
+    r: float
+    q: float
+    sign: float
+    p: ScalarProfile | None
+
+    @property
+    def inflow(self) -> bool:
+        return self.sign * self.q < 0.0
+
+    @property
+    def name(self) -> str:
+        return "inner" if self.sign < 0.0 else "outer"
 
 
 @dataclass
@@ -76,13 +96,18 @@ class BoundedProblem:
             self.case, self.epsilon, radius=self.radius, r_inner=self.r_inner,
             r_outer=self.r_outer, q_boundary=self.q_boundary,
             q_inner=self.q_inner, q_outer=self.q_outer)
-        if self.q_boundary < 0 and self.rho_boundary is None and not self.is_annulus:
-            raise ValueError("inflow wall (q_boundary < 0) needs rho_boundary")
-        if self.is_annulus:
-            if self.q_inner > 0 and self.rho_inner is None:
-                raise ValueError("inflow at the inner wall needs rho_inner")
-            if self.q_outer < 0 and self.rho_outer is None:
-                raise ValueError("inflow at the outer wall needs rho_outer")
+        for w in self.walls:
+            if w.inflow and w.p is None:
+                raise ValueError(f"inflow at the {w.name} wall needs its boundary density")
+
+    @property
+    def walls(self) -> tuple:
+        """The Robin walls, inner first; a ball has only its outer wall."""
+        data = (((self.r_inner, self.q_inner, -1.0, self.rho_inner),
+                 (self.r_outer, self.q_outer, 1.0, self.rho_outer)) if self.is_annulus
+                else ((self.radius, self.q_boundary, 1.0, self.rho_boundary),))
+        return tuple(Wall(r, q, sign, None if rho is None else rho.scaled(r ** (self.n - 1)))
+                     for r, q, sign, rho in data)
 
     @property
     def n(self) -> int:
@@ -106,21 +131,10 @@ class BoundedProblem:
     def p0_profile(self) -> ScalarProfile:
         return self.rho0.times_monomial(self.n - 1)
 
-    def wall_p_profiles(self) -> tuple:
-        """(inner, outer) wall traces of p = r^(n-1) rho, None where that
-        wall's density is not supplied (a ball has only the outer wall)."""
-        a, b = self.domain
-        outer = self.rho_outer if self.is_annulus else self.rho_boundary
-        return tuple(None if rho is None else rho.scaled(r ** (self.n - 1))
-                     for rho, r in ((self.rho_inner, a), (outer, b)))
-
     def consistency_gap(self) -> float:
         """First-order consistency of initial and boundary velocities at
         the space-time corners (0 when the data are compatible)."""
-        if self.is_annulus:
-            return max(abs(float(self.q0(self.r_inner)) - self.q_inner),
-                       abs(float(self.q0(self.r_outer)) - self.q_outer))
-        return abs(float(self.q0(self.radius)) - self.q_boundary)
+        return max(abs(float(self.q0(w.r)) - w.q) for w in self.walls)
 
 
 @dataclass
@@ -218,10 +232,10 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
     """Assemble the series with enough modes that the tail at the time
     floor is below 1e-14 of the leading term (default floor:
     1e-3 * 2 L^2 / eps with L the domain width)."""
-    if not problem.is_annulus and problem.q_boundary < 0.0:
+    if problem.eigen.has_growing_mode:
         raise ValueError(
-            "an inflow ball wall (q_boundary < 0) carries a growing Robin "
-            "mode outside the positive-frequency series; the expansion "
+            "the Robin data carry a growing mode outside the positive-frequency "
+            "series (an inflow wall too strong for the domain); the expansion "
             "would be incomplete")
     L = problem.length_scale
     eps = problem.epsilon
@@ -398,12 +412,10 @@ class BoundedHopfCole:
         probe = np.linspace(a + 1e-6 * (b - a), b, 101)
         scale = float(np.max(np.abs(self.evaluate(probe, t, reference=True))))
         res = 0.0
-        walls = [(b, pr.q_boundary)] if not pr.is_annulus else \
-            [(pr.r_inner, pr.q_inner), (pr.r_outer, pr.q_outer)]
         k, c = self._weights(t, reference=True)
-        for wall_r, qw in walls:
-            phi, dphi = self.ev.phi(np.array([wall_r]), k=k)
-            res = max(res, abs(pr.epsilon * (dphi @ c)[0] + qw * (phi @ c)[0]))
+        for w in pr.walls:
+            phi, dphi = self.ev.phi(np.array([w.r]), k=k)
+            res = max(res, abs(pr.epsilon * (dphi @ c)[0] + w.q * (phi @ c)[0]))
         return res / max(scale, 1e-300)
 
     def sample(self, grid_r: np.ndarray, grid_t: np.ndarray) -> HopfColeState:
@@ -451,8 +463,9 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
     a, b = pr.domain
     m = radii.size
     # backward characteristics can only leave through inflow walls
-    lo = a if pr.is_annulus and pr.q_inner > 0.0 else -math.inf
-    hi = b if (pr.q_outer if pr.is_annulus else pr.q_boundary) < 0.0 else math.inf
+    exits = [w for w in pr.walls if w.inflow]
+    lo = next((w.r for w in exits if w.sign < 0.0), -math.inf)
+    hi = next((w.r for w in exits if w.sign > 0.0), math.inf)
 
     def rhs(sigma, y):
         s = t - sigma
@@ -468,14 +481,12 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
     p_gamma = pr.p0_profile()(feet)
     for i in np.flatnonzero(~np.isnan(s_exit)):
         t0 = t - s_exit[i]
-        side = 0 if y[i] == lo else 1   # inner, outer
-        pw = pr.wall_p_profiles()[side]
-        if pw is None:
+        w = next(w for w in exits if w.r == y[i])
+        if w.p is None:
             raise DataInsufficiencyError(
-                f"characteristic reached the {('inner', 'outer')[side]} wall at "
-                f"t={t0:g} but no boundary density was supplied (inflow sign "
-                "conditions violated)")
-        p_gamma[i] = pw(t0)
+                f"characteristic reached the {w.name} wall at t={t0:g} but no "
+                "boundary density was supplied (inflow sign conditions violated)")
+        p_gamma[i] = w.p(t0)
     return p_gamma * np.exp(integral_qr) / radii ** (pr.n - 1)
 
 
@@ -509,16 +520,14 @@ def mass_flux_report(state: BoundedHopfCole, times, dt: float = 0.02):
         m_lo = radial_mass(state, t - dt)
         m_hi = radial_mass(state, t + dt)
         dm_dt = (m_hi - m_lo) / (2.0 * dt)
-        eps_off = 1e-7 * (b - a)
-        q_out = state.velocity(b - eps_off, t)
-        p_out = float(density_batch(state, np.array([b - eps_off]), t)[0]) \
-            * (b - eps_off) ** (pr.n - 1)
-        flux = -q_out * p_out
-        if pr.is_annulus:
-            q_in = state.velocity(a + eps_off, t)
-            p_in = float(density_batch(state, np.array([a + eps_off]), t)[0]) \
-                * (a + eps_off) ** (pr.n - 1)
-            flux = -(q_out * p_out - q_in * p_in)
+        # the flux -sign q p of each wall, read 1e-7 widths inside it and
+        # summed outer wall first
+        terms = []
+        for w in reversed(pr.walls):
+            r = w.r - w.sign * (1e-7 * (b - a))
+            p = float(density_batch(state, np.array([r]), t)[0]) * r ** (pr.n - 1)
+            terms.append(-w.sign * state.velocity(r, t) * p)
+        flux = sum(terms[1:], terms[0])
         rows.append((t, dm_dt, flux, dm_dt - flux))
     return rows
 

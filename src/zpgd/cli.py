@@ -182,22 +182,24 @@ class RunContext:
 # mode handlers
 
 
-def _eigen_problem_from(cfg: dict) -> EigenProblem:
-    case = DomainCase(str(cfg.get("case", "ball2d")).lower())
-    kw = dict(epsilon=float(cfg.get("epsilon", 1.0)))
-    if case.is_annulus:
-        kw.update(r_inner=float(cfg["r_inner"]), r_outer=float(cfg["r_outer"]),
-                  q_inner=float(cfg.get("q_inner", 0.0)),
-                  q_outer=float(cfg.get("q_outer", 0.0)))
-    else:
-        kw.update(radius=float(cfg["radius"]),
-                  q_boundary=float(cfg.get("q_boundary", 0.0)))
-    return EigenProblem(case, **kw)
+def _domain_from(cfg: dict) -> dict:
+    """EigenProblem keywords (case, epsilon, radii and wall velocities) from
+    a [problem] section or the eigen subcommand's flags.  A wall velocity
+    defaults to 0; a missing radius is a validation error."""
+    case = DomainCase(str(cfg["case"]).lower())
+    kw = dict(case=case, epsilon=float(cfg.get("epsilon", 1.0)))
+    walls = ((("r_inner", "q_inner"), ("r_outer", "q_outer")) if case.is_annulus
+             else (("radius", "q_boundary"),))
+    for r_key, q_key in walls:
+        if cfg.get(r_key) is None:
+            raise ValidationError(f"{case.value} needs {r_key}")
+        kw[r_key] = float(cfg[r_key])
+        kw[q_key] = float(cfg.get(q_key, 0.0))
+    return kw
 
 
 def run_eigen(cfg: dict, ctx: RunContext) -> None:
-    pcfg = cfg.get("problem", {})
-    prob = _eigen_problem_from(pcfg)
+    prob = EigenProblem(**_domain_from(cfg.get("problem", {})))
     count = int(cfg.get("count", 5))
     eigs = find_eigenvalues(prob, count)
     ctx.params.append(f"case={prob.case.value} count={count}")
@@ -212,24 +214,12 @@ def run_eigen(cfg: dict, ctx: RunContext) -> None:
 
 def _bounded_problem_from(cfg: dict) -> bg.BoundedProblem:
     pcfg = cfg.get("problem", {})
-    case = DomainCase(str(pcfg.get("case")).lower())
-    q0 = profile_from_config(pcfg.get("q0", {}), "q0")
-    rho0 = profile_from_config(pcfg.get("rho0", {}), "rho0")
-    kw = dict(epsilon=float(pcfg.get("epsilon", 1.0)))
-    if case.is_annulus:
-        kw.update(r_inner=float(pcfg["r_inner"]), r_outer=float(pcfg["r_outer"]),
-                  q_inner=float(pcfg.get("q_inner", 0.0)),
-                  q_outer=float(pcfg.get("q_outer", 0.0)))
-        if "rho_inner" in pcfg:
-            kw["rho_inner"] = profile_from_config(pcfg["rho_inner"], "rho_inner")
-        if "rho_outer" in pcfg:
-            kw["rho_outer"] = profile_from_config(pcfg["rho_outer"], "rho_outer")
-    else:
-        kw.update(radius=float(pcfg["radius"]),
-                  q_boundary=float(pcfg.get("q_boundary", 0.0)))
-        if "rho_boundary" in pcfg:
-            kw["rho_boundary"] = profile_from_config(pcfg["rho_boundary"], "rho_boundary")
-    return bg.BoundedProblem(case, q0=q0, rho0=rho0, **kw)
+    kw = _domain_from(pcfg)
+    for key in ("rho_boundary", "rho_inner", "rho_outer"):
+        if key in pcfg:
+            kw[key] = profile_from_config(pcfg[key], key)
+    return bg.BoundedProblem(q0=profile_from_config(pcfg.get("q0", {}), "q0"),
+                             rho0=profile_from_config(pcfg.get("rho0", {}), "rho0"), **kw)
 
 
 def run_bounded(cfg: dict, ctx: RunContext) -> None:
@@ -253,10 +243,9 @@ def run_bounded(cfg: dict, ctx: RunContext) -> None:
     t_probe = float(ccfg.get("robin_time", max(0.5, grid_t[0])))
     ctx.check("robin residual", state.robin_residual(t_probe),
               float(ccfg.get("robin", 1e-6)))
-    wall = b - 1e-7 * (b - a)
-    q_wall = state.velocity(wall, float(grid_t[-1]))
-    target = problem.q_outer if problem.is_annulus else problem.q_boundary
-    ctx.check("boundary attainment", q_wall - target, float(ccfg.get("attainment", 1e-5)))
+    outer = problem.walls[-1]
+    q_wall = state.velocity(outer.r - 1e-7 * (b - a), float(grid_t[-1]))
+    ctx.check("boundary attainment", q_wall - outer.q, float(ccfg.get("attainment", 1e-5)))
     if bool(ccfg.get("flux", True)):
         t_mid = float(0.5 * (grid_t[0] + grid_t[-1]))
         rows = bg.mass_flux_report(state, [t_mid], dt=float(ccfg.get("flux_dt", 0.02)))
@@ -407,8 +396,7 @@ def run_oracle_compare(cfg: dict, ctx: RunContext) -> None:
                                      rho0=rho0, rho0_support=rho0.breakpoints[-1])
             for k, r in enumerate(pts):
                 q_eps = fs.radial_velocity(fp, float(r), t_eval)
-                m = mz.minimize(float(r), t_eval)
-                q_inv = iv._q_P_of_minimum(problem, m, float(r), t_eval)[0]
+                q_inv = mz.solve_at(float(r), t_eval)[1]
                 errs[j, k] = abs(q_eps - q_inv)
         write_csv(ctx.path("eps_sweep.csv"),
                   ["epsilon", *(f"err_r{FLOAT_FMT % p}" for p in pts)],
@@ -519,29 +507,15 @@ def main(argv=None) -> int:
             print(f"{name:28s} {desc}")
         return 0
     if args.command == "eigen":
-        case = DomainCase(args.case)
-        kw = dict(epsilon=args.epsilon)
-        if case.is_annulus:
-            if args.r_inner is None or args.r_outer is None:
-                print("validation error: annulus cases need --r-inner/--r-outer",
-                      file=sys.stderr)
-                return 3
-            kw.update(r_inner=args.r_inner, r_outer=args.r_outer,
-                      q_inner=args.q_inner, q_outer=args.q_outer)
-        else:
-            if args.radius is None:
-                print("validation error: ball cases need --radius", file=sys.stderr)
-                return 3
-            kw.update(radius=args.radius, q_boundary=args.q_boundary)
         try:
-            prob = EigenProblem(case, **kw)
+            prob = EigenProblem(**_domain_from(vars(args)))
             eigs = find_eigenvalues(prob, args.count)
         except ValueError as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return 3
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"eigen_{case.value}.csv"
+        path = out / f"eigen_{prob.case.value}.csv"
         bg.write_eigenvalue_csv(eigs, path)
         for i, (v, res) in enumerate(zip(eigs.values, eigs.residuals), start=1):
             print(f"{i:3d}  {FLOAT_FMT % v}  residual {FLOAT_FMT % res}")

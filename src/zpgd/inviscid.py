@@ -338,6 +338,16 @@ class PathMinimizer:
             return PathMinimum("interior", r0_i, None, None, v_i, gap)
         return PathMinimum("boundary", r0_b, t1_b, t2_b, v_b, gap)
 
+    def solve_at(self, r: float, t: float):
+        """(minimum, q, P) at (r, t): q is the slope of the minimizing
+        path's last segment, P = -int_{r0}^inf p0 on the interior branch
+        and -p_B(t2)/omega_{n-1} on the boundary branch."""
+        m = self.minimize(r, t)
+        pr = self.problem
+        if m.branch == "interior":
+            return m, (r - m.r0) / t, -pr.p0.tail_integral(m.r0)
+        return m, r / (t - m.t2), -float(pr.p_bound(m.t2)) / pr.omega
+
 
 def minimize_paths(problem: InviscidProblem, r: float, t: float) -> PathMinimum:
     return PathMinimizer(problem, t_max=max(2.0 * t, 1.0)).minimize(r, t)
@@ -361,16 +371,6 @@ class SolutionSample:
     right: tuple | None = None
 
 
-def _q_P_of_minimum(problem: InviscidProblem, m: PathMinimum, r: float, t: float):
-    if m.branch == "interior":
-        q = (r - m.r0) / t
-        P = -problem.p0.tail_integral(m.r0)
-    else:
-        q = r / (t - m.t2)
-        P = -float(problem.p_bound(m.t2)) / problem.omega
-    return q, P
-
-
 def solution(problem: InviscidProblem, r: float, t: float,
              minimizer: PathMinimizer | None = None) -> SolutionSample:
     """(q, P, p) at one point.  p comes from the one-sided differences of P
@@ -380,13 +380,10 @@ def solution(problem: InviscidProblem, r: float, t: float,
     1e-4 + 10 h / t; such points are returned as two-sided discontinuity
     samples."""
     mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * t, 1.0))
-    m = mz.minimize(r, t)
-    q, P = _q_P_of_minimum(problem, m, r, t)
+    m, q, P = mz.solve_at(r, t)
     h = max(1e-7, 1e-7 * r)
-    m_l = mz.minimize(max(r - h, 1e-14), t)
-    m_r = mz.minimize(r + h, t)
-    q_l, P_l = _q_P_of_minimum(problem, m_l, max(r - h, 1e-14), t)
-    q_r, P_r = _q_P_of_minimum(problem, m_r, r + h, t)
+    _, q_l, P_l = mz.solve_at(max(r - h, 1e-14), t)
+    _, q_r, P_r = mz.solve_at(r + h, t)
     disc = (abs(q_r - q_l) > _Q_GAP + 10.0 * h / t)
     p_left = (P - P_l) / min(h, r - 1e-14)
     p_right = (P_r - P) / h
@@ -429,10 +426,7 @@ def solve_panel(problem: InviscidProblem, grid_r, grid_t) -> SolutionPanel:
     branch = np.empty((nt, nr), dtype="U1")
     for i, t in enumerate(grid_t):
         for j, r in enumerate(grid_r):
-            m = mz.minimize(float(r), float(t))
-            qq, PP = _q_P_of_minimum(problem, m, float(r), float(t))
-            q[i, j] = qq
-            P[i, j] = PP
+            m, q[i, j], P[i, j] = mz.solve_at(float(r), float(t))
             branch[i, j] = "I" if m.branch == "interior" else "B"
     # p by one-sided differences away from detected jumps: the forward one
     # unless the cell to the right jumps, else the backward one; a point
@@ -485,8 +479,7 @@ def weak_boundary_check(problem: InviscidProblem, times,
         t = float(t)
         qb = float(problem.q_bound(t))
         qbp = max(qb, 0.0)
-        m = mz.minimize(_ORIGIN_PROBE, t)
-        q0p, P0p = _q_P_of_minimum(problem, m, _ORIGIN_PROBE, t)
+        _, q0p, P0p = mz.solve_at(_ORIGIN_PROBE, t)
         mass = -problem.omega * P0p
         target = float(problem.p_bound(t))
         tol_q = max(50.0 * _ORIGIN_PROBE / t, 1e-6)

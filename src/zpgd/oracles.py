@@ -202,19 +202,14 @@ class ViscousIVP:
         """The viscous problem of a BoundedProblem; a ball is cut off at
         r = 1e-3 R, where the regularity condition stands in for the
         origin."""
-        from .bounded_green import BoundedProblem  # local: avoid import cycle
+        from .bounded_green import BoundedProblem, Wall  # local: avoid import cycle
 
         assert isinstance(problem, BoundedProblem)
-        p_inner, p_outer = problem.wall_p_profiles()
-        if problem.is_annulus:
-            return cls(problem.n, problem.epsilon, problem.r_inner, problem.r_outer,
-                       problem.q0, problem.p0_profile(), q_left=problem.q_inner,
-                       q_right=problem.q_outer,
-                       p_left=p_inner, p_right=p_outer)
-        return cls(problem.n, problem.epsilon, 1e-3 * problem.radius,
-                   problem.radius, problem.q0, problem.p0_profile(),
-                   q_left=0.0, q_right=problem.q_boundary,
-                   p_right=p_outer)
+        *inner, outer = problem.walls
+        inner = inner[0] if inner else Wall(1e-3 * outer.r, 0.0, -1.0, None)
+        return cls(problem.n, problem.epsilon, inner.r, outer.r, problem.q0,
+                   problem.p0_profile(), q_left=inner.q, q_right=outer.q,
+                   p_left=inner.p, p_right=outer.p)
 
 
 def _bc_value(bc, t):

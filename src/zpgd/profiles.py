@@ -49,6 +49,8 @@ class ScalarProfile:
     _coeff_rows: list = field(init=False, repr=False, compare=False)
     _int_rows: list = field(init=False, repr=False, compare=False)
     _cum_list: list = field(init=False, repr=False, compare=False)
+    # (f(breakpoints[0]), f(breakpoints[-1])), the clamped end values
+    _end_vals: tuple = field(init=False, repr=False, compare=False)
     # sup_abs() over the whole line, filled on first use
     _sup_whole: float | None = field(init=False, repr=False, compare=False)
     # coefficient tables of f, f', f'', ..., extended on first use; each is
@@ -82,6 +84,9 @@ class ScalarProfile:
         object.__setattr__(self, "_coeff_rows", cf[:, ::-1].tolist())
         object.__setattr__(self, "_int_rows", int_cf[:, ::-1].tolist())
         object.__setattr__(self, "_cum_list", self._cum.tolist())
+        object.__setattr__(self, "_end_vals",
+                           tuple(self._scalar_eval(self._coeff_rows, x)[2]
+                                 for x in (self._bp_list[0], self._bp_list[-1])))
         object.__setattr__(self, "_sup_whole", None)
         object.__setattr__(self, "_deriv_cols", [np.ascontiguousarray(cf.T)])
 
@@ -186,16 +191,20 @@ class ScalarProfile:
 
     def cumulative(self, x):
         """Exact integral from breakpoints[0] to x (clamped pieces extend
-        linearly with the end values outside the breakpoint range)."""
+        linearly with the end values outside the breakpoint range).  A tail
+        with a zero end value adds the signed zero that (x - end) * 0.0
+        gives at finite x, also at x = -inf or +inf, where that product
+        would be NaN."""
         if isinstance(x, float):           # includes np.float64
             x = float(x)
-            i, dx, acc = self._scalar_eval(self._int_rows, x)
             bp = self._bp_list
             if x < bp[0]:
-                return (x - bp[0]) * self._scalar_eval(self._coeff_rows, bp[0])[2]
+                v = self._end_vals[0]
+                return (x - bp[0] if v else -1.0) * v
             if x > bp[-1]:
-                return self._cum_list[-1] + (x - bp[-1]) * self._scalar_eval(
-                    self._coeff_rows, bp[-1])[2]
+                v = self._end_vals[1]
+                return self._cum_list[-1] + (x - bp[-1] if v else 1.0) * v
+            i, dx, acc = self._scalar_eval(self._int_rows, x)
             return self._cum_list[i] + acc * dx
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -207,10 +216,11 @@ class ScalarProfile:
         out += self._cum.take(idx)
         below = xf < bp[0]
         above = xf > bp[-1]
+        lo_v, hi_v = self._end_vals
         if below.any():
-            out = np.where(below, (xf - bp[0]) * self(bp[0]), out)
+            out = np.where(below, (xf - bp[0] if lo_v else -1.0) * lo_v, out)
         if above.any():
-            out = np.where(above, self._cum[-1] + (xf - bp[-1]) * self(bp[-1]), out)
+            out = np.where(above, self._cum[-1] + (xf - bp[-1] if hi_v else 1.0) * hi_v, out)
         return float(out[0]) if scalar else out
 
     def integral(self, a: float, b: float) -> float:

@@ -114,7 +114,7 @@ def detect_fronts(panel):
     e(t) is the P jump across s -+ 1e-7 max(1, s), and p_-, p_+ are
     one-sided differences of P over 1e-4 max(1, s) beyond those points.
     """
-    from .inviscid import SolutionPanel, _q_P_of_minimum  # local import
+    from .inviscid import SolutionPanel  # local import
 
     assert isinstance(panel, SolutionPanel)
     grid_r = panel.grid_r
@@ -122,11 +122,9 @@ def detect_fronts(panel):
     sup_q = max(float(np.abs(panel.q).max()), 1e-30)
     threshold = 1e-3 * sup_q
     mz = panel.minimizer
-    problem = panel.problem
 
     def qP_at(r, t):
-        m = mz.minimize(float(r), float(t))
-        return _q_P_of_minimum(problem, m, float(r), float(t))
+        return mz.solve_at(float(r), float(t))[1:]
 
     # per-slice detections; candidates that refine to a smooth steep region
     # (no genuine one-sided gap, e.g. a rarefaction fan) are discarded

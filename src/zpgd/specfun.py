@@ -155,6 +155,24 @@ class EigenProblem:
             return self.q_inner == 0.0 and self.q_outer == 0.0
         return self.q_boundary == 0.0
 
+    @property
+    def has_growing_mode(self) -> bool:
+        """Whether the Robin data admit a growing mode u'' + (n-1)/r u' =
+        kappa^2 u, kappa > 0, which the positive-root series misses: the
+        characteristic function continued to mu = i kappa changes sign.
+        By the Rayleigh quotient that is when C (u2 - u1)^2 - A1 u1^2 +
+        A2 u2^2 can be negative, A_j = (q_j/eps) R_j^(n-1) and
+        C = 1 / int_R1^R2 r^(1-n) dr; a ball has no inner wall and C = 0."""
+        if not self.case.is_annulus:
+            return self.q_boundary < 0.0
+        n1 = self.case.dimension - 1
+        r1, r2 = self.r_inner, self.r_outer
+        c = 1.0 / math.log(r2 / r1) if n1 == 1 else r1 * r2 / (r2 - r1)
+        a1 = self.q_inner / self.epsilon * r1 ** n1
+        a2 = self.q_outer / self.epsilon * r2 ** n1
+        # the form is positive semidefinite iff its diagonal and determinant are >= 0
+        return c - a1 < 0.0 or c + a2 < 0.0 or c * (a2 - a1) - a1 * a2 < 0.0
+
 
 @dataclass
 class EigenvalueList:

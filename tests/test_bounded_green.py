@@ -252,20 +252,18 @@ def _reference_density(st, r, t, rtol):
         q, dq = st.velocity_and_derivative(beta, s)
         return [float(q[0]), float(dq[0])]
 
-    def hit_inner(s, y):
-        return y[0] - a
+    def hit(wall):
+        def event(s, y):
+            return y[0] - wall.r
+        event.terminal = True
+        return event
 
-    def hit_outer(s, y):
-        return y[0] - b
-
-    hit_inner.terminal = hit_outer.terminal = True
-    events = [hit_inner, hit_outer] if pr.is_annulus else [hit_outer]
-    sol = solve_ivp(rhs, (t, 0.0), [r, 0.0], rtol=rtol, atol=1e-12, events=events,
-                    max_step=max(t / 8, 1e-3))
+    sol = solve_ivp(rhs, (t, 0.0), [r, 0.0], rtol=rtol, atol=1e-12,
+                    events=[hit(w) for w in pr.walls], max_step=max(t / 8, 1e-3))
     assert sol.success
     if sol.status == 1:
-        inner = pr.is_annulus and sol.t_events[0].size > 0
-        p_gamma = pr.wall_p_profiles()[0 if inner else 1](float(sol.t[-1]))
+        wall = next(w for w, ts in zip(pr.walls, sol.t_events) if ts.size)
+        p_gamma = wall.p(float(sol.t[-1]))
     else:
         p_gamma = pr.p0_profile()(float(sol.y[0, -1]))
     return p_gamma * math.exp(sol.y[1, -1]) / r ** (pr.n - 1)
@@ -343,19 +341,35 @@ def test_inflow_wall_requires_density():
     assert np.isfinite(val) and val > 0
 
 
+def _inflow_outer_shell():
+    # inflow at the outer wall (q_outer < 0) and outflow at the inner one
+    q0 = ScalarProfile.piecewise_linear([1.0, 2.0], [-1.0, -0.1])
+    return bg.BoundedProblem(DomainCase.ANNULUS_3D, 0.6, q0,
+                             ScalarProfile.constant(1.0), r_inner=1.0,
+                             r_outer=2.0, q_inner=-1.0, q_outer=-0.1,
+                             rho_outer=ScalarProfile.constant(0.7))
+
+
 def test_inflow_exit_matches_solve_ivp_reference():
-    # 1.01 and 1.05 leave through the inner wall at both times, 1.2 only at
-    # t = 1.5, and 1.5 and 1.95 reach the initial data
-    st = bg.hopf_cole_boundary_state(_inflow_annulus(ScalarProfile.constant(0.7)))
-    rr = np.array([1.01, 1.05, 1.2, 1.5, 1.95])
-    for t, exits in ((0.8, 2), (1.5, 3)):
-        batch = bg.density_batch(st, rr, t, rtol=1e-10)
-        ref = np.array([_reference_density(st, float(r), t, rtol=1e-12) for r in rr])
-        gap = np.abs(batch / ref - 1)
-        assert gap.max() < 2e-7
-        # the exiting traces read <= 4.6e-9; locating the exit on a linear
-        # instead of the cubic Hermite interpolant of the step gives 6.1e-8
-        assert gap[:exits].max() < 2e-8
+    # inner wall: 1.01 and 1.05 leave through it at both times, 1.2 only at
+    # t = 1.5, and 1.5 and 1.95 reach the initial data.  The exiting traces
+    # read <= 4.6e-9; locating the exit on a linear instead of the cubic
+    # Hermite interpolant of the step gives 6.1e-8.  Outer wall: 1.97 and
+    # 1.99 leave through it at both times, 1.9 only at t = 1.5; the gaps
+    # read <= 5.2e-7 overall and <= 2.7e-8 on the exiting traces.
+    for problem, rr, runs, tol, exit_tol in (
+            (_inflow_annulus(ScalarProfile.constant(0.7)), [1.01, 1.05, 1.2, 1.5, 1.95],
+             ((0.8, slice(0, 2)), (1.5, slice(0, 3))), 2e-7, 2e-8),
+            (_inflow_outer_shell(), [1.3, 1.7, 1.9, 1.97, 1.99],
+             ((0.5, slice(3, 5)), (1.5, slice(2, 5))), 1e-6, 5e-8)):
+        st = bg.hopf_cole_boundary_state(problem)
+        rr = np.array(rr)
+        for t, exits in runs:
+            batch = bg.density_batch(st, rr, t, rtol=1e-10)
+            ref = np.array([_reference_density(st, float(r), t, rtol=1e-12) for r in rr])
+            gap = np.abs(batch / ref - 1)
+            assert gap.max() < tol
+            assert gap[exits].max() < exit_tol
 
 
 def test_wall_trace_evaluates_no_point_twice(monkeypatch):
@@ -410,6 +424,41 @@ def test_ball_inflow_series_rejected():
                            rho_boundary=ScalarProfile.constant(0.7))
     with pytest.raises(ValueError):
         bg.hopf_cole_boundary_state(pr)
+
+
+def _shell(q_inner, q_outer=0.2):
+    # the shell 1 < r < 2 with smoothstep q0 from q_inner to q_outer
+    jump = q_outer - q_inner
+    q0 = ScalarProfile.from_pieces([1.0, 2.0, 3.0],
+                                   [[q_inner, 0.0, 3 * jump, -2 * jump], [q_outer]])
+    return bg.BoundedProblem(DomainCase.ANNULUS_3D, 0.6, q0,
+                             ScalarProfile.constant(1.0), r_inner=1.0, r_outer=2.0,
+                             q_inner=q_inner, q_outer=q_outer,
+                             rho_inner=ScalarProfile.constant(1.0))
+
+
+def test_growing_mode_annulus_rejected():
+    # q_inner = 0.45 keeps the Robin spectrum positive: the series builds
+    # and agrees with the FD oracle (gap 2.7e-7)
+    pr = _shell(0.45)
+    st = bg.hopf_cole_boundary_state(pr)
+    grid_t = np.linspace(0.1, 2.0, 20)
+    cfg = orc.FDSolverConfig(n_r=1200, boundary="annulus", t_samples=grid_t)
+    fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(pr), cfg)
+    win = (fld.grid_r >= 1.1) & (fld.grid_r <= 1.9)
+    gap = max(float(np.abs(st.velocity(fld.grid_r[win], float(t)) - fld.q[i][win]).max())
+              for i, t in enumerate(grid_t))
+    assert gap < 1e-6
+    # q_inner = 0.5 and the planar annulus below carry a growing mode, which
+    # no number of positive-frequency terms can represent
+    with pytest.raises(ValueError, match="growing mode"):
+        bg.hopf_cole_boundary_state(_shell(0.5))
+    with pytest.raises(ValueError, match="growing mode"):
+        bg.hopf_cole_boundary_state(bg.BoundedProblem(
+            DomainCase.ANNULUS_2D, 0.3, ScalarProfile.piecewise_linear([1.0, 2.0], [0.02, 0.0]),
+            ScalarProfile.constant(1.0), r_inner=1.0, r_outer=2.0, q_inner=0.02,
+            q_outer=0.0, rho_inner=ScalarProfile.constant(1.0)))
+    assert not _inflow_annulus(ScalarProfile.constant(0.7)).eigen.has_growing_mode
 
 
 def test_velocity_below_floor_raises():

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zpgd import cli
 
@@ -42,6 +43,13 @@ def test_validation_error_exit_code(tmp_path):
     missing = tmp_path / "missing.cfg"
     missing.write_text("mode = eigen\n[problem]\ncase = ball2d\n")  # no radius
     assert run_cli(["run", "--config", str(missing), "--out", str(tmp_path)]) == 3
+    # an inner inflow wall strong enough for a growing Robin mode
+    growing = tmp_path / "growing.cfg"
+    growing.write_text(cli.resolve_config("annulus3d_smooth").replace(
+        "q_inner = -0.2", "q_inner = 0.5").replace(
+        "coeffs0 = -0.2, 0.0, 1.2, -0.8", "coeffs0 = 0.5, 0.0, -0.9, 0.6")
+        + "[problem.rho_inner]\ntype = constant\nvalue = 1.0\n")
+    assert run_cli(["run", "--config", str(growing), "--out", str(tmp_path)]) == 3
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -103,6 +111,7 @@ def test_eigen_subcommand(tmp_path, capsys):
     assert (tmp_path / "eigen_ball2d.csv").exists()
     assert run_cli(["eigen", "--case", "annulus2d", "--count", "2",
                     "--out", str(tmp_path)]) == 3   # missing geometry
+    assert "validation error: annulus2d needs r_inner" in capsys.readouterr().err
 
 
 def test_run_bundled_eigen_scenario(tmp_path):
@@ -175,3 +184,12 @@ def test_scipy_special_loads_on_first_bessel_call(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines()[-1] == "RESULT 0 False False True True"
+
+
+@pytest.mark.parametrize("name", [n for n, _ in cli.bundled_scenarios()])
+def test_bundled_scenario_runs(name, tmp_path):
+    assert cli.run_scenario(cli.resolve_config(name), str(tmp_path)) == 0
+    report = next(tmp_path.glob("*report.txt")).read_text()
+    artifacts = report.split("artifacts:\n", 1)[1].split()
+    assert artifacts
+    assert all(Path(a).is_file() for a in artifacts)

@@ -99,6 +99,38 @@ def test_scalar_path_is_bit_identical_to_array_path(prof):
                 assert math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
+def _bundled_profiles():
+    from zpgd import cli
+
+    out = []
+    for name, _ in cli.bundled_scenarios():
+        problem = cli.parse_config(cli.resolve_config(name)).get("problem", {})
+        out += [(f"{name}.{key}", cli.profile_from_config(sec, key))
+                for key, sec in problem.items() if isinstance(sec, dict)]
+    return out
+
+
+def test_cumulative_at_infinity_is_the_zero_extension_integral():
+    # a tail with a zero end value adds a zero, not inf * 0 = NaN; a
+    # nonzero end value gives the infinity of its sign, on both paths
+    profiles = _bundled_profiles()
+    assert len(profiles) == 30
+    zero_ends = 0
+    for name, prof in profiles:
+        for x, end, total in ((-math.inf, prof(prof.breakpoints[0]), 0.0),
+                              (math.inf, prof(prof.breakpoints[-1]), prof._cum[-1])):
+            ref = prof.cumulative(np.array([x]))[0]
+            got = prof.cumulative(x)
+            assert type(got) is float
+            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), name
+            if end == 0.0:
+                zero_ends += 1
+                assert got == total, name
+            else:
+                assert got == math.copysign(math.inf, x * end), name
+    assert zero_ends >= 10
+
+
 def test_sup_abs_quadratic_interior_extremum():
     # f = x(2-x) on [0,2]: max 1 at the interior vertex
     p = ScalarProfile.from_pieces([0.0, 2.0], [[0.0, 2.0, -1.0]])

@@ -125,8 +125,7 @@ def test_mass_accounting_with_delta():
     total0 = prob.p0.tail_integral(0.0)
 
     def P_at(r, t):
-        m = mz.minimize(r, t)
-        return iv._q_P_of_minimum(prob, m, r, t)[1]
+        return mz.solve_at(r, t)[2]
 
     for k in (2, 10, 19):
         t = float(front.times[k])

@@ -213,3 +213,57 @@ def test_scan_range_error():
 def test_count_validation():
     with pytest.raises(ValueError):
         find_eigenvalues(_ball2d(0.0), 0)
+
+
+def _continued_characteristic(prob, kappa):
+    """The characteristic function at mu = i kappa, up to a positive factor
+    (so with its sign): -k I1 - kR I0 and k coth k + kR - 1 for the balls,
+    (b1 b2 + R1 R2 k^2) sinh(k d) + k (R1 b2 + R2 b1) cosh(k d) for the
+    shell, and for the planar annulus the I0/K0 Robin determinant
+    exp(-2 k d) P1 - P2 in the scaled ive/kve."""
+    from scipy.special import ive, kve
+
+    k = kappa
+    if prob.case == DomainCase.BALL_2D:
+        return -k * ive(1, k) - prob.robin_kr * ive(0, k)
+    if prob.case == DomainCase.BALL_3D:
+        return k / np.tanh(k) + prob.robin_kr - 1.0
+    r1, r2 = prob.r_inner, prob.r_outer
+    d = r2 - r1
+    if prob.case == DomainCase.ANNULUS_3D:
+        b1, b2 = prob.b1, prob.b2
+        return (b1 * b2 + r1 * r2 * k * k) * np.sinh(k * d) \
+            + k * (r1 * b2 + r2 * b1) * np.cosh(k * d)
+    a1, a2 = prob.q_inner / prob.epsilon, prob.q_outer / prob.epsilon
+    p1 = (a1 * ive(0, k * r1) + k * ive(1, k * r1)) * (a2 * kve(0, k * r2) - k * kve(1, k * r2))
+    p2 = (a2 * ive(0, k * r2) + k * ive(1, k * r2)) * (a1 * kve(0, k * r1) - k * kve(1, k * r1))
+    return np.exp(-2.0 * k * d) * p1 - p2
+
+
+def test_growing_mode_rule_matches_continued_characteristic_function():
+    # the closed-form rule against a sign change of the characteristic
+    # function on the imaginary axis, on a dense geometric kappa grid
+    rng = np.random.default_rng(11)
+    kappa = np.geomspace(1e-5, 60.0, 4001)
+    growing = {case: 0 for case in DomainCase}
+    for _ in range(60):
+        for case in DomainCase:
+            eps = float(rng.uniform(0.2, 1.0))
+            r1 = float(rng.uniform(0.3, 1.5))
+            r2 = r1 + float(rng.uniform(0.3, 1.5))
+            q1, q2 = rng.uniform(-1.5, 1.5, 2)
+            prob = EigenProblem(case, epsilon=eps, radius=r2, q_boundary=q2) \
+                if not case.is_annulus else \
+                EigenProblem(case, epsilon=eps, r_inner=r1, r_outer=r2,
+                             q_inner=q1, q_outer=q2)
+            v = _continued_characteristic(prob, kappa)
+            flips = bool(np.any(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
+            assert prob.has_growing_mode == flips, prob
+            growing[case] += flips
+    # both outcomes occur in every case
+    assert all(0 < g < 60 for g in growing.values())
+    # the shell of the bounded tests: q_inner 0.45 has no growing mode, 0.5 one
+    for q_inner, expect in ((0.45, False), (0.5, True)):
+        prob = EigenProblem(DomainCase.ANNULUS_3D, epsilon=0.6, r_inner=1.0,
+                            r_outer=2.0, q_inner=q_inner, q_outer=0.2)
+        assert prob.has_growing_mode is expect
