@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+_TWO_LOG_1E18 = 2.0 * math.log(1e18)   # decay exponent range of the kept modes
+
+
 class TruncationError(RuntimeError):
     """Series truncation insufficient for the requested evaluation."""
 
@@ -137,6 +140,13 @@ class BoundedProblem:
         return max(abs(float(self.q0(w.r)) - w.q) for w in self.walls)
 
 
+def _radii(r) -> np.ndarray:
+    """r as a 1-D float array, returned as is when it already is one."""
+    if type(r) is np.ndarray and r.ndim == 1 and r.dtype == np.float64:
+        return r
+    return np.atleast_1d(np.asarray(r, dtype=float))
+
+
 @dataclass
 class GreenEvaluator:
     """Assembled eigenfunction expansion of the Robin heat kernel."""
@@ -151,27 +161,41 @@ class GreenEvaluator:
     ca: np.ndarray | None = None
     cb: np.ndarray | None = None
 
+    def __post_init__(self):
+        # per-call constants, built once: the squared rates, the slowest
+        # one, and the decay exponent per unit time of each mode, relative
+        # to the slowest (reference) and absolute
+        self._lam2 = self.rates ** 2
+        self._lam2_min = self.rates.min() ** 2
+        self._expo_ref = -0.5 * self.problem.epsilon * (self._lam2 - self._lam2_min)
+        self._expo_abs = -0.5 * self.problem.epsilon * self._lam2
+        # phi's frequency row (1 in a zero-rate column) and the rows it
+        # scales; phi slices the first k columns of each
+        self._lam_row = np.where(self.rates == 0.0, 1.0, self.rates)[None, :]
+        if self.problem.case == DomainCase.ANNULUS_2D:
+            self._ca_row, self._cb_row = self.ca[None, :], self.cb[None, :]
+        elif self.problem.case == DomainCase.ANNULUS_3D:
+            self._b1 = self.problem.eigen.b1
+            self._r1_lam_row = self.problem.r_inner * self._lam_row
+
     def active_modes(self, t: float) -> int:
         """Modes whose decay factor at time t still exceeds 1e-18 relative
         to the slowest mode; later modes cannot move the sums."""
         if t <= 0.0:
             return self.rates.size
-        lam2_cut = self.rates.min() ** 2 + 2.0 * math.log(1e18) / (self.problem.epsilon * t)
-        return int(np.searchsorted(self.rates ** 2, lam2_cut)) + 1
+        lam2_cut = self._lam2_min + _TWO_LOG_1E18 / (self.problem.epsilon * t)
+        return int(self._lam2.searchsorted(lam2_cut)) + 1
 
     def phi(self, r, k: int | None = None):
         """(phi, dphi/dr): (len(r), k) matrices of eigenfunction values and
         radial derivatives for the first k modes (all by default), from one
         evaluation.  A zero-rate column, when present, is the constant
         eigenfunction."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        pr = self.problem
-        rates = self.rates if k is None else self.rates[:k]
-        zero_cols = rates == 0.0
-        safe = np.where(zero_cols, 1.0, rates)
-        lam = safe[None, :]
+        r = _radii(r)
+        cols = slice(None, k)
+        lam = self._lam_row[:, cols]
         z = r[:, None] * lam
-        case = pr.case
+        case = self.problem.case
         if case == DomainCase.BALL_2D:
             j0, j1 = (v.reshape(z.shape) for v in bessel_j01(z.ravel()))
             out, dout = j0, -lam * j1
@@ -181,32 +205,40 @@ class GreenEvaluator:
             out = sz / rr
             dout = lam * np.cos(z) / rr - sz / rr ** 2
         elif case == DomainCase.ANNULUS_2D:
-            ca = self.ca[None, :rates.size]
-            cb = self.cb[None, :rates.size]
+            ca = self._ca_row[:, cols]
+            cb = self._cb_row[:, cols]
             j0, j1, y0, y1 = (v.reshape(z.shape) for v in bessel_all(z.ravel()))
             out = ca * j0 - cb * y0
             dout = -lam * (ca * j1 - cb * y1)
         else:  # spherical annulus
-            b1 = pr.eigen.b1
+            # psi and dpsi are built in place in out and dout: the state's
+            # set-up call takes every mode at thousands of Gauss nodes, where
+            # each temporary matrix is about a megabyte
+            b1 = self._b1
+            r1_lam = self._r1_lam_row[:, cols]
             rr = r[:, None]
-            u = lam * (rr - pr.r_inner)
-            psi = b1 * np.sin(u) + pr.r_inner * lam * np.cos(u)
-            dpsi = lam * (b1 * np.cos(u) - pr.r_inner * lam * np.sin(u))
-            out = psi / rr
-            dout = dpsi / rr - psi / rr ** 2
-        if zero_cols.any():
-            out[:, zero_cols] = 1.0
-            dout[:, zero_cols] = 0.0
+            u = lam * (rr - self.problem.r_inner)
+            su = np.sin(u)
+            cu = np.cos(u, out=u)
+            out = b1 * su
+            out += r1_lam * cu
+            dout = b1 * cu
+            dout -= r1_lam * su
+            dout *= lam
+            dout /= rr
+            dout -= out / rr ** 2
+            out /= rr
+        if self.include_zero and out.shape[1]:
+            out[:, 0] = 1.0
+            dout[:, 0] = 0.0
         return out, dout
 
     def decay(self, t: float, reference: bool = True,
               k: int | None = None) -> np.ndarray:
         """exp(-eps rate^2 t / 2), optionally relative to the slowest mode
         (the reference form keeps velocity ratios finite at large t)."""
-        lam2 = (self.rates if k is None else self.rates[:k]) ** 2
-        if reference:
-            lam2 = lam2 - self.rates.min() ** 2
-        return np.exp(-0.5 * self.problem.epsilon * lam2 * t)
+        expo = self._expo_ref if reference else self._expo_abs
+        return np.exp(expo[:k] * t)
 
     def truncation_check(self, r: float, xi: float, t: float) -> float:
         """|last term| relative to the partial sum at (r, xi, t)."""
@@ -232,6 +264,12 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
     """Assemble the series with enough modes that the tail at the time
     floor is below 1e-14 of the leading term (default floor:
     1e-3 * 2 L^2 / eps with L the domain width)."""
+    if problem.eigen.has_robin_zero_mode:
+        zero_mode = "A + B ln r" if problem.n == 2 else "A + B/r"
+        raise ValueError(
+            f"the Robin data have eigenvalue 0 with eigenfunction {zero_mode} (a "
+            "singular wall form), a zero mode outside the positive-frequency "
+            "series; the expansion would be incomplete")
     if problem.eigen.has_growing_mode:
         raise ValueError(
             "the Robin data carry a growing mode outside the positive-frequency "
@@ -243,7 +281,7 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
     if t_floor is None and not explicit_terms:
         t_floor = 1e-3 * 2.0 * L ** 2 / eps
     if n_terms is None:
-        lam_target = math.sqrt(2.0 * math.log(1e18) / (eps * t_floor))
+        lam_target = math.sqrt(_TWO_LOG_1E18 / (eps * t_floor))
         n_terms = int(math.ceil(lam_target * L / math.pi)) + 8
         n_terms = min(max(n_terms, 8), 900)
     eigs = find_eigenvalues(problem.eigen, n_terms)
@@ -333,6 +371,10 @@ class BoundedHopfCole:
     def __init__(self, ev: GreenEvaluator):
         self.ev = ev
         pr = ev.problem
+        # scalars of the right side, read once per state
+        self._eps = pr.epsilon
+        self._half_eps = 0.5 * pr.epsilon
+        self._nm1 = pr.n - 1
         a, b = pr.domain
         lam_max = float(ev.rates.max())
         n_panels = int(math.ceil((b - a) / max(0.5 * math.pi / max(lam_max, 1e-9), 1e-9)))
@@ -369,13 +411,26 @@ class BoundedHopfCole:
         k, c = self._weights(t, reference)
         return self.ev.phi(r, k=k)[0] @ c
 
+    def _sums(self, r, t: float):
+        """The active mode count k, the decayed weights c, the phi matrix
+        and the series sums a and a_r at the radii r, at or above the
+        floor."""
+        k, c = self._weights(t, reference=True)
+        phi0, phi1 = self.ev.phi(r, k=k)
+        a = phi0 @ c
+        a_r = phi1 @ c
+        if np.any(np.abs(a) < 1e-300):
+            raise TruncationError("series denominator underflow")
+        return k, c, phi0, a, a_r
+
     def velocity(self, r, t: float):
         """q = -eps a_r / a, the q of velocity_and_derivative; only defined
         at and above the series floor."""
         if t < self.ev.t_floor:
             raise TruncationError(
                 f"t={t:g} below the series floor {self.ev.t_floor:g}")
-        out = self.velocity_and_derivative(r, t)[0]
+        _, _, _, a, a_r = self._sums(r, t)
+        out = -self._eps * a_r / a
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
     def velocity_and_derivative(self, r, t: float):
@@ -384,25 +439,19 @@ class BoundedHopfCole:
         so a_rr needs only an extra weighted sum of the same phi matrix.
         Below the series floor the initial-data Taylor limit stands in
         (characteristic tracing must reach t = 0)."""
-        pr = self.ev.problem
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        rr = _radii(r)
+        nm1 = self._nm1
         if t < self.ev.t_floor:
-            q0, dq0, d2q0 = pr.q0.with_derivatives(rr, 2)
-            nm1 = pr.n - 1
-            qdot = (-q0 * dq0 + 0.5 * pr.epsilon *
+            q0, dq0, d2q0 = self.ev.problem.q0.with_derivatives(rr, 2)
+            qdot = (-q0 * dq0 + self._half_eps *
                     (d2q0 + nm1 / rr * dq0 - nm1 / rr ** 2 * q0))
             q = q0 + t * qdot
             dq = dq0   # O(t) correction dropped; only used below the floor
             return q, dq
-        k, c = self._weights(t, reference=True)
-        phi0, phi1 = self.ev.phi(rr, k=k)
-        a = phi0 @ c
-        a_r = phi1 @ c
-        a_rr = -(phi0 @ (c * self.ev.rates[:k] ** 2)) - (pr.n - 1) / rr * a_r
-        if np.any(np.abs(a) < 1e-300):
-            raise TruncationError("series denominator underflow")
-        q = -pr.epsilon * a_r / a
-        dq = -pr.epsilon * a_rr / a + q * q / pr.epsilon
+        k, c, phi0, a, a_r = self._sums(rr, t)
+        a_rr = -(phi0 @ (c * self.ev._lam2[:k])) - nm1 / rr * a_r
+        q = -self._eps * a_r / a
+        dq = -self._eps * a_rr / a + q * q / self._eps
         return q, dq
 
     def robin_residual(self, t: float) -> float:
@@ -442,8 +491,7 @@ def large_time_velocity(problem: BoundedProblem, r,
     ev = ev or build_green_evaluator(problem, n_terms=8)
     if ev.include_zero:
         return 0.0 if np.isscalar(r) else np.zeros(np.asarray(r).shape)
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    phi, dphi = ev.phi(rr)
+    phi, dphi = ev.phi(r)
     out = -problem.epsilon * dphi[:, 0] / phi[:, 0]
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
@@ -467,16 +515,19 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
     lo = next((w.r for w in exits if w.sign < 0.0), -math.inf)
     hi = next((w.r for w in exits if w.sign > 0.0), math.inf)
 
+    lo_clip, hi_clip = a + 1e-13 * (b - a), b - 1e-13 * (b - a)
+
     def rhs(sigma, y):
         s = t - sigma
-        beta = np.clip(y[:m], a + 1e-13 * (b - a), b - 1e-13 * (b - a))
+        # np.clip's values at well under its per-call cost on small arrays
+        beta = np.minimum(np.maximum(y[:m], lo_clip), hi_clip)
         q, dq = state.velocity_and_derivative(beta, max(s, 0.0))
-        return np.concatenate([-q, -dq])
+        return -np.concatenate((q, dq))
 
     # state: feet and the accumulated d(log p)/ds integral
     y, s_exit = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
                               rtol=rtol, walls=(lo, hi))
-    feet = np.clip(y[:m], a + 1e-13 * (b - a), b - 1e-13 * (b - a))
+    feet = np.clip(y[:m], lo_clip, hi_clip)
     integral_qr = y[m:]   # = -int_{t0}^{t} q_r ds
     p_gamma = pr.p0_profile()(feet)
     for i in np.flatnonzero(~np.isnan(s_exit)):

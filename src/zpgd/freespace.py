@@ -214,7 +214,9 @@ def _angular_factors(n, alpha, derivs=False):
         return g0, g1, dg0, dg1
     small = alpha < 1e-4
     a = np.where(small, 1.0, alpha)
-    e = np.exp(-2.0 * a)
+    # floored like the batch weights: below e^_EXP_FLOOR, e is lost to
+    # rounding in every factor, and exp skips its slow underflow path
+    e = np.exp(np.maximum(-2.0 * a, _EXP_FLOOR))
     g0 = np.where(small, 2.0 - 2.0 * alpha + (4.0 / 3.0) * alpha ** 2,
                   (1.0 - e) / a)
     g1 = np.where(small, (2.0 / 3.0) * alpha * (1.0 - alpha),

@@ -12,6 +12,7 @@ and a bracketed-bisection root scanner.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -155,23 +156,43 @@ class EigenProblem:
             return self.q_inner == 0.0 and self.q_outer == 0.0
         return self.q_boundary == 0.0
 
-    @property
-    def has_growing_mode(self) -> bool:
-        """Whether the Robin data admit a growing mode u'' + (n-1)/r u' =
-        kappa^2 u, kappa > 0, which the positive-root series misses: the
-        characteristic function continued to mu = i kappa changes sign.
-        By the Rayleigh quotient that is when C (u2 - u1)^2 - A1 u1^2 +
-        A2 u2^2 can be negative, A_j = (q_j/eps) R_j^(n-1) and
-        C = 1 / int_R1^R2 r^(1-n) dr; a ball has no inner wall and C = 0."""
-        if not self.case.is_annulus:
-            return self.q_boundary < 0.0
+    def _wall_form(self):
+        """(C - A1, C + A2, determinant, a bound on its rounding) of the
+        annulus wall form C (u2 - u1)^2 - A1 u1^2 + A2 u2^2, with
+        A_j = (q_j/eps) R_j^(n-1) and C = 1 / int_R1^R2 r^(1-n) dr."""
         n1 = self.case.dimension - 1
         r1, r2 = self.r_inner, self.r_outer
         c = 1.0 / math.log(r2 / r1) if n1 == 1 else r1 * r2 / (r2 - r1)
         a1 = self.q_inner / self.epsilon * r1 ** n1
         a2 = self.q_outer / self.epsilon * r2 ** n1
+        det = c * (a2 - a1) - a1 * a2
+        tol = 16.0 * sys.float_info.epsilon * (c * (abs(a1) + abs(a2)) + abs(a1 * a2))
+        return c - a1, c + a2, det, tol
+
+    @property
+    def has_growing_mode(self) -> bool:
+        """Whether the Robin data admit a growing mode u'' + (n-1)/r u' =
+        kappa^2 u, kappa > 0, which the positive-root series misses: the
+        characteristic function continued to mu = i kappa changes sign.
+        By the Rayleigh quotient that is when the wall form (_wall_form)
+        can be negative; a ball has no inner wall and C = 0."""
+        if not self.case.is_annulus:
+            return self.q_boundary < 0.0
+        d1, d2, det, _ = self._wall_form()
         # the form is positive semidefinite iff its diagonal and determinant are >= 0
-        return c - a1 < 0.0 or c + a2 < 0.0 or c * (a2 - a1) - a1 * a2 < 0.0
+        return d1 < 0.0 or d2 < 0.0 or det < 0.0
+
+    @property
+    def has_robin_zero_mode(self) -> bool:
+        """Whether Robin data that are not pure Neumann have eigenvalue 0:
+        the wall form is singular to rounding with a positive diagonal.
+        Its null vector is the eigenfunction A + B ln r (planar) or
+        A + B/r (spherical), which the positive-root series misses.  A
+        ball's form is singular only for Neumann data."""
+        if not self.case.is_annulus or self.has_zero_mode:
+            return False
+        d1, d2, det, tol = self._wall_form()
+        return d1 > 0.0 and d2 > 0.0 and abs(det) <= tol
 
 
 @dataclass

@@ -9,7 +9,7 @@ from zpgd import bounded_green as bg
 from zpgd import oracles as orc
 from zpgd import radial_core as rc
 from zpgd.profiles import ScalarProfile
-from zpgd.specfun import DomainCase, bessel_all
+from zpgd.specfun import DomainCase, bessel_all, bessel_j01
 
 CASES = {
     DomainCase.BALL_2D: dict(radius=1.0, q_boundary=0.3),
@@ -461,6 +461,22 @@ def test_growing_mode_annulus_rejected():
     assert not _inflow_annulus(ScalarProfile.constant(0.7)).eigen.has_growing_mode
 
 
+def test_singular_wall_form_rejected():
+    # q_inner 0.3 and q_outer 0.1 make the shell's wall form singular to
+    # rounding: eigenvalue 0, eigenfunction A + B/r, which no number of
+    # positive-frequency terms can represent.  Just above, the series
+    # builds with a tiny first rate; just below, the form is indefinite
+    # and the mode grows.
+    with pytest.raises(ValueError, match=r"eigenfunction A \+ B/r"):
+        bg.hopf_cole_boundary_state(_shell(0.3, 0.1))
+    st = bg.hopf_cole_boundary_state(_shell(0.3, 0.1 + 1e-9))
+    assert st.ev.rates[0] == pytest.approx(4.87e-5, rel=1e-2)
+    with pytest.raises(ValueError, match="growing mode"):
+        bg.hopf_cole_boundary_state(_shell(0.3, 0.1 - 1e-9))
+    # pure Neumann data keep their explicit constant mode
+    assert not _shell(0.0, 0.0).eigen.has_robin_zero_mode
+
+
 def test_velocity_below_floor_raises():
     pr = ball3d_problem()
     st = bg.hopf_cole_boundary_state(pr)
@@ -489,6 +505,118 @@ def test_velocity_and_derivative_below_floor_is_taylor_limit(make):
         q, dq = st.velocity_and_derivative(rr, t)
         assert np.array_equal(q.view(np.int64), (q0(rr) + t * qdot).view(np.int64))
         assert np.array_equal(dq.view(np.int64), dq0(rr).view(np.int64))
+
+
+# Reference forms of the series kernels, with every rate table and decay
+# exponent recomputed on each call and each trig evaluated where it is
+# used; the kernels must match them bit for bit.
+
+
+def _plain_active_modes(ev, t):
+    if t <= 0.0:
+        return ev.rates.size
+    lam2_cut = ev.rates.min() ** 2 + 2.0 * math.log(1e18) / (ev.problem.epsilon * t)
+    return int(np.searchsorted(ev.rates ** 2, lam2_cut)) + 1
+
+
+def _plain_decay(ev, t, reference, k):
+    lam2 = (ev.rates if k is None else ev.rates[:k]) ** 2
+    if reference:
+        lam2 = lam2 - ev.rates.min() ** 2
+    return np.exp(-0.5 * ev.problem.epsilon * lam2 * t)
+
+
+def _plain_phi(ev, r, k):
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    pr = ev.problem
+    rates = ev.rates if k is None else ev.rates[:k]
+    zero_cols = rates == 0.0
+    lam = np.where(zero_cols, 1.0, rates)[None, :]
+    z = r[:, None] * lam
+    rr = r[:, None]
+    if pr.case == DomainCase.BALL_2D:
+        j0, j1 = (v.reshape(z.shape) for v in bessel_j01(z.ravel()))
+        out, dout = j0, -lam * j1
+    elif pr.case == DomainCase.BALL_3D:
+        out = np.sin(z) / rr
+        dout = lam * np.cos(z) / rr - np.sin(z) / rr ** 2
+    elif pr.case == DomainCase.ANNULUS_2D:
+        ca, cb = ev.ca[None, :rates.size], ev.cb[None, :rates.size]
+        j0, j1, y0, y1 = (v.reshape(z.shape) for v in bessel_all(z.ravel()))
+        out = ca * j0 - cb * y0
+        dout = -lam * (ca * j1 - cb * y1)
+    else:
+        b1 = pr.eigen.b1
+        u = lam * (rr - pr.r_inner)
+        psi = b1 * np.sin(u) + pr.r_inner * lam * np.cos(u)
+        dpsi = lam * (b1 * np.cos(u) - pr.r_inner * lam * np.sin(u))
+        out = psi / rr
+        dout = dpsi / rr - psi / rr ** 2
+    out[:, zero_cols] = 1.0
+    dout[:, zero_cols] = 0.0
+    return out, dout
+
+
+def _plain_velocity_and_derivative(st, r, t):
+    ev, pr = st.ev, st.ev.problem
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    if t < ev.t_floor:
+        q0, dq0, d2q0 = pr.q0.with_derivatives(rr, 2)
+        nm1 = pr.n - 1
+        qdot = (-q0 * dq0 + 0.5 * pr.epsilon *
+                (d2q0 + nm1 / rr * dq0 - nm1 / rr ** 2 * q0))
+        return q0 + t * qdot, dq0
+    k = _plain_active_modes(ev, t)
+    c = st.coef[:k] * _plain_decay(ev, t, True, k)
+    phi0, phi1 = _plain_phi(ev, rr, k)
+    a, a_r = phi0 @ c, phi1 @ c
+    a_rr = -(phi0 @ (c * ev.rates[:k] ** 2)) - (pr.n - 1) / rr * a_r
+    q = -pr.epsilon * a_r / a
+    return q, -pr.epsilon * a_rr / a + q * q / pr.epsilon
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def _neumann_ball():
+    # q_boundary = 0: the series carries the constant zero-mode column
+    q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 0.6, -0.6], [0.0]])
+    return bg.BoundedProblem(DomainCase.BALL_2D, 0.37, q0, smooth_rho(), radius=1.0)
+
+
+# eps = 0.37, not a power of two, so the grouping of eps products shows
+@pytest.mark.parametrize("make", [lambda c=c: no_inflow_problem(c, eps=0.37) for c in CASES]
+                         + [_neumann_ball],
+                         ids=[c.value for c in CASES] + ["neumann-ball2d"])
+def test_series_kernels_match_plain_formulas_bit_for_bit(make):
+    pr = make()
+    st = bg.hopf_cole_boundary_state(pr)
+    ev = st.ev
+    assert ev.include_zero == (pr.q_boundary == 0.0 and not pr.is_annulus)
+    a, b = pr.domain
+    rr = np.linspace(a + 0.01 * (b - a), b, 13)
+    ks = (1, ev.rates.size // 2, None)
+    for k in ks:
+        for r in (rr, rr.tolist(), float(rr[4])):
+            for got, want in zip(ev.phi(r, k), _plain_phi(ev, r, k)):
+                assert _same_bits(got, want)
+    floor = ev.t_floor
+    for t in (0.0, 0.3 * floor, 0.999 * floor, floor, 0.05, 0.3, 2.0):
+        assert ev.active_modes(t) == _plain_active_modes(ev, t)
+        for k in ks + (ev.active_modes(t),):
+            for reference in (True, False):
+                assert _same_bits(ev.decay(t, reference, k),
+                                  _plain_decay(ev, t, reference, k))
+        q, dq = _plain_velocity_and_derivative(st, rr, t)
+        got_q, got_dq = st.velocity_and_derivative(rr, t)
+        assert _same_bits(got_q, q) and _same_bits(got_dq, dq)
+        if t >= floor:
+            assert _same_bits(st.velocity(rr, t), q)
+            assert st.velocity(float(rr[4]), t) == _plain_velocity_and_derivative(
+                st, rr[4], t)[0][0]
 
 
 def test_eigenvalue_csv(tmp_path):

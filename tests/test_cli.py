@@ -36,7 +36,7 @@ def test_parse_error_exit_code(tmp_path):
     assert run_cli(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
-def test_validation_error_exit_code(tmp_path):
+def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mode = warp-drive\n")
     assert run_cli(["run", "--config", str(bad), "--out", str(tmp_path)]) == 3
@@ -50,6 +50,16 @@ def test_validation_error_exit_code(tmp_path):
         "coeffs0 = -0.2, 0.0, 1.2, -0.8", "coeffs0 = 0.5, 0.0, -0.9, 0.6")
         + "[problem.rho_inner]\ntype = constant\nvalue = 1.0\n")
     assert run_cli(["run", "--config", str(growing), "--out", str(tmp_path)]) == 3
+    # a singular wall form: eigenvalue 0, outside the positive-frequency series
+    singular = tmp_path / "singular.cfg"
+    singular.write_text(cli.resolve_config("annulus3d_smooth").replace(
+        "q_inner = -0.2", "q_inner = 0.3").replace("q_outer = 0.2", "q_outer = 0.1").replace(
+        "coeffs0 = -0.2, 0.0, 1.2, -0.8", "coeffs0 = 0.3, 0.0, -0.6, 0.4").replace(
+        "coeffs1 = 0.2", "coeffs1 = 0.1")
+        + "[problem.rho_inner]\ntype = constant\nvalue = 1.0\n")
+    capsys.readouterr()
+    assert run_cli(["run", "--config", str(singular), "--out", str(tmp_path)]) == 3
+    assert "eigenvalue 0 with eigenfunction A + B/r" in capsys.readouterr().err
 
 
 def test_check_failure_exit_code(tmp_path):

@@ -362,6 +362,29 @@ def test_angular_factor_bound_and_derivatives():
         assert np.abs((g1p - g1m) / den - dg1).max() < 5e-5
 
 
+def test_angular_factors_exp_floor_keeps_bits():
+    # n = 3 floors the exponent of e = exp(-2 alpha) at _EXP_FLOOR; every
+    # factor equals the unfloored formula's, over the whole range and
+    # densely where -2 alpha crosses the floor and exp starts to underflow
+    alpha = np.concatenate([np.geomspace(1e-7, 1e7, 20001),
+                            np.linspace(250.0, 400.0, 20001)])
+    small = alpha < 1e-4
+    a = np.where(small, 1.0, alpha)
+    with np.errstate(under="ignore"):
+        e = np.exp(-2.0 * a)
+    want = (np.where(small, 2.0 - 2.0 * alpha + (4.0 / 3.0) * alpha ** 2, (1.0 - e) / a),
+            np.where(small, (2.0 / 3.0) * alpha * (1.0 - alpha),
+                     (a * (1.0 + e) - (1.0 - e)) / (a * a)),
+            np.where(small, -2.0 + (8.0 / 3.0) * alpha, (2.0 * e * a - (1.0 - e)) / (a * a)),
+            np.where(small, 2.0 / 3.0 - (4.0 / 3.0) * alpha,
+                     (-a - 3.0 * a * e - 2.0 * a * a * e + 2.0 - 2.0 * e) / (a ** 3)))
+    assert np.any(e == 0.0) and np.any((e > 0.0) & (e < math.exp(fs._EXP_FLOOR)))
+    for got, ref in zip(fs._angular_factors(3, alpha, derivs=True), want):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(fs._angular_factors(3, alpha), want[:2]):
+        assert np.array_equal(got, ref)
+
+
 def test_batch_matches_scalar_adaptive():
     rr = np.linspace(0.05, 3.0, 17)
     for n in (1, 2, 3):
