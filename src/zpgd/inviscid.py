@@ -5,8 +5,8 @@ Lax-Oleinik-type minimization over piecewise-linear paths (at most three
 segments, the middle one resting on the origin where sojourn earns a
 -(q_B^+)^2/2 rate).  The minimum over the boundary family reorders exactly
 into nested one-dimensional scans, so the coarse seeding is a dense
-exhaustive grid; coordinate descent then polishes the incumbent to 1e-10
-in value.
+exhaustive grid (for the interior branch, the band of it that can hold the
+argmin); coordinate descent then polishes the incumbent to 1e-10 in value.
 
 Solution formulas: q = (r - r0)/t on the interior branch and r/(t - t2)
 on the boundary branch (the slope of the last path segment); the
@@ -42,6 +42,7 @@ __all__ = [
 _VALUE_TIE = 1e-9     # minimizer value gap treated as a tie
 _Q_GAP = 1e-4         # velocity gap that flags a genuine discontinuity
 _GRID = 2048          # nodes of the seeding scans and of the boundary tables
+_BAND_BLOCK = 256     # the interior scan's band is whole blocks of nodes
 _TABLE_ROWS = 64      # t1 rows per block of the boundary-table cost (about 1 MB)
 _ORIGIN_PROBE = 1e-5  # radius at which weak_boundary_check reads q(0+, t)
 
@@ -66,6 +67,10 @@ class InviscidProblem:
         self._vplus = self.q_bound.positive_part()
         self._vsq_half = self._vplus.squared().scaled(0.5)
         self._sup_q0 = self.q0.sup_abs()
+        # |q0| <= _band_sup_q0 everywhere, as the interior band needs:
+        # sup_abs reads each breakpoint on the piece to its right, so at a
+        # jump down it misses the left limit
+        self._band_sup_q0 = max(self._sup_q0, float(np.abs(self.q0._right_end_values()).max()))
 
     def sojourn_gain(self, s):
         """V(s) = int_0^s (q_bound^+)^2 / 2."""
@@ -170,6 +175,9 @@ def _line_min(fun, lo, hi, kinks=()):
     """Golden-section line search (at most 90 steps) plus explicit kink
     candidates."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
+    # Python floats: the same IEEE doubles as numpy scalars, without
+    # numpy's per-operation scalar overhead in the loop
+    lo, hi = float(lo), float(hi)
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
@@ -183,7 +191,10 @@ def _line_min(fun, lo, hi, kinks=()):
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = fun(d)
-        if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
+        # b - a < 1e-15 * max(1.0, |a| + |b|); a call of the builtin max
+        # would cost more than the rest of the test
+        w = abs(a) + abs(b)
+        if b - a < (1e-15 * w if w > 1.0 else 1e-15):
             break
     x = 0.5 * (a + b)
     v = fun(x)
@@ -199,6 +210,28 @@ def _line_min(fun, lo, hi, kinks=()):
     return float(x), float(v)
 
 
+def _interior_band(r: float, t: float, sup_q0: float, step: float):
+    """Index range [i0, i1) of the interior scan's nodes j * step that
+    holds the first argmin of (r - x)^2/(2t) + C0(x) over all its nodes,
+    given sup_q0 >= |q0| everywhere (left limits at jumps included).
+
+    Outside |x - r| <= t sup|q0| the cost's derivative (x - r)/t + q0(x)
+    has the sign of x - r, so from node to node beyond that band the cost
+    moves away from the minimum by at least step^2/(2t).  With step =
+    r0_hi/2047 that is 1.2e-7 of the cost's scale r0_hi^2/t, far above its
+    rounding, so each node outside is strictly costlier than the band's
+    edge node, and the scan over [i0, i1) finds the full scan's argmin with
+    its first-occurrence tie-break.  Two nodes of padding per side cover
+    the edge node, the floor of the index estimate and an underestimate of
+    sup|q0| by up to step/t >= 1/(2047 t).  With the pieces' end values
+    added, sup_abs is exact up to rounding for degree <= 2; above that it
+    takes np.roots of q0' on every piece plus 4,097 samples, so its error
+    is second order in a root's error."""
+    i0 = max(int((r - t * sup_q0) / step) - 2, 0)
+    i1 = min(int((r + t * sup_q0) / step) + 3, _GRID)
+    return i0, i1
+
+
 class PathMinimizer:
     """Caches the boundary tables; evaluates Q(r, t) pointwise."""
 
@@ -210,12 +243,18 @@ class PathMinimizer:
         pr = self.problem
         r0_hi = r + t * (pr._sup_q0 + sup_v) + 1.0
         r0g = np.linspace(0.0, r0_hi, _GRID)
-        vals = (r - r0g) ** 2 / (2.0 * t) + pr.q0.cumulative(r0g)
-        k = int(np.argmin(vals))
+        i0, i1 = _interior_band(r, t, pr._band_sup_q0, r0_hi / (_GRID - 1))
+        # whole blocks of nodes: few distinct array sizes keep numpy's
+        # cache of freed small arrays, and so the peak RSS, flat
+        i0, i1 = i0 // _BAND_BLOCK * _BAND_BLOCK, -(-i1 // _BAND_BLOCK) * _BAND_BLOCK
+        band = r0g[i0:i1]
+        vals = (r - band) ** 2 / (2.0 * t) + pr.q0.cumulative(band)
+        k = i0 + int(np.argmin(vals))
         lo = r0g[max(k - 1, 0)]
         hi = r0g[min(k + 1, len(r0g) - 1)]
         two_t = 2.0 * t
-        fun = lambda x: (r - x) ** 2 / two_t + pr.q0.cumulative(x)
+        C0 = pr.q0._cumulative_on_piece(lo, hi)
+        fun = lambda x: (r - x) ** 2 / two_t + C0(x)
         return _line_min(fun, lo, hi, kinks=pr.q0.breakpoints)
 
     def _boundary(self, r: float, t: float, prune_above: float, sup_v: float):
@@ -244,17 +283,22 @@ class PathMinimizer:
             return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
         return self._descend(r, t, tb.g_r0[i1], tb.t1[i1], t2g[k], cell=cell)
 
-    def _line(self, r, t, r0=None, t1=None, t2=None):
+    def _line(self, r, t, r0=None, t1=None, t2=None, on=None):
         """The path cost boundary_cost + C0(r0) as a function of the one
         coordinate left None, with the other two fixed.
 
         Every term the fixed coordinates settle (V, C0, launch, tail) is
         evaluated once, so a call costs one cumulative; the terms still add
         as -(V(t2) - V(t1)) + launch + tail + C0(r0), the bits of the full
-        sum.  Paths outside 0 <= t1 < t2 < t, and a positive launch radius
-        with t1 = 0, cost +inf."""
+        sum.  With on = (lo, hi), the bracket every argument lies in, the
+        free coordinate's cumulative is read by the one-piece evaluator
+        (same bits).  Paths outside 0 <= t1 < t2 < t, and a positive launch
+        radius with t1 = 0, cost +inf."""
         pr = self.problem
         V, C0 = pr.sojourn_gain, pr.q0.cumulative
+        # C0 on the r0 line, V on the t1 and t2 lines
+        free = pr.q0 if r0 is None else pr._vsq_half
+        cum_z = free.cumulative if on is None else free._cumulative_on_piece(*on)
         off = lambda z: math.inf
         if r0 is None:
             if not (0.0 <= t1 < t2 < t):
@@ -262,9 +306,9 @@ class PathMinimizer:
             gain, tail = -(V(t2) - V(t1)), r * r / (2.0 * (t - t2))
             if t1 == 0.0:
                 # the launch term is 0.0; adding it keeps the sum's bits
-                return lambda z: math.inf if z > 0.0 else ((gain + 0.0) + tail) + C0(z)
+                return lambda z: math.inf if z > 0.0 else ((gain + 0.0) + tail) + cum_z(z)
             two_t1 = 2.0 * t1
-            return lambda z: ((gain + z * z / two_t1) + tail) + C0(z)
+            return lambda z: ((gain + z * z / two_t1) + tail) + cum_z(z)
         r0_sq, c0 = r0 * r0, C0(r0)
         if t1 is None:
             if not (0.0 < t2 < t):
@@ -275,19 +319,22 @@ class PathMinimizer:
                 if not (0.0 <= z < t2) or (z == 0.0 and r0 > 0.0):
                     return math.inf
                 launch = 0.0 if z == 0.0 else r0_sq / (2.0 * z)
-                return ((-(v2 - V(z)) + launch) + tail) + c0
+                return ((-(v2 - cum_z(z)) + launch) + tail) + c0
             return along_t1
         if not (0.0 <= t1 < t) or (t1 == 0.0 and r0 > 0.0):
             return off
         v1 = V(t1)
         launch = 0.0 if t1 == 0.0 else r0_sq / (2.0 * t1)
-        return lambda z: (((-(V(z) - v1) + launch) + r * r / (2.0 * (t - z))) + c0
+        return lambda z: (((-(cum_z(z) - v1) + launch) + r * r / (2.0 * (t - z))) + c0
                           if t1 < z < t else math.inf)
 
     def _descend(self, r, t, r0, t1, t2, cell):
         """Coordinate descent, five rounds of shrinking brackets around the
         seed."""
         pr = self.problem
+        # the seed comes from the tables as numpy scalars; Python floats
+        # carry the same bits into the line functions' arithmetic
+        r0, t1, t2 = float(r0), float(t1), float(t2)
         kt = pr.q_bound.breakpoints
         kr = pr.q0.breakpoints
         best = self._line(r, t, r0, t1)(t2)
@@ -299,19 +346,16 @@ class PathMinimizer:
         span = 3.0 * cell
         for _ in range(5):
             if t1 > 0.0:
-                x, v = _line_min(self._line(r, t, t1=t1, t2=t2),
-                                 max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05,
-                                 kinks=kr)
+                on = (max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05)
+                x, v = _line_min(self._line(r, t, t1=t1, t2=t2, on=on), *on, kinks=kr)
                 if v <= best:
                     r0, best = x, v
-                x, v = _line_min(self._line(r, t, r0=r0, t2=t2),
-                                 max(1e-15 * t, t1 - span), min(t2 * (1 - 1e-13), t1 + span),
-                                 kinks=kt)
+                on = (max(1e-15 * t, t1 - span), min(t2 * (1 - 1e-13), t1 + span))
+                x, v = _line_min(self._line(r, t, r0=r0, t2=t2, on=on), *on, kinks=kt)
                 if v <= best:
                     t1, best = x, v
-            x, v = _line_min(self._line(r, t, r0, t1),
-                             max(t1 * (1 + 1e-13), t2 - span, 1e-15 * t),
-                             min(t * (1 - 1e-13), t2 + span), kinks=kt)
+            on = (max(t1 * (1 + 1e-13), t2 - span, 1e-15 * t), min(t * (1 - 1e-13), t2 + span))
+            x, v = _line_min(self._line(r, t, r0, t1, on=on), *on, kinks=kt)
             if v <= best:
                 t2, best = x, v
             v0 = two_segment(t2)

@@ -223,6 +223,42 @@ class ScalarProfile:
             out = np.where(above, self._cum[-1] + (xf - bp[-1] if hi_v else 1.0) * hi_v, out)
         return float(out[0]) if scalar else out
 
+    def _right_end_values(self) -> np.ndarray:
+        """Each piece's value at its own right breakpoint: the left limit
+        there, where f itself reads the next piece."""
+        return self._horner(self._deriv_cols[0], np.arange(self._widths.size), self._widths)
+
+    def _cumulative_on_piece(self, lo: float, hi: float):
+        """One-point cumulative for x in the closed bracket [lo, hi].
+
+        When the bracket lies in one piece of the breakpoint range, the
+        returned function evaluates that piece's row of the cumulative
+        tables with the clamp and Horner order of _scalar_eval, so its
+        results are the bits of cumulative(x) without the piece search.
+        Otherwise (a breakpoint inside the bracket, or a bracket reaching
+        past either end) it is cumulative itself."""
+        bp = self._bp_list
+        if not (bp[0] <= lo <= hi <= bp[-1]):
+            return self.cumulative
+        last = len(bp) - 2
+        i = min(bisect_right(bp, lo) - 1, last)
+        if i != min(bisect_right(bp, hi) - 1, last):
+            return self.cumulative
+        base, width, cum = bp[i], self._width_list[i], self._cum_list[i]
+        head, *tail = self._int_rows[i]
+
+        def on_piece(x):
+            dx = x - base
+            if dx <= 0.0:
+                dx = 0.0
+            elif dx >= width:
+                dx = width
+            acc = head
+            for c in tail:
+                acc = acc * dx + c
+            return cum + acc * dx
+        return on_piece
+
     def integral(self, a: float, b: float) -> float:
         return float(self.cumulative(b) - self.cumulative(a))
 

@@ -37,6 +37,18 @@ class InsufficientScanRangeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Bessel evaluators
 
+# scipy.special's (j0, j1, y0, y1), bound on the first Bessel call
+_kernels = None
+
+
+def _bessel_kernels():
+    global _kernels
+    if _kernels is None:
+        from scipy.special import j0, j1, y0, y1
+        _kernels = (j0, j1, y0, y1)
+    return _kernels
+
+
 def bessel(kind: str, order: int, x):
     """Bessel function of the given kind ('J' or 'Y') and order (0 or 1);
     J takes x >= 0, Y needs x > 0."""
@@ -45,35 +57,43 @@ def bessel(kind: str, order: int, x):
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=float)
-    xf = np.atleast_1d(x)
-    if kind == "Y" and np.any(xf <= 0.0):
+    xf = x.reshape(1) if x.ndim == 0 else x
+    low = _least(xf)
+    if kind == "Y" and not low > 0.0 and (xf <= 0.0).any():
         raise ValueError("Y requires x > 0")
-    if np.any(xf < 0.0):
+    if not low >= 0.0 and (xf < 0.0).any():
         raise ValueError("J requires x >= 0")
-    from scipy import special
-    out = getattr(special, f"{kind.lower()}{order}")(xf)
+    out = _bessel_kernels()[order + 2 * (kind == "Y")](xf)
     return float(out[0]) if x.ndim == 0 else out
 
 
+def _least(x):
+    """min(x) in one pass without a temporary (+inf for an empty x).  A NaN
+    propagates, so a failed bound test is rechecked elementwise: NaN
+    passes the domain checks."""
+    return np.minimum.reduce(x, axis=None, initial=math.inf)
+
+
 def _positive(x, name):
+    """x as a float array of at least one dimension; NaN passes."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not _least(x) > 0.0 and (x <= 0.0).any():
         raise ValueError(f"{name} requires x > 0")
-    return np.atleast_1d(x)
+    return x.reshape(1) if x.ndim == 0 else x
 
 
 def bessel_all(x):
     """All four of (J0, J1, Y0, Y1) at once; x must be positive."""
-    from scipy.special import j0, j1, y0, y1
     x = _positive(x, "bessel_all")
+    j0, j1, y0, y1 = _bessel_kernels()
     return j0(x), j1(x), y0(x), y1(x)
 
 
 def bessel_j01(x):
     """(J0, J1) at once without the Y work; x must be positive.  The values
     are the J0, J1 of bessel_all on the same x."""
-    from scipy.special import j0, j1
     x = _positive(x, "bessel_j01")
+    j0, j1 = _bessel_kernels()[:2]
     return j0(x), j1(x)
 
 

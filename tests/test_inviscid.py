@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -300,14 +300,22 @@ def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():
         cli._inviscid_problem_from(cli.parse_config(cli.resolve_config(name)))
         for name in ("inviscid_inflow", "verify_rh_riemann")]
     branches = set()
+    descended_wins = 0
     for prob in problems:
         mz = iv.PathMinimizer(prob, t_max=4.0)
-        for t in np.linspace(0.1, 2.0, 9):
-            for r in np.linspace(0.05, 2.5, 12):
+        descents = []
+        descend = mz._descend
+        mz._descend = lambda *args, **kw: descents.append(1) or descend(*args, **kw)
+        for t in [*np.linspace(0.1, 2.0, 9), 3.7]:
+            for r in [0.004, 0.02, *np.linspace(0.05, 2.5, 12)]:
+                before = len(descents)
                 m = mz.minimize(float(r), float(t))
                 assert m.check_value(prob, float(r), float(t)) == 0.0, (r, t, m)
                 branches.add(m.branch)
+                descended_wins += m.branch == "boundary" and len(descents) > before
     assert branches == {"interior", "boundary"}
+    # boundary winners polished by the descent's one-piece line searches
+    assert descended_wins >= 50
 
 
 def test_descent_line_functions_carry_boundary_cost_bits():
@@ -327,12 +335,85 @@ def test_descent_line_functions_carry_boundary_cost_bits():
         assert mz._line(r, t, t1=t1, t2=t2)(r0) == want
         assert mz._line(r, t, r0=r0, t2=t2)(t1) == want
         assert mz._line(r, t, r0, t1)(t2) == want
+        # a bracket around the free coordinate, inside one piece of q0 or
+        # V or across a breakpoint: the one-piece evaluator keeps the bits
+        lo, hi = rng.uniform(0.0, 0.3, 2)
+        on = lambda z: (max(0.0, z - lo), z + hi)
+        assert mz._line(r, t, t1=t1, t2=t2, on=on(r0))(r0) == want
+        assert mz._line(r, t, r0=r0, t2=t2, on=on(t1))(t1) == want
+        assert mz._line(r, t, r0, t1, on=on(t2))(t2) == want
     # outside 0 <= t1 < t2 < t, or a positive launch radius at t1 = 0
     assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.6) == math.inf
     assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.0) == math.inf
     assert mz._line(1.0, 1.0, t1=0.0, t2=0.5)(0.1) == math.inf
     assert mz._line(1.0, 1.0, 0.5, 0.2)(1.0) == math.inf
     assert mz._line(1.0, 1.0, t1=0.6, t2=0.5)(0.1) == math.inf
+
+
+def _full_scan_interior(prob, r, t, sup_v):
+    """The interior branch as a scan of all 2,048 nodes, with cumulative
+    itself in the line search: its argmin k and the (r0, value) result."""
+    q0 = prob.q0
+    r0g = np.linspace(0.0, r + t * (prob._sup_q0 + sup_v) + 1.0, 2048)
+    vals = (r - r0g) ** 2 / (2.0 * t) + q0.cumulative(r0g)
+    k = int(np.argmin(vals))
+    lo, hi = r0g[max(k - 1, 0)], r0g[min(k + 1, 2047)]
+    fun = lambda x: (r - x) ** 2 / (2.0 * t) + q0.cumulative(x)
+    return k, iv._line_min(fun, lo, hi, kinks=q0.breakpoints)
+
+
+@st.composite
+def _band_case(draw):
+    """q0 of either sign (zero, constant, piecewise linear, pieces of degree
+    <= 2 with jumps, or a degree 3-5 piece that sup_abs samples), r near 0,
+    moderate or so large that the band is clipped at the scan's last node,
+    t in [0.05, 4] and sup|q_B^+|."""
+    kind = draw(st.sampled_from(["zero", "constant", "linear", "jumps", "poly"]))
+    # three decimals: no subnormal top coefficient for sup_abs's np.roots
+    coeff = st.floats(-2.0, 2.0).map(lambda c: round(c, 3))
+    if kind == "zero":
+        q0 = ScalarProfile.zero()
+    elif kind == "constant":
+        q0 = ScalarProfile.constant(draw(st.floats(-2.0, 2.0)))
+    elif kind == "linear":
+        k = draw(st.integers(1, 4))
+        xs = np.concatenate([[0.0], np.cumsum(draw(st.lists(st.floats(0.05, 1.0),
+                                                            min_size=k, max_size=k)))])
+        q0 = ScalarProfile.piecewise_linear(
+            xs, draw(st.lists(st.floats(-2.0, 2.0), min_size=k + 1, max_size=k + 1)))
+    elif kind == "jumps":
+        k = draw(st.integers(1, 4))
+        xs = np.concatenate([[0.0], np.cumsum(draw(st.lists(st.floats(0.05, 1.0),
+                                                            min_size=k, max_size=k)))])
+        rows = draw(st.lists(st.lists(coeff, min_size=1, max_size=3), min_size=k, max_size=k))
+        q0 = ScalarProfile.from_pieces(xs, rows)
+    else:
+        deg = draw(st.integers(3, 5))
+        row = draw(st.lists(coeff.map(lambda c: c / 2), min_size=deg + 1, max_size=deg + 1))
+        q0 = ScalarProfile.from_pieces([0.0, draw(st.floats(0.5, 3.0)), 4.0], [row, [0.0]])
+    r = draw(st.one_of(st.floats(1e-6, 0.05), st.floats(0.05, 3.0), st.floats(700.0, 5000.0)))
+    return q0, r, draw(st.floats(0.05, 4.0)), draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_band_case())
+@example(case=(ScalarProfile.constant(-1.0), 1.0, 2.0, 0.0))
+@example(case=(ScalarProfile.constant(0.5), 4000.0, 4.0, 0.0))
+# q0 = x on [0, 1), then 0: sup_abs() is 0, the left limit at 1 is 1
+@example(case=(ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 1.0], [0.0]]), 1.2, 2.0, 0.0))
+def test_interior_band_holds_the_full_scan_argmin(case):
+    # the band scan must find the full scan's first argmin, and _interior
+    # (whole blocks of the band, the one-piece line search) its bits
+    q0, r, t, sup_v = case
+    prob = iv.InviscidProblem(1, q0, P0, ScalarProfile.constant(1.0), ONE)
+    k, want = _full_scan_interior(prob, r, t, sup_v)
+    r0_hi = r + t * (prob._sup_q0 + sup_v) + 1.0
+    r0g = np.linspace(0.0, r0_hi, 2048)
+    i0, i1 = iv._interior_band(r, t, prob._band_sup_q0, r0_hi / 2047)
+    band = r0g[i0:i1]
+    assert i0 <= k < i1
+    assert i0 + int(np.argmin((r - band) ** 2 / (2.0 * t) + q0.cumulative(band))) == k
+    assert iv.PathMinimizer(prob, t_max=4.0)._interior(r, t, sup_v) == want
 
 
 def test_boundary_table_build_memory():

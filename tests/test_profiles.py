@@ -247,6 +247,45 @@ def test_array_kernel_matches_gather_and_clip_formula_bit_for_bit(prof, fraction
                 cf = np.zeros((cf.shape[0], 1))
 
 
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=_piecewise_polynomial(), fractions=st.lists(st.floats(0.0, 1.0), max_size=6))
+# rows of -0.0 coefficients and Horner products that are -0.0: at x = 1
+# the piece-1 value is cum[1] + (-1.0 * 0.0)
+@example(prof=ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[-0.0], [-1.0, -0.0]]),
+         fractions=[0.0, 1.0])
+@example(prof=ScalarProfile.from_pieces([0.0, 1.0], [[-0.0, 1.0]]), fractions=[])
+def test_cumulative_on_piece_is_cumulative_bit_for_bit(prof, fractions):
+    bp = prof.breakpoints.tolist()
+    m = len(bp) - 1
+    for i in range(m):
+        # closed brackets inside piece i: from its breakpoint to one ulp
+        # below the next one (to the last breakpoint itself on the last piece)
+        top = bp[i + 1] if i == m - 1 else math.nextafter(bp[i + 1], -math.inf)
+        mid = bp[i] + 0.5 * (top - bp[i])
+        for lo, hi in ((bp[i], top), (bp[i], mid), (mid, top), (mid, mid)):
+            f = prof._cumulative_on_piece(lo, hi)
+            assert f != prof.cumulative
+            # lo + q * (hi - lo) can round past hi
+            xs = [lo, hi, *(min(lo + q * (hi - lo), hi) for q in fractions)]
+            if lo == 0.0:
+                xs.append(-0.0)
+            for x in xs:
+                assert _bits(f(x)) == _bits(prof.cumulative(x)), (i, lo, hi, x)
+        # a breakpoint inside the bracket, or a bracket reaching past an end
+        if i < m - 1:
+            assert prof._cumulative_on_piece(bp[i], bp[i + 1]) == prof.cumulative
+            assert prof._cumulative_on_piece(mid, bp[i + 2]) == prof.cumulative
+    assert prof._cumulative_on_piece(bp[-1], bp[-1] + 1.0) == prof.cumulative
+    assert prof._cumulative_on_piece(bp[0] - 1.0, bp[0]) == prof.cumulative
+    assert prof._cumulative_on_piece(bp[-1] + 1.0, bp[-1] + 2.0) == prof.cumulative
+    assert prof._cumulative_on_piece(bp[1], bp[0]) == prof.cumulative
+    assert prof._cumulative_on_piece(math.nan, bp[0]) == prof.cumulative
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ScalarProfile(np.array([1.0, 0.5]), np.array([[1.0]]))
