@@ -56,8 +56,7 @@ def main():
                      OUT / "ball3d_field.csv")
 
     ts = np.linspace(0.1, 2.0, 12)
-    cfg = orc.FDSolverConfig(n_r=1200, boundary="ball", t_samples=ts)
-    fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), cfg)
+    fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), ts, n_r=1200)
     win = (fld.grid_r >= 0.1) & (fld.grid_r <= 0.9)
     gap = max(float(np.abs(state.velocity(fld.grid_r[win], float(t))
                            - fld.q[i][win]).max())

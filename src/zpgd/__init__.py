@@ -28,9 +28,8 @@ from .inviscid import (InviscidProblem, PathMinimizer, PathMinimum,
                        weak_boundary_check, write_panel_csv)
 from .shockfront import (ShockFront, detect_fronts, mean_curvature,
                          rh_residual_1d, rh_residual_multid, write_front_csv)
-from .oracles import (FDSolverConfig, Particle, StickyTrajectory, ViscousIVP,
-                      brute_force_Q, fd_heat_solve, fd_viscous_solve,
-                      riemann_particles, sticky_particle_run,
-                      write_particle_csv)
+from .oracles import (Particle, StickyTrajectory, ViscousIVP, brute_force_Q,
+                      fd_heat_solve, fd_viscous_solve, riemann_particles,
+                      sticky_particle_run, write_particle_csv)
 
 __version__ = "0.1.0"

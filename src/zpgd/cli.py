@@ -369,18 +369,15 @@ def run_oracle_compare(cfg: dict, ctx: RunContext) -> None:
         state = bg.hopf_cole_boundary_state(problem)
         grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 2.0, 20])
         a, b = problem.domain
-        config = orc.FDSolverConfig(
-            n_r=int(cfg.get("fd_points", 1200)),
-            boundary="annulus" if problem.is_annulus else "ball",
-            t_samples=grid_t)
-        field = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), config)
+        n_r = int(cfg.get("fd_points", 1200))
+        field = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), grid_t, n_r)
         win = (field.grid_r >= a + 0.1 * (b - a)) & (field.grid_r <= b - 0.1 * (b - a))
         worst = 0.0
         for i, t in enumerate(grid_t):
             qs = state.velocity(field.grid_r[win], float(t))
             worst = max(worst, float(np.abs(qs - field.q[i][win]).max()))
         write_radial_csv(field, ctx.path("fd_field.csv"))
-        ctx.params.append(f"fd grid={config.n_r} case={problem.case.value}")
+        ctx.params.append(f"fd grid={n_r} case={problem.case.value}")
         ctx.check("series vs fd velocity gap", worst, float(ccfg.get("linf", 1e-3)))
         return
     if target == "inviscid-limit":

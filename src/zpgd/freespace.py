@@ -79,8 +79,9 @@ class FreespaceProblem:
     """Initial data for the free-space adhesion flow.
 
     Radial problems give q0 (phi0 = int_0^|x| q0) and a radial rho0
-    profile.  General problems give callables phi0 / grad_phi0 / rho0 on
-    R^n.  rho0_support bounds the support radius of rho0.
+    profile.  General problems give callables phi0, grad_phi0 and rho0 on
+    R^n, with a point of R^1 passed as a scalar.  rho0_support bounds the
+    support radius of rho0.
     """
 
     n: int
@@ -98,6 +99,8 @@ class FreespaceProblem:
             raise ValueError("epsilon must be positive")
         if self.q0 is None and self.phi0 is None:
             raise ValueError("give either a radial q0 or a potential phi0")
+        if self.phi0 is not None and self.grad_phi0 is None:
+            raise ValueError("a potential phi0 needs its gradient grad_phi0")
         if self.q0 is not None and not isinstance(self.q0, ScalarProfile):
             raise TypeError("q0 must be a ScalarProfile")
 
@@ -106,18 +109,7 @@ class FreespaceProblem:
         return self.q0 is not None
 
     def grad(self, y):
-        if self.grad_phi0 is not None:
-            return np.asarray(self.grad_phi0(y), dtype=float)
-        h = 1e-6
-        y = np.asarray(y, dtype=float)
-        if self.n == 1:
-            return np.asarray((self.phi0(y + h) - self.phi0(y - h)) / (2 * h))
-        g = np.zeros(self.n)
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            g[k] = (self.phi0(y + e) - self.phi0(y - e)) / (2 * h)
-        return g
+        return np.asarray(self.grad_phi0(y), dtype=float)
 
 
 @dataclass
@@ -640,7 +632,8 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float):
     cloud = np.array(cloud)
 
     def rhs(sigma, flat):
-        pts = flat.reshape(-1, n)
+        # n = 1 points go to the callbacks as scalars, as velocity passes them
+        pts = flat if n == 1 else flat.reshape(-1, n)
         s = t - sigma
         if s <= 1e-12:
             return -np.array([problem.grad(p) for p in pts]).ravel()

@@ -127,6 +127,13 @@ def boundary_cost(r: float, r0: float, t: float, t1: float, t2: float,
 # minimization machinery
 
 
+def _running_first_argmin(w):
+    """best[i] = the first argmin of w[:i + 1]: the last index at or before
+    i where w fell below every earlier value; a NaN never does."""
+    new_min = np.r_[False, w[1:] < np.fmin.accumulate(w)[:-1]]
+    return np.maximum.accumulate(np.where(new_min, np.arange(w.size), 0))
+
+
 class _BoundaryTables:
     """Problem-level tables for the boundary family.
 
@@ -162,13 +169,7 @@ class _BoundaryTables:
         self.g_r0 = r0g[g_idx]
         self.v = problem.sojourn_gain(self.t1)
         self.w = self.g + self.v
-        best = np.empty(len(self.w), dtype=int)
-        cur = 0
-        for i in range(len(self.w)):
-            if self.w[i] < self.w[cur]:
-                cur = i
-            best[i] = cur
-        self.w_best = best
+        self.w_best = _running_first_argmin(self.w)
 
 
 def _line_min(fun, lo, hi, kinks=()):

@@ -6,7 +6,10 @@ they check:
 * finite-difference solvers for the radial heat equation (Crank-Nicolson,
   staggered grid, Robin/reflection boundaries) and for the viscous radial
   system (SBDF2 IMEX for the velocity, two-step Lax-Wendroff for the
-  density variable),
+  density variable), ``fd_viscous_solve(ivp, t_samples, n_r=1200)``.  Its
+  walls come from the ViscousIVP: one with no left wall (q_left None, as
+  ``ViscousIVP.from_bounded`` builds for a ball) takes the origin's
+  regularity row, any other is Dirichlet at both walls,
 * an exhaustive tensor-grid minimizer for the boundary path functional,
 * an event-driven sticky-particle simulator with momentum-conserving
   merges.
@@ -24,7 +27,6 @@ from .profiles import ScalarProfile
 from .radial_core import RadialField, write_csv
 
 __all__ = [
-    "FDSolverConfig",
     "ViscousIVP",
     "fd_heat_solve",
     "fd_viscous_solve",
@@ -37,8 +39,8 @@ __all__ = [
 
 
 class StabilityError(RuntimeError):
-    """Configured step violates the advective stability bound, the velocity
-    outgrew it, or an implicit system has a zero or non-finite pivot."""
+    """The velocity outgrew the speed bound the time step was chosen for,
+    or an implicit system has a zero or non-finite pivot."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,29 +164,13 @@ _CFL = 0.4   # advective Courant number of fd_viscous_solve's time step
 
 
 @dataclass
-class FDSolverConfig:
-    """Grid and stepping controls for fd_viscous_solve.
-
-    boundary: 'ball' (regularity on the left, Dirichlet q_B on the right),
-    'annulus' (Dirichlet both walls) or 'line' (1-D truncation of free
-    space; Dirichlet callables of t allowed on both walls).  'annulus' and
-    'line' run the same scheme; they differ only in the data of the ivp.
-    """
-
-    n_r: int = 1200
-    boundary: str = "ball"
-    t_samples: np.ndarray | None = None
-    speed_bound: float | None = None  # advective bound used for dt; estimated if None
-
-    def __post_init__(self):
-        if self.boundary not in ("ball", "annulus", "line"):
-            raise ValueError(f"boundary must be 'ball', 'annulus' or 'line', "
-                             f"not {self.boundary!r}")
-
-
-@dataclass
 class ViscousIVP:
-    """Radial initial/boundary value problem for the viscous system."""
+    """Radial initial/boundary value problem for the viscous system.
+
+    With no left wall (q_left None, the default) the grid starts just off
+    the origin of a ball and its first node takes the regularity row
+    q_0 = (r_0 / r_1) q_1; otherwise q_left is the left Dirichlet datum, as
+    on an annulus or a truncated line.  q_right is always Dirichlet."""
 
     n: int
     epsilon: float
@@ -192,24 +178,23 @@ class ViscousIVP:
     r_hi: float
     q0: ScalarProfile
     p0: ScalarProfile
-    q_left: object = 0.0   # float or callable of t
+    q_left: object = None  # float or callable of t; None: regularity row
     q_right: object = 0.0
     p_left: object = None  # boundary p data where inflow, float/callable
     p_right: object = None
 
     @classmethod
     def from_bounded(cls, problem):
-        """The viscous problem of a BoundedProblem; a ball is cut off at
-        r = 1e-3 R, where the regularity condition stands in for the
-        origin."""
-        from .bounded_green import BoundedProblem, Wall  # local: avoid import cycle
-
-        assert isinstance(problem, BoundedProblem)
+        """The viscous problem of a BoundedProblem; a ball has no left wall
+        and is cut off at r = 1e-3 R."""
         *inner, outer = problem.walls
-        inner = inner[0] if inner else Wall(1e-3 * outer.r, 0.0, -1.0, None)
-        return cls(problem.n, problem.epsilon, inner.r, outer.r, problem.q0,
-                   problem.p0_profile(), q_left=inner.q, q_right=outer.q,
-                   p_left=inner.p, p_right=outer.p)
+        if inner:
+            r_lo, q_left, _, p_left = inner[0]
+        else:
+            r_lo, q_left, p_left = 1e-3 * outer.r, None, None
+        return cls(problem.n, problem.epsilon, r_lo, outer.r, problem.q0,
+                   problem.p0_profile(), q_left=q_left, q_right=outer.q,
+                   p_left=p_left, p_right=outer.p)
 
 
 def _bc_value(bc, t):
@@ -218,28 +203,25 @@ def _bc_value(bc, t):
     return float(bc)
 
 
-def fd_viscous_solve(ivp: ViscousIVP, config: FDSolverConfig) -> RadialField:
+def fd_viscous_solve(ivp: ViscousIVP, t_samples, n_r: int = 1200) -> RadialField:
     """Second-order-in-space IMEX time stepping of the viscous radial
-    system; the diffusion block is implicit (SBDF2), the advection terms
+    system on n_r uniform nodes, sampled at t_samples (increasing, from
+    t >= 0); the diffusion block is implicit (SBDF2), the advection terms
     explicit with centered differences, and the density update is the
-    two-step Lax-Wendroff conservative scheme."""
-    if config.t_samples is None:
-        raise ValueError("config.t_samples is required")
-    t_samples = np.asarray(config.t_samples, dtype=float)
+    two-step Lax-Wendroff conservative scheme.  The time step keeps the
+    advective Courant number at most _CFL for 1.5 times the largest
+    initial speed; a velocity that outgrows 2.5 times that speed raises
+    StabilityError."""
+    t_samples = np.asarray(t_samples, dtype=float)
     t_end = t_samples[-1]
-    n = config.n_r
-    r = np.linspace(ivp.r_lo, ivp.r_hi, n)
+    r = np.linspace(ivp.r_lo, ivp.r_hi, n_r)
     h = r[1] - r[0]
 
-    qmax = config.speed_bound
-    if qmax is None:
-        qmax = max(ivp.q0.sup_abs(), abs(_bc_value(ivp.q_left, 0.0)),
-                   abs(_bc_value(ivp.q_right, 0.0)), 1e-3) * 1.5
-    dt = _CFL * h / qmax
-    n_steps = max(int(math.ceil(t_end / dt)), 2)
+    ball = ivp.q_left is None
+    wall_q = (ivp.q_right,) if ball else (ivp.q_left, ivp.q_right)
+    qmax = max(ivp.q0.sup_abs(), *(abs(_bc_value(q, 0.0)) for q in wall_q), 1e-3) * 1.5
+    n_steps = max(int(math.ceil(t_end / (_CFL * h / qmax))), 2)
     dt = t_end / n_steps
-    if dt > _CFL * h / max(qmax / 1.5, 1e-12) + 1e-15:
-        raise StabilityError("time step exceeds the advective CFL bound")
 
     q = np.asarray(ivp.q0(r), dtype=float)
     p = np.asarray(ivp.p0(r), dtype=float)
@@ -253,8 +235,6 @@ def fd_viscous_solve(ivp: ViscousIVP, config: FDSolverConfig) -> RadialField:
     dl = 0.5 * eps * (1.0 / h ** 2 - curv1)
     du = 0.5 * eps * (1.0 / h ** 2 + curv1)
     dd = 0.5 * eps * (-2.0 / h ** 2 - curv2)
-
-    ball = config.boundary == "ball"
 
     def build_matrix(scale):
         # rows of (scale*I - fac*L), fac = 2dt for SBDF2, dt for the
@@ -314,7 +294,7 @@ def fd_viscous_solve(ivp: ViscousIVP, config: FDSolverConfig) -> RadialField:
 
     # output collection: sample times rarely land on steps, so interpolate
     # linearly between the bracketing states (O(dt^2), below scheme error)
-    q_out = np.empty((t_samples.size, n))
+    q_out = np.empty((t_samples.size, n_r))
     p_out = np.empty_like(q_out)
     if abs(t_samples[0]) < 1e-14:
         q_out[0], p_out[0] = q, p
@@ -327,7 +307,7 @@ def fd_viscous_solve(ivp: ViscousIVP, config: FDSolverConfig) -> RadialField:
     t_now = 0.0
     for m in range(n_steps):
         if np.max(np.abs(q)) > 2.5 * qmax:
-            raise StabilityError("velocity outgrew the configured speed bound")
+            raise StabilityError("velocity outgrew the speed bound of the time step")
         a_now = adv(q)
         if q_prev is None:
             rhs = q - dt * a_now

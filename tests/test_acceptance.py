@@ -213,10 +213,7 @@ def test_c07_series_vs_fd_oracle():
         st = bg.hopf_cole_boundary_state(pr)
         a, b = pr.domain
         ts = np.linspace(0.1, 2.0, 20)
-        cfg = orc.FDSolverConfig(
-            n_r=1600, boundary="annulus" if pr.is_annulus else "ball",
-            t_samples=ts)
-        fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(pr), cfg)
+        fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(pr), ts, n_r=1600)
         win = (fld.grid_r >= a + 0.1 * (b - a)) & (fld.grid_r <= b - 0.1 * (b - a))
         worst = 0.0
         for i, t in enumerate(ts):

@@ -443,8 +443,7 @@ def test_growing_mode_annulus_rejected():
     pr = _shell(0.45)
     st = bg.hopf_cole_boundary_state(pr)
     grid_t = np.linspace(0.1, 2.0, 20)
-    cfg = orc.FDSolverConfig(n_r=1200, boundary="annulus", t_samples=grid_t)
-    fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(pr), cfg)
+    fld = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(pr), grid_t, n_r=1200)
     win = (fld.grid_r >= 1.1) & (fld.grid_r <= 1.9)
     gap = max(float(np.abs(st.velocity(fld.grid_r[win], float(t)) - fld.q[i][win]).max())
               for i, t in enumerate(grid_t))

@@ -185,6 +185,38 @@ def test_trace_characteristic_examples():
     assert jac3 == pytest.approx(1.0 / 27.0, rel=1e-5)
 
 
+def test_general_potential_n1_trace_density_and_flow_sample():
+    # phi0 = y^2/2 through callables: u = x/(1+t), foot x/(1+t), Jacobian
+    # 1/(1+t); the gradient takes scalars only, as velocity passes them
+    bump = smooth_bump_rho()
+    rho0 = lambda x: float(bump(abs(x)))
+    pr = fs.FreespaceProblem(n=1, epsilon=0.7, phi0=lambda y: 0.5 * y * y,
+                             grad_phi0=lambda y: float(y), rho0=rho0, rho0_support=2.0)
+    x, t = 1.3, 0.8
+    foot, jac = fs.trace_characteristic(pr, x, t)
+    assert foot == pytest.approx(x / (1 + t), abs=1e-10)
+    assert jac == pytest.approx(1 / (1 + t), abs=1e-10)
+    x, t = -0.6, 2.0
+    assert fs.density(pr, x, t) == pytest.approx(rho0(x / (1 + t)) / (1 + t), abs=1e-10)
+    smp = fs.flow_sample(pr, 2.1, 0.5)
+    assert smp.u == pytest.approx(2.1 / 1.5, rel=1e-8)
+    assert smp.X0 == pytest.approx(1.4, abs=1e-10)
+    assert smp.jac == pytest.approx(1 / 1.5, abs=1e-10)
+    assert smp.rho == pytest.approx(rho0(1.4) / 1.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    (dict(n=4, epsilon=0.5, q0=ScalarProfile.zero()), ValueError, "n must be"),
+    (dict(n=1, epsilon=0.0, q0=ScalarProfile.zero()), ValueError, "epsilon"),
+    (dict(n=1, epsilon=0.5), ValueError, "q0 or a potential"),
+    (dict(n=1, epsilon=0.5, q0=lambda r: r), TypeError, "ScalarProfile"),
+    (dict(n=1, epsilon=0.5, phi0=lambda y: 0.5 * y * y), ValueError, "grad_phi0"),
+])
+def test_problem_rejects_invalid_data(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        fs.FreespaceProblem(**kwargs)
+
+
 def test_density_examples():
     rho0 = smooth_bump_rho()
     pz = fs.FreespaceProblem(n=3, epsilon=0.5, q0=ScalarProfile.zero(),

@@ -265,13 +265,18 @@ def _dense_tables(problem, t_max):
     g = cost[np.arange(len(t1)), g_idx]
     v = problem.sojourn_gain(t1)
     w = g + v
-    w_best = np.empty(len(w), dtype=int)
+    return {"t1": t1, "g": g, "g_r0": r0g[g_idx], "v": v, "w": w,
+            "w_best": _running_first_argmin_loop(w)}
+
+
+def _running_first_argmin_loop(w):
+    best = np.empty(len(w), dtype=int)
     cur = 0
     for i in range(len(w)):
         if w[i] < w[cur]:
             cur = i
-        w_best[i] = cur
-    return {"t1": t1, "g": g, "g_r0": r0g[g_idx], "v": v, "w": w, "w_best": w_best}
+        best[i] = cur
+    return best
 
 
 def _assert_tables_equal(tables, ref):
@@ -289,6 +294,67 @@ def test_boundary_tables_match_dense_formula_byte_for_byte():
         mz.minimize(0.5, 3.0)
         assert mz.tables.t_max == 6.0
         _assert_tables_equal(mz.tables, _dense_tables(prob, 6.0))
+
+
+def test_running_first_argmin_matches_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        size = int(rng.integers(1, 60))
+        # few distinct values, so ties are common, with +inf and NaN mixed in
+        w = rng.integers(-4, 5, size).astype(float)
+        w[rng.random(size) < 0.15] = np.inf
+        w[1:][rng.random(size - 1) < 0.1] = np.nan
+        got = iv._running_first_argmin(w)
+        want = _running_first_argmin_loop(w)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_three_segment_descent_matches_brute_force(monkeypatch):
+    # q0 < 0 near the origin makes C0 < 0 there, so the tables seed the
+    # descent with a launch radius r0 > 0 at t1 > 0.  While w still falls
+    # at t2, the seed has t1 = t2, costs +inf on the t2 line and the
+    # descent drops to two segments; on the n = 3 problem w turns at
+    # t1 = 4, so for t2 > 4 the r0 and t1 line searches run and a
+    # three-segment path wins
+    problems = [
+        iv.InviscidProblem(3, ScalarProfile.from_pieces([0.0, 2.0, 3.0], [[-1.2], [0.0]]),
+                           P0, ScalarProfile.constant(0.5),
+                           ScalarProfile.constant(6 * math.pi)),
+        iv.InviscidProblem(1, ScalarProfile.piecewise_linear([0.0, 2.0, 3.0],
+                                                             [-1.5, -1.0, 0.0]),
+                           P0, ScalarProfile.piecewise_linear([0.0, 1.0, 2.0, 3.0],
+                                                              [0.9, 0.3, 0.7, 0.2]),
+                           ScalarProfile.constant(3.0)),
+    ]
+    seeds, r0_searches = [], []
+    descend, line = iv.PathMinimizer._descend, iv.PathMinimizer._line
+
+    def record_descend(self, r, t, r0, t1, t2, cell):
+        seeds.append(float(t1))
+        return descend(self, r, t, r0, t1, t2, cell)
+
+    def record_line(self, r, t, r0=None, t1=None, t2=None, on=None):
+        if r0 is None:
+            r0_searches.append((r, t))
+        return line(self, r, t, r0, t1, t2, on)
+
+    monkeypatch.setattr(iv.PathMinimizer, "_descend", record_descend)
+    monkeypatch.setattr(iv.PathMinimizer, "_line", record_line)
+    rng = np.random.default_rng(5)
+    for prob in problems:
+        seeds.clear()
+        r0_searches.clear()
+        mz = iv.PathMinimizer(prob, t_max=8.0)
+        wins = 0
+        for _ in range(150):
+            r, t = float(rng.uniform(0.05, 2.5)), float(rng.uniform(0.1, 8.0))
+            m = mz.minimize(r, t)
+            vb, _ = orc.brute_force_Q(prob, r, t, grid_density=100, refine_rounds=2)
+            assert abs(m.value - vb) <= 1e-4
+            wins += m.branch == "boundary" and m.t1 > 0.0
+        assert any(t1 > 0.0 for t1 in seeds)
+        if prob.n == 3:
+            assert r0_searches and wins
 
 
 def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():

@@ -1,27 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpgd import bounded_green as bg
 from zpgd import oracles as orc
 from zpgd.profiles import ScalarProfile
+from zpgd.specfun import DomainCase
 
 
 def test_fd_viscous_trivial_stays_zero():
     ivp = orc.ViscousIVP(3, 0.5, 1e-3, 1.0, ScalarProfile.zero(),
                          ScalarProfile.constant(1.0), q_right=0.0)
-    cfg = orc.FDSolverConfig(n_r=201, boundary="ball",
-                             t_samples=np.linspace(0.0, 0.5, 6))
-    fld = orc.fd_viscous_solve(ivp, cfg)
+    fld = orc.fd_viscous_solve(ivp, np.linspace(0.0, 0.5, 6), n_r=201)
     assert np.abs(fld.q).max() < 1e-13
-
-
-def test_fd_config_rejects_unknown_boundary():
-    for ok in ("ball", "annulus", "line"):
-        assert orc.FDSolverConfig(boundary=ok).boundary == ok
-    for bad in ("Ball", "disc", ""):
-        with pytest.raises(ValueError, match="boundary"):
-            orc.FDSolverConfig(boundary=bad)
 
 
 def test_fd_viscous_reduces_to_burgers_closed_form():
@@ -32,9 +26,7 @@ def test_fd_viscous_reduces_to_burgers_closed_form():
         ScalarProfile.constant(1.0),
         q_left=lambda t: -2.0 / (1.0 + t),
         q_right=lambda t: 2.0 / (1.0 + t))
-    cfg = orc.FDSolverConfig(n_r=801, boundary="line",
-                             t_samples=np.linspace(0.0, 1.0, 5))
-    fld = orc.fd_viscous_solve(ivp, cfg)
+    fld = orc.fd_viscous_solve(ivp, np.linspace(0.0, 1.0, 5), n_r=801)
     worst = 0.0
     for i, t in enumerate(fld.grid_t):
         worst = max(worst, np.abs(fld.q[i] - fld.grid_r / (1 + t)).max())
@@ -51,8 +43,7 @@ def test_fd_mass_flux_identity():
     ivp = orc.ViscousIVP(3, 0.5, 1e-3, 1.0, q0, ScalarProfile.constant(1.0),
                          q_right=0.25)
     ts = np.linspace(0.0, 1.0, 41)
-    cfg = orc.FDSolverConfig(n_r=1201, boundary="ball", t_samples=ts)
-    fld = orc.fd_viscous_solve(ivp, cfg)
+    fld = orc.fd_viscous_solve(ivp, ts, n_r=1201)
     mass = np.trapezoid(fld.p, fld.grid_r, axis=1)
     dm_dt = np.gradient(mass, ts)
     # two-boundary identity on the truncated domain [r_lo, R]; the inner
@@ -62,14 +53,13 @@ def test_fd_mass_flux_identity():
 
 
 def test_fd_stability_guard():
-    ivp = orc.ViscousIVP(1, 0.4, -2.0, 2.0,
-                         ScalarProfile.piecewise_linear([-2.0, 2.0], [-2.0, 2.0]),
-                         ScalarProfile.constant(1.0), q_left=-2.0, q_right=2.0)
-    cfg = orc.FDSolverConfig(n_r=101, boundary="line",
-                             t_samples=np.linspace(0.0, 0.5, 3),
-                             speed_bound=1e-9)
-    with pytest.raises(orc.StabilityError):
-        orc.fd_viscous_solve(ivp, cfg)
+    # the time step is sized for the data at t = 0, all at rest (speed
+    # bound 1.5e-3); the right wall then ramps to speed 20 by t = 0.5
+    ivp = orc.ViscousIVP(1, 0.05, 0.0, 1.0, ScalarProfile.zero(),
+                         ScalarProfile.constant(1.0), q_left=0.0,
+                         q_right=lambda t: -40.0 * t)
+    with pytest.raises(orc.StabilityError, match="velocity outgrew"):
+        orc.fd_viscous_solve(ivp, np.linspace(0.0, 0.5, 3), n_r=101)
 
 
 def _numpy_thomas(lower, diag, upper, rhs):
@@ -131,8 +121,7 @@ def test_thomas_solve_matches_numpy_recurrence(monkeypatch):
 
     monkeypatch.setattr(orc, "_thomas_factor", record_factor)
     monkeypatch.setattr(orc, "_thomas_solve", record_solve)
-    orc.fd_viscous_solve(_ball3d_ivp(), orc.FDSolverConfig(n_r=1200,
-                                                           t_samples=np.array([0.0, 0.01])))
+    orc.fd_viscous_solve(_ball3d_ivp(), np.array([0.0, 0.01]), n_r=1200)
     n_viscous = len(solved)
     orc.fd_heat_solve(3, 0.5, lambda r: np.cos(r) + 0.5 * r, 0.05, 1.0, q_outer=0.3)
     assert len(factored) == 3 and 3 <= n_viscous < len(solved) == 60
@@ -149,13 +138,52 @@ def test_thomas_solve_matches_numpy_recurrence(monkeypatch):
 
 def test_fd_viscous_run_matches_numpy_recurrence(monkeypatch):
     # a whole run as shipped against the same run on the in-test reference
-    cfg = orc.FDSolverConfig(n_r=300, t_samples=np.linspace(0.0, 0.05, 6))
-    shipped = orc.fd_viscous_solve(_ball3d_ivp(), cfg)
+    ts = np.linspace(0.0, 0.05, 6)
+    shipped = orc.fd_viscous_solve(_ball3d_ivp(), ts, n_r=300)
     monkeypatch.setattr(orc, "_thomas_factor", lambda *rows: rows)
     monkeypatch.setattr(orc, "_thomas_solve", lambda rows, rhs: _numpy_thomas(*rows, rhs))
-    ref = orc.fd_viscous_solve(_ball3d_ivp(), cfg)
+    ref = orc.fd_viscous_solve(_ball3d_ivp(), ts, n_r=300)
     assert np.array_equal(shipped.q.view(np.int64), ref.q.view(np.int64))
     assert np.array_equal(shipped.p.view(np.int64), ref.p.view(np.int64))
+
+
+def _fd_pinned_problems():
+    ball = bg.BoundedProblem(DomainCase.BALL_3D, 0.5, _ball3d_ivp().q0,
+                             ScalarProfile.constant(1.0), radius=1.0, q_boundary=0.25)
+    # inflow at the inner wall, so the left density datum is read
+    shell = bg.BoundedProblem(
+        DomainCase.ANNULUS_3D, 0.6,
+        ScalarProfile.from_pieces([1.0, 2.0, 3.0], [[0.45, 0.0, -0.75, 0.5], [0.2]]),
+        ScalarProfile.constant(1.0), r_inner=1.0, r_outer=2.0, q_inner=0.45,
+        q_outer=0.2, rho_inner=ScalarProfile.constant(1.0))
+    line = orc.ViscousIVP(
+        1, 0.4, -2.0, 2.0, ScalarProfile.piecewise_linear([-2.0, 2.0], [-2.0, 2.0]),
+        ScalarProfile.constant(1.0), q_left=lambda t: -2.0 / (1.0 + t),
+        q_right=lambda t: 2.0 / (1.0 + t))
+    return {"ball": orc.ViscousIVP.from_bounded(ball),
+            "annulus": orc.ViscousIVP.from_bounded(shell), "line": line}
+
+
+# sha256 of the q and p arrays on n_r = 200 nodes at t = 0, 0.05, ..., 0.2,
+# recorded when a boundary switch passed beside the problem chose the
+# origin row; taking the left wall from the problem keeps every bit
+_FD_PINNED = {
+    "ball": ("8df95dc9ca8adc42fee181acc0d33d0ba8f739d2a834396c2404a2ef69af13e4",
+             "bd2c671dc0d2b8a73b9338ff652810fda2cb27739ff23aba023825916d72efc7"),
+    "annulus": ("6c0fc396086fa6d6a1a6b853c8adfe75c5880d8302ecc187703fbb81e61a96d5",
+                "552b50f046f87730c376b31a52bedee3e87b0226b75c7cbc7556c88d8ceed925"),
+    "line": ("9d33144569a611678d96cb0467879c62700f2ef43f028bb6c69a1a43d850b0d6",
+             "917f7a3fee0bcfbac9d5d8d5ab1214816585902b38925ba2975536125ef48222"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FD_PINNED))
+def test_fd_viscous_walls_from_problem_keep_bits(name):
+    ivp = _fd_pinned_problems()[name]
+    assert (ivp.q_left is None) == (name == "ball")
+    fld = orc.fd_viscous_solve(ivp, np.linspace(0.0, 0.2, 5), n_r=200)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (fld.q, fld.p))
+    assert digests == _FD_PINNED[name]
 
 
 def test_thomas_factor_rejects_singular_and_nonfinite_pivots():
