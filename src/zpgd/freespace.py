@@ -99,6 +99,8 @@ class FreespaceProblem:
             raise ValueError("epsilon must be positive")
         if self.q0 is None and self.phi0 is None:
             raise ValueError("give either a radial q0 or a potential phi0")
+        if self.q0 is not None and (self.phi0 is not None or self.grad_phi0 is not None):
+            raise ValueError("give either a radial q0 or a potential phi0, not both")
         if self.phi0 is not None and self.grad_phi0 is None:
             raise ValueError("a potential phi0 needs its gradient grad_phi0")
         if self.q0 is not None and not isinstance(self.q0, ScalarProfile):
@@ -126,7 +128,8 @@ class FlowSample:
 class MassQuadrature:
     panels: int = 32
     points: int = 10
-    radius: float | None = None   # integration radius; inferred if None
+    radius: float | None = None   # integration radius; inferred if None,
+                                  # which a potential phi0 allows only at t = 0
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +679,17 @@ def flow_sample(problem: FreespaceProblem, x, t: float) -> FlowSample:
 
 
 def _support_image_radius(problem, t, quad):
+    """Radius that holds the image of rho0's support at time t: q0's
+    speed bound moves it out; a potential phi0 gives no such bound."""
     if quad.radius is not None:
         return quad.radius
-    L0 = problem.q0.sup_abs() if problem.is_radial else 1.0
+    if problem.is_radial:
+        L0 = problem.q0.sup_abs()
+    elif t > 0.0:
+        raise ValueError("a potential phi0 bounds no speed: give MassQuadrature.radius "
+                         "for its mass at t > 0")
+    else:
+        L0 = 0.0
     return problem.rho0_support + t * L0 + 1e-6
 
 
@@ -704,7 +715,8 @@ def total_mass(problem: FreespaceProblem, t: float,
     trace).  A radial n = 1 density is even, so its line integral is folded
     onto [0, R] with half the panels of each grid and doubled.  Raises
     MassConcentrationError when rho0 carries mass but the density at t is
-    zero at every node, rather than report a total loss as (0, 0)."""
+    zero at every node, rather than report a total loss as (0, 0), and
+    ValueError for a potential phi0 at t > 0 without quad.radius."""
     quad = quad or MassQuadrature()
     radius = _support_image_radius(problem, t, quad)
     fold = problem.n == 1 and problem.is_radial

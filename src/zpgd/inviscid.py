@@ -284,48 +284,23 @@ class PathMinimizer:
             return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
         return self._descend(r, t, tb.g_r0[i1], tb.t1[i1], t2g[k], cell=cell)
 
-    def _line(self, r, t, r0=None, t1=None, t2=None, on=None):
-        """The path cost boundary_cost + C0(r0) as a function of the one
-        coordinate left None, with the other two fixed.
+    def _line(self, r, t, r0, t1, on=None):
+        """The path cost boundary_cost + C0(r0) as a function of t2, with r0
+        and t1 fixed.
 
-        Every term the fixed coordinates settle (V, C0, launch, tail) is
-        evaluated once, so a call costs one cumulative; the terms still add
-        as -(V(t2) - V(t1)) + launch + tail + C0(r0), the bits of the full
-        sum.  With on = (lo, hi), the bracket every argument lies in, the
-        free coordinate's cumulative is read by the one-piece evaluator
-        (same bits).  Paths outside 0 <= t1 < t2 < t, and a positive launch
-        radius with t1 = 0, cost +inf."""
+        Every term r0 and t1 settle (V(t1), C0(r0), launch) is evaluated
+        once, so a call costs one cumulative; the terms still add as
+        -(V(t2) - V(t1)) + launch + tail + C0(r0), the bits of the full sum.
+        With on = (lo, hi), the bracket every t2 lies in, V(t2) is read by
+        the one-piece evaluator (same bits).  Paths outside 0 <= t1 < t2 < t,
+        and a positive launch radius with t1 = 0, cost +inf."""
         pr = self.problem
-        V, C0 = pr.sojourn_gain, pr.q0.cumulative
-        # C0 on the r0 line, V on the t1 and t2 lines
-        free = pr.q0 if r0 is None else pr._vsq_half
-        cum_z = free.cumulative if on is None else free._cumulative_on_piece(*on)
-        off = lambda z: math.inf
-        if r0 is None:
-            if not (0.0 <= t1 < t2 < t):
-                return off
-            gain, tail = -(V(t2) - V(t1)), r * r / (2.0 * (t - t2))
-            if t1 == 0.0:
-                # the launch term is 0.0; adding it keeps the sum's bits
-                return lambda z: math.inf if z > 0.0 else ((gain + 0.0) + tail) + cum_z(z)
-            two_t1 = 2.0 * t1
-            return lambda z: ((gain + z * z / two_t1) + tail) + cum_z(z)
-        r0_sq, c0 = r0 * r0, C0(r0)
-        if t1 is None:
-            if not (0.0 < t2 < t):
-                return off
-            v2, tail = V(t2), r * r / (2.0 * (t - t2))
-
-            def along_t1(z):
-                if not (0.0 <= z < t2) or (z == 0.0 and r0 > 0.0):
-                    return math.inf
-                launch = 0.0 if z == 0.0 else r0_sq / (2.0 * z)
-                return ((-(v2 - cum_z(z)) + launch) + tail) + c0
-            return along_t1
         if not (0.0 <= t1 < t) or (t1 == 0.0 and r0 > 0.0):
-            return off
-        v1 = V(t1)
-        launch = 0.0 if t1 == 0.0 else r0_sq / (2.0 * t1)
+            return lambda z: math.inf
+        vsq = pr._vsq_half
+        cum_z = vsq.cumulative if on is None else vsq._cumulative_on_piece(*on)
+        v1, c0 = pr.sojourn_gain(t1), pr.q0.cumulative(r0)
+        launch = 0.0 if t1 == 0.0 else r0 * r0 / (2.0 * t1)
         return lambda z: (((-(cum_z(z) - v1) + launch) + r * r / (2.0 * (t - z))) + c0
                           if t1 < z < t else math.inf)
 
@@ -338,6 +313,12 @@ class PathMinimizer:
         r0, t1, t2 = float(r0), float(t1), float(t2)
         kt = pr.q_bound.breakpoints
         kr = pr.q0.breakpoints
+
+        def path_cost(r0, t1, t2):
+            if not (0.0 <= t1 < t2 < t):
+                return math.inf
+            return boundary_cost(r, r0, t, t1, t2, pr) + pr.q0.cumulative(r0)
+
         best = self._line(r, t, r0, t1)(t2)
         # the degenerate two-segment family is always a candidate
         two_segment = self._line(r, t, 0.0, 0.0)
@@ -348,11 +329,11 @@ class PathMinimizer:
         for _ in range(5):
             if t1 > 0.0:
                 on = (max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05)
-                x, v = _line_min(self._line(r, t, t1=t1, t2=t2, on=on), *on, kinks=kr)
+                x, v = _line_min(lambda z: path_cost(z, t1, t2), *on, kinks=kr)
                 if v <= best:
                     r0, best = x, v
                 on = (max(1e-15 * t, t1 - span), min(t2 * (1 - 1e-13), t1 + span))
-                x, v = _line_min(self._line(r, t, r0=r0, t2=t2, on=on), *on, kinks=kt)
+                x, v = _line_min(lambda z: path_cost(r0, z, t2), *on, kinks=kt)
                 if v <= best:
                     t1, best = x, v
             on = (max(t1 * (1 + 1e-13), t2 - span, 1e-15 * t), min(t * (1 - 1e-13), t2 + span))

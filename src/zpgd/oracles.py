@@ -475,57 +475,26 @@ class StickyTrajectory:
         return q, p
 
 
-def injection_schedule(q_bound, p_bound, omega: float, t_end: float,
-                       dt: float = 0.02):
-    """Origin-injection schedule approximating an inflow wall.
-
-    At each tick with positive wall velocity, one particle enters just
-    above the origin carrying the mass increment of the target total
-    p_bound(t)/omega over the tick.  This models the inflow only to first
-    order (absorbed mass is not re-credited)."""
-    out = []
-    k = 1
-    while k * dt <= t_end + 1e-12:
-        t = k * dt
-        qb = float(q_bound(t))
-        dm = (float(p_bound(t)) - float(p_bound(t - dt))) / omega
-        if qb > 0.0 and dm > 0.0:
-            out.append((t, 1e-12, dm, qb))
-        k += 1
-    return out
-
-
-def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
-                        injections=None):
+def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True):
     """Free flight with perfectly inelastic adjacent collisions.
 
     Merges conserve mass and momentum to rounding; particles reaching the
     origin with negative velocity are absorbed (removed) when
-    absorb_at_origin is set.  injections is an optional schedule of
-    (time, r, m, v) rows (see injection_schedule) activated as events.
+    absorb_at_origin is set.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < 0:
         raise ValueError("sample times must be increasing and nonnegative")
-    injections = sorted(injections or [], key=lambda row: row[0])
-    n_seed = len(particles)
-    n = n_seed + len(injections)
-    rs = np.zeros(n)
-    ms = np.zeros(n)
-    vs = np.zeros(n)
-    rs[:n_seed] = [p.r for p in particles]
-    if np.any(np.diff(rs[:n_seed]) < 0):
+    n = len(particles)
+    rs = np.array([p.r for p in particles], dtype=float)
+    if np.any(np.diff(rs) < 0):
         raise ValueError("particles must be sorted by position")
-    ms[:n_seed] = [p.m for p in particles]
-    vs[:n_seed] = [p.v for p in particles]
+    ms = np.array([p.m for p in particles], dtype=float)
+    vs = np.array([p.v for p in particles], dtype=float)
     tref = np.zeros(n)
-    alive = np.zeros(n, dtype=bool)
-    alive[:n_seed] = True
-    right = np.full(n, n)      # neighbor links (n = sentinel)
-    left = np.full(n, -1)
-    right[:n_seed] = np.arange(1, n_seed + 1)
-    right[n_seed - 1:n_seed] = n
-    left[:n_seed] = np.arange(-1, n_seed - 1)
+    alive = np.ones(n, dtype=bool)
+    right = np.arange(1, n + 1)  # neighbor links (n = sentinel)
+    left = np.arange(-1, n - 1)
     parent = np.arange(n)      # merge forest: row -> the row it merged into
 
     def pos(i, t):
@@ -554,14 +523,10 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
         tau = tref[i] - pos(i, tref[i]) / vs[i]
         heapq.heappush(heap, (tau, 1, i, -1, vs[i], 0.0))
 
-    for i in range(n_seed - 1):
+    for i in range(n - 1):
         push_pair(i)
-    if absorb_at_origin and n_seed:
+    if absorb_at_origin and n:
         push_absorb(0)
-    for j, (t_in, r_in, m_in, v_in) in enumerate(injections):
-        heapq.heappush(heap, (t_in, 2, n_seed + j, -1, 0.0, 0.0))
-    inj_rows = {n_seed + j: row for j, row in enumerate(injections)}
-    first_idx = 0 if n_seed else -1
 
     absorbed = np.zeros(sample_times.size)
     absorbed_total = 0.0
@@ -595,28 +560,6 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
         tau, kind, i, j, vi_then, vj_then = heapq.heappop(heap)
         if tau > t_end:
             break
-        if kind == 2:
-            # activate an injected particle and splice it into the chain
-            take_snapshots(tau)
-            _, r_in, m_in, v_in = inj_rows[i]
-            rs[i], ms[i], vs[i], tref[i] = r_in, m_in, v_in, tau
-            alive[i] = True
-            prev, cur = -1, first_idx
-            while cur != -1 and cur < n and alive[cur] and pos(cur, tau) < r_in:
-                prev, cur = cur, (right[cur] if right[cur] < n else -1)
-            left[i] = prev
-            right[i] = cur if cur != -1 else n
-            if prev == -1:
-                first_idx = i
-            else:
-                right[prev] = i
-                push_pair(prev)
-            if cur != -1:
-                left[cur] = i
-            push_pair(i)
-            if absorb_at_origin:
-                push_absorb(i)
-            continue
         if not alive[i] or vs[i] != vi_then:
             continue
         if kind == 0 and (j >= n or not alive[j] or vs[j] != vj_then or right[i] != j):
@@ -629,9 +572,6 @@ def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True,
             if right[i] < n:
                 left[right[i]] = -1
                 push_absorb(right[i])
-                first_idx = right[i]
-            else:
-                first_idx = -1
             continue
         # merge i <- j
         x = pos(i, tau)

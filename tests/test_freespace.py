@@ -211,6 +211,9 @@ def test_general_potential_n1_trace_density_and_flow_sample():
     (dict(n=1, epsilon=0.5), ValueError, "q0 or a potential"),
     (dict(n=1, epsilon=0.5, q0=lambda r: r), TypeError, "ScalarProfile"),
     (dict(n=1, epsilon=0.5, phi0=lambda y: 0.5 * y * y), ValueError, "grad_phi0"),
+    (dict(n=2, epsilon=0.5, q0=ScalarProfile.piecewise_linear([0.0, 1.0], [0.0, 1.0]),
+          phi0=lambda y: -2.5 * y[1] ** 2, grad_phi0=lambda y: np.array([0.0, -5.0 * y[1]])),
+     ValueError, "not both"),
 ])
 def test_problem_rejects_invalid_data(kwargs, error, match):
     with pytest.raises(error, match=match):
@@ -333,6 +336,24 @@ def test_total_mass_non_radial_n1_keeps_full_line():
     m, err = fs.total_mass(pr, 0.0, quad)
     m_ref, err_ref = _full_line_mass(pr, 0.0, quad)
     assert m == m_ref and err == err_ref
+    assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
+
+
+def test_total_mass_non_radial_needs_radius_at_positive_t(monkeypatch):
+    # a potential bounds no speed, so no radius is known to hold the mass
+    # at t > 0; the error comes before any characteristic is traced
+    bump = smooth_bump_rho()
+    pr = fs.FreespaceProblem(n=1, epsilon=0.4, phi0=lambda y: 0.5 * y * y,
+                             grad_phi0=lambda y: float(y),
+                             rho0=lambda x: float(bump(abs(x))), rho0_support=2.0)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced a characteristic")
+
+    monkeypatch.setattr(fs, "_rk4_doubling", no_trace)
+    with pytest.raises(ValueError, match="MassQuadrature.radius"):
+        fs.total_mass(pr, 0.5)
+    m, _ = fs.total_mass(pr, 0.0)
     assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
 
 

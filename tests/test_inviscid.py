@@ -309,14 +309,10 @@ def test_running_first_argmin_matches_loop():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_three_segment_descent_matches_brute_force(monkeypatch):
-    # q0 < 0 near the origin makes C0 < 0 there, so the tables seed the
-    # descent with a launch radius r0 > 0 at t1 > 0.  While w still falls
-    # at t2, the seed has t1 = t2, costs +inf on the t2 line and the
-    # descent drops to two segments; on the n = 3 problem w turns at
-    # t1 = 4, so for t2 > 4 the r0 and t1 line searches run and a
-    # three-segment path wins
-    problems = [
+def _launch_problems():
+    # q0 < 0 near the origin: C0 < 0 there, so the boundary tables seed
+    # the descent with a launch radius r0 > 0 at t1 > 0
+    return [
         iv.InviscidProblem(3, ScalarProfile.from_pieces([0.0, 2.0, 3.0], [[-1.2], [0.0]]),
                            P0, ScalarProfile.constant(0.5),
                            ScalarProfile.constant(6 * math.pi)),
@@ -326,24 +322,34 @@ def test_three_segment_descent_matches_brute_force(monkeypatch):
                                                               [0.9, 0.3, 0.7, 0.2]),
                            ScalarProfile.constant(3.0)),
     ]
-    seeds, r0_searches = [], []
-    descend, line = iv.PathMinimizer._descend, iv.PathMinimizer._line
+
+
+def test_three_segment_descent_matches_brute_force(monkeypatch):
+    # while w still falls at t2, a seed at t1 > 0 has t1 = t2, costs +inf
+    # on the t2 line and the descent drops to two segments; on the n = 3
+    # problem w turns at t1 = 4, so for t2 > 4 the r0 and t1 line searches
+    # run and a three-segment path wins
+    problems = _launch_problems()
+    seeds, line_searches = [], []
+    descend, cost = iv.PathMinimizer._descend, iv.boundary_cost
 
     def record_descend(self, r, t, r0, t1, t2, cell):
         seeds.append(float(t1))
         return descend(self, r, t, r0, t1, t2, cell)
 
-    def record_line(self, r, t, r0=None, t1=None, t2=None, on=None):
-        if r0 is None:
-            r0_searches.append((r, t))
-        return line(self, r, t, r0, t1, t2, on)
+    def record_cost(r, r0, t, t1, t2, problem):
+        # the descent's r0 and t1 line searches evaluate boundary_cost
+        # directly, and only they evaluate it at t1 > 0
+        if t1 > 0.0:
+            line_searches.append((r, t))
+        return cost(r, r0, t, t1, t2, problem)
 
     monkeypatch.setattr(iv.PathMinimizer, "_descend", record_descend)
-    monkeypatch.setattr(iv.PathMinimizer, "_line", record_line)
+    monkeypatch.setattr(iv, "boundary_cost", record_cost)
     rng = np.random.default_rng(5)
     for prob in problems:
         seeds.clear()
-        r0_searches.clear()
+        line_searches.clear()
         mz = iv.PathMinimizer(prob, t_max=8.0)
         wins = 0
         for _ in range(150):
@@ -354,39 +360,45 @@ def test_three_segment_descent_matches_brute_force(monkeypatch):
             wins += m.branch == "boundary" and m.t1 > 0.0
         assert any(t1 > 0.0 for t1 in seeds)
         if prob.n == 3:
-            assert r0_searches and wins
+            assert line_searches and wins
 
 
 def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():
-    # the descent's line functions add their terms in boundary_cost's order,
-    # so re-evaluating a result at its own minimizers gives the same bits
+    # the descent's t2 line adds its terms in boundary_cost's order and its
+    # r0 and t1 lines call boundary_cost, so re-evaluating a result at its
+    # own minimizers gives the same bits
     from zpgd import cli
 
     problems = _c09_problems() + [
         cli._inviscid_problem_from(cli.parse_config(cli.resolve_config(name)))
         for name in ("inviscid_inflow", "verify_rh_riemann")]
+    # the launch problems run the r0 and t1 line searches once t > 4
+    cases = ([(prob, [*np.linspace(0.1, 2.0, 9), 3.7]) for prob in problems]
+             + [(prob, np.linspace(0.2, 8.0, 14)) for prob in _launch_problems()])
     branches = set()
-    descended_wins = 0
-    for prob in problems:
+    descended_wins = three_segment_wins = 0
+    for prob, times in cases:
         mz = iv.PathMinimizer(prob, t_max=4.0)
         descents = []
         descend = mz._descend
         mz._descend = lambda *args, **kw: descents.append(1) or descend(*args, **kw)
-        for t in [*np.linspace(0.1, 2.0, 9), 3.7]:
+        for t in times:
             for r in [0.004, 0.02, *np.linspace(0.05, 2.5, 12)]:
                 before = len(descents)
                 m = mz.minimize(float(r), float(t))
                 assert m.check_value(prob, float(r), float(t)) == 0.0, (r, t, m)
                 branches.add(m.branch)
                 descended_wins += m.branch == "boundary" and len(descents) > before
+                three_segment_wins += m.branch == "boundary" and m.t1 > 0.0
     assert branches == {"interior", "boundary"}
-    # boundary winners polished by the descent's one-piece line searches
+    # boundary winners polished by the descent's one-piece t2 line search
     assert descended_wins >= 50
+    assert three_segment_wins >= 1
 
 
 def test_descent_line_functions_carry_boundary_cost_bits():
-    # each line function of the descent fixes two of (r0, t1, t2); at any
-    # point it must return boundary_cost + C0(r0) bit for bit
+    # the descent's t2 line fixes r0 and t1; at any t2 it must return
+    # boundary_cost + C0(r0) bit for bit
     q0 = ScalarProfile.piecewise_linear([0.0, 0.6, 1.4, 2.2], [0.5, 0.7, -0.3, 0.0])
     qb = ScalarProfile.piecewise_linear([0.0, 0.7, 1.5, 2.5], [0.9, 0.4, -0.5, 0.3])
     prob = iv.InviscidProblem(2, q0, P0, qb, ScalarProfile.constant(20.0))
@@ -398,22 +410,16 @@ def test_descent_line_functions_carry_boundary_cost_bits():
         if k % 10 == 0:
             r0, t1 = 0.0, 0.0          # the two-segment family
         want = iv.boundary_cost(r, r0, t, t1, t2, prob) + q0.cumulative(r0)
-        assert mz._line(r, t, t1=t1, t2=t2)(r0) == want
-        assert mz._line(r, t, r0=r0, t2=t2)(t1) == want
         assert mz._line(r, t, r0, t1)(t2) == want
-        # a bracket around the free coordinate, inside one piece of q0 or
-        # V or across a breakpoint: the one-piece evaluator keeps the bits
+        # a bracket around t2, inside one piece of V or across a
+        # breakpoint: the one-piece evaluator keeps the bits
         lo, hi = rng.uniform(0.0, 0.3, 2)
-        on = lambda z: (max(0.0, z - lo), z + hi)
-        assert mz._line(r, t, t1=t1, t2=t2, on=on(r0))(r0) == want
-        assert mz._line(r, t, r0=r0, t2=t2, on=on(t1))(t1) == want
-        assert mz._line(r, t, r0, t1, on=on(t2))(t2) == want
-    # outside 0 <= t1 < t2 < t, or a positive launch radius at t1 = 0
-    assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.6) == math.inf
-    assert mz._line(1.0, 1.0, r0=0.5, t2=0.5)(0.0) == math.inf
-    assert mz._line(1.0, 1.0, t1=0.0, t2=0.5)(0.1) == math.inf
+        assert mz._line(r, t, r0, t1, on=(max(0.0, t2 - lo), t2 + hi))(t2) == want
+    # a positive launch radius at t1 = 0, t2 >= t, or t1 >= t2
+    assert mz._line(1.0, 1.0, 0.5, 0.0)(0.5) == math.inf
     assert mz._line(1.0, 1.0, 0.5, 0.2)(1.0) == math.inf
-    assert mz._line(1.0, 1.0, t1=0.6, t2=0.5)(0.1) == math.inf
+    assert mz._line(1.0, 1.0, 0.5, 0.6)(0.5) == math.inf
+    assert mz._line(1.0, 1.0, 0.5, 0.6)(0.6) == math.inf
 
 
 def _full_scan_interior(prob, r, t, sup_v):

@@ -315,23 +315,6 @@ def test_binned_field_reconstruction():
     assert np.abs(q[right] - 0.0).max() < 1e-12
 
 
-def test_sticky_injection_tracks_mass_schedule():
-    # inflow approximation: injected mass follows the target total
-    omega = 4 * np.pi
-    qb = ScalarProfile.constant(0.8)
-    pb = ScalarProfile.piecewise_linear([0.0, 4.0], [omega, 2.0 * omega])
-    sched = orc.injection_schedule(qb, pb, omega, t_end=2.0, dt=0.01)
-    assert sum(m for _, _, m, _ in sched) == pytest.approx(0.5, abs=1e-12)
-    parts = [orc.Particle(0.5 + 0.01 * k, 0.005, 0.0) for k in range(100)]
-    traj = orc.sticky_particle_run(parts, [0.5, 1.0, 2.0], injections=sched)
-    for k, t in enumerate(traj.times):
-        target = 0.5 + 0.25 * t
-        assert traj.masses[k].sum() == pytest.approx(target, abs=0.01)
-    # no injections while the wall velocity is nonpositive
-    assert orc.injection_schedule(ScalarProfile.constant(-1.0), pb, omega,
-                                  t_end=1.0) == []
-
-
 def test_particle_csv(tmp_path):
     parts = [orc.Particle(1.0, 1.0, 1.0), orc.Particle(2.0, 1.0, -1.0)]
     traj = orc.sticky_particle_run(parts, [0.2, 1.0])

@@ -44,6 +44,24 @@ def test_detect_riemann_front_and_growth():
     assert np.all(f.q_minus + 1e-9 >= sdot) and np.all(sdot >= f.q_plus - 1e-9)
 
 
+def test_front_absorbed_at_origin_ends():
+    # n = 1: the inward slab q0 = -1 on [1, 3) piles its inner edge into a
+    # delta at s = 1 - t/2 (traces 0 and -1), which reaches the absorbing
+    # origin at t = 2; the track finds no detection after that and closes
+    q0 = ScalarProfile.from_pieces([0.0, 1.0, 3.0, 4.0], [[0.0], [-1.0], [0.0]])
+    p0 = ScalarProfile.from_pieces([0.0, 4.0, 4.5], [[1.0], [0.0]])
+    prob = iv.InviscidProblem(1, q0, p0, ScalarProfile.constant(-1.0),
+                              ScalarProfile.constant(1.0))
+    panel = iv.solve_panel(prob, np.linspace(0.05, 3.5, 70), np.linspace(0.25, 3.0, 12))
+    fronts = sfm.detect_fronts(panel)
+    assert len(fronts) == 1
+    f = fronts[0]
+    assert np.abs(f.s - (1.0 - 0.5 * f.times)).max() < 1e-6
+    res_speed, _ = sfm.rh_residual_1d(f)
+    assert np.abs(res_speed).max() < 1e-5
+    assert f.times[0] == panel.grid_t[0] and f.times[-1] < 2.0
+
+
 @settings(max_examples=12, deadline=None)
 @given(a=st.floats(-1.0, 1.5), b=st.floats(-1.0, 1.5), rstar=st.floats(0.5, 1.5),
        n=st.integers(1, 3))
