@@ -280,6 +280,10 @@ def run_freespace(cfg: dict, ctx: RunContext) -> None:
             worst = max(worst, float(np.max(np.abs(qrows[i] - exact)
                                             / np.maximum(np.abs(exact), 1e-12))))
         ctx.check("closed-form relative gap", worst, float(ccfg["closed_form"]))
+        # and rho = rho0(x/(1+t))/(1+t)^n
+        stretch = 1.0 + grid_t[:, None]
+        p_exact = grid_r ** (n - 1) * rho0(grid_r / stretch) / stretch ** n
+        ctx.check("closed-form density gap", float(np.max(np.abs(p - p_exact))), 1e-5)
     ctx.check("velocity bound excess",
               max(0.0, float(np.abs(qrows).max()) - q0.sup_abs()),
               float(ccfg.get("bound", 1e-8)))

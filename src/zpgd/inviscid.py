@@ -65,6 +65,9 @@ class InviscidProblem:
             raise ValueError("p0 must vanish beyond its last breakpoint (integrable)")
         self.omega = surface_measure(self.n)
         self._vplus = self.q_bound.positive_part()
+        # no sojourn credit: a reflected path costs at least the straight
+        # one at the same launch radius, so the interior branch always wins
+        self._no_credit = self._vplus.sup_abs() == 0.0
         self._vsq_half = self._vplus.squared().scaled(0.5)
         self._sup_q0 = self.q0.sup_abs()
         # |q0| <= _band_sup_q0 everywhere, as the interior band needs:
@@ -144,26 +147,36 @@ class _BoundaryTables:
         g(t1) = min_{r0 >= 0} [ r0^2/(2 t1) + C0(r0) ]   (g(0) = 0, r0 = 0),
 
     so g, w and the cumulative argmin of w depend only on the problem and
-    one dense table serves every (r, t) query.  V on the t1 grid is kept as
-    v: the t2 scan runs on the same grid.
+    one table serves every (r, t) query.  V on the t1 grid is kept as v:
+    the t2 scan runs on the same grid.
+
+    Row t1 of g is the interior scan at r = 0, t = t1, so _interior_band
+    bounds the columns that can hold its first argmin.  The band grows
+    with t1, so each block of rows scans the band of its largest t1, and
+    C0 is read only on the widest band: the same cells and argmins as the
+    full 2,049 x 2,048 matrix.
     """
 
     def __init__(self, problem: InviscidProblem, t_max: float):
         self.problem = problem
         self.t_max = t_max
         r0_hi = t_max * problem._sup_q0 * 2.0 + 1.0
-        r0g = np.linspace(0.0, r0_hi, _GRID)
-        c0 = problem.q0.cumulative(r0g)
+        step = r0_hi / (_GRID - 1)
         self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, _GRID)])
+        sup_q0 = problem._band_sup_q0
+        r0g = np.linspace(0.0, r0_hi, _GRID)[:_interior_band(0.0, self.t1[-1], sup_q0, step)[1]]
+        c0 = problem.q0.cumulative(r0g)
         self.g = np.empty(self.t1.size)
         g_idx = np.empty(self.t1.size, dtype=np.intp)
         r0g_sq = r0g ** 2
         for lo in range(0, self.t1.size, _TABLE_ROWS):
             rows = slice(lo, lo + _TABLE_ROWS)
+            t1 = self.t1[rows]
+            i1 = _interior_band(0.0, t1[-1], sup_q0, step)[1]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cost = r0g_sq / (2.0 * self.t1[rows, None]) + c0
+                cost = r0g_sq[:i1] / (2.0 * t1[:, None]) + c0[:i1]
             if lo == 0:
-                cost[0] = np.where(r0g == 0.0, 0.0, np.inf)
+                cost[0] = np.where(r0g[:i1] == 0.0, 0.0, np.inf)
             g_idx[rows] = np.argmin(cost, axis=1)
             self.g[rows] = cost[np.arange(cost.shape[0]), g_idx[rows]]
         self.g_r0 = r0g[g_idx]
@@ -227,7 +240,12 @@ def _interior_band(r: float, t: float, sup_q0: float, step: float):
     sup|q0| by up to step/t >= 1/(2047 t).  With the pieces' end values
     added, sup_abs is exact up to rounding for degree <= 2; above that it
     takes np.roots of q0' on every piece plus 4,097 samples, so its error
-    is second order in a root's error."""
+    is second order in a root's error.
+
+    Two scans use it: PathMinimizer._interior per query, and each block of
+    _BoundaryTables rows, whose row t1 is this scan at r = 0, t = t1 on
+    the table's grid; its r0_hi = 2 t_max sup|q0| + 1 exceeds
+    t1 sup|q0| + 1, as the interior scan's r0_hi exceeds r + t sup|q0| + 1."""
     i0 = max(int((r - t * sup_q0) / step) - 2, 0)
     i1 = min(int((r + t * sup_q0) / step) + 3, _GRID)
     return i0, i1
@@ -239,6 +257,7 @@ class PathMinimizer:
     def __init__(self, problem: InviscidProblem, t_max: float = 10.0):
         self.problem = problem
         self.tables = _BoundaryTables(problem, t_max)
+        self._sup_v_t, self._sup_v = None, 0.0   # sup q_B^+ over [0, t] at the last t
 
     def _interior(self, r: float, t: float, sup_v: float):
         pr = self.problem
@@ -349,11 +368,12 @@ class PathMinimizer:
     def minimize(self, r: float, t: float) -> PathMinimum:
         if r <= 0 or t <= 0:
             raise ValueError("need r > 0 and t > 0")
-        vplus = self.problem._vplus
-        # no sojourn credit: a reflected path costs at least the straight
-        # one at the same launch radius, so the interior branch wins
-        no_credit = vplus.sup_abs() == 0.0
-        sup_v = 0.0 if no_credit else vplus.sup_abs(0.0, t)
+        no_credit = self.problem._no_credit
+        if not no_credit and t != self._sup_v_t:
+            # sup q_B^+ over [0, t] depends on t only: panel rows, front
+            # scans and boundary checks query one t many times in a row
+            self._sup_v_t, self._sup_v = t, self.problem._vplus.sup_abs(0.0, t)
+        sup_v = 0.0 if no_credit else self._sup_v
         r0_i, v_i = self._interior(r, t, sup_v)
         if no_credit:
             return PathMinimum("interior", r0_i, None, None, v_i, math.inf)

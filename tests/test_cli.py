@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,17 @@ def test_validation_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["run", "--config", str(singular), "--out", str(tmp_path)]) == 3
     assert "eigenvalue 0 with eigenfunction A + B/r" in capsys.readouterr().err
+
+
+def test_freespace_closed_form_density_check(tmp_path):
+    # the traced density against rho0(r/(1+t))/(1+t): the gap peaks at
+    # t = 10, about 2.9e-6, inside the fixed 1e-5
+    assert run_cli(["run", "--config", "freespace_closed_form", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "freespace_closed_form_report.txt").read_text()
+    m = re.search(r"\[(PASS|FAIL)\] closed-form density gap: \|(\S+)\| <= (\S+)", report)
+    assert m[1] == "PASS"
+    assert 2.8e-6 < float(m[2]) < 3.0e-6
+    assert float(m[3]) == 1e-5
 
 
 def test_check_failure_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -286,8 +287,14 @@ def _assert_tables_equal(tables, ref):
 
 
 def test_boundary_tables_match_dense_formula_byte_for_byte():
-    for prob in _c09_problems():
-        for t_max in (1.0, 4.0, 20.0):
+    # each block of rows scans only the band of its largest t1; q0 = -x on
+    # [0, 1), then 0 has sup_abs() = 0, so its band rests on the left limit
+    # -1, and for t1 > 1 its row argmin sits at r0 near 1
+    jump_up = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 1.0, 2.0],
+                                                              [[0.0, -1.0], [0.0]]),
+                                 P0, ONE, ONE)
+    for prob in _c09_problems() + _launch_problems() + [jump_up]:
+        for t_max in (0.5, 1.0, 4.0, 20.0):
             _assert_tables_equal(iv._BoundaryTables(prob, t_max), _dense_tables(prob, t_max))
         # a query past t_max rebuilds the tables at twice its time
         mz = iv.PathMinimizer(prob, t_max=1.0)
@@ -486,6 +493,43 @@ def test_interior_band_holds_the_full_scan_argmin(case):
     assert i0 <= k < i1
     assert i0 + int(np.argmin((r - band) ** 2 / (2.0 * t) + q0.cumulative(band))) == k
     assert iv.PathMinimizer(prob, t_max=4.0)._interior(r, t, sup_v) == want
+
+
+def test_sup_v_reuse_changes_no_result(monkeypatch):
+    # minimize reads sup q_B^+ over [0, t] once per change of t, and never
+    # when q_B <= 0; every result keeps the bits of a fresh minimizer's
+    bounded = []
+    sup_abs = ScalarProfile.sup_abs
+
+    def counted(self, lo=None, hi=None):
+        if lo is not None or hi is not None:
+            bounded.append((lo, hi))
+        return sup_abs(self, lo, hi)
+
+    monkeypatch.setattr(ScalarProfile, "sup_abs", counted)
+    # repeated t, alternating t, and t = 5 past t_max = 2 (a table rebuild)
+    queries = [(0.3, 0.5), (0.9, 0.5), (1.6, 0.5), (0.3, 1.2), (0.7, 0.5), (0.7, 1.2),
+               (0.2, 1.2), (1.1, 5.0), (0.05, 5.0), (2.2, 0.5)]
+    credit = [_c09_problems()[1], _launch_problems()[1]]
+    no_credit = iv.InviscidProblem(
+        2, ScalarProfile.constant(0.5), P0,
+        ScalarProfile.piecewise_linear([0.0, 1.0, 2.0], [-0.4, 0.0, -1.0]), ONE)
+    assert no_credit._no_credit and not any(prob._no_credit for prob in credit)
+    for prob in credit + [no_credit]:
+        mz = iv.PathMinimizer(prob, t_max=2.0)
+        last_t = None
+        for r, t in queries:
+            # a fresh minimizer on the same tables, rebuilt by the same query
+            fresh = iv.PathMinimizer(prob, t_max=mz.tables.t_max)
+            before = len(bounded)
+            got = mz.minimize(r, t)
+            calls = len(bounded) - before
+            want = fresh.minimize(r, t)
+            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), (r, t)
+            assert calls == (0 if prob is no_credit else int(t != last_t)), (r, t)
+            last_t = t
+        # without credit no query reads the tables, so none rebuilds them
+        assert mz.tables.t_max == (2.0 if prob is no_credit else 10.0)
 
 
 def test_boundary_table_build_memory():
