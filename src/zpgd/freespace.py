@@ -16,8 +16,8 @@ with A(s) = ((r-s)^2/(2t) + int_0^s q0)/eps, a = r s/(eps t), and
 Since 0 <= G1 <= G0 and all weights are positive, the quadrature inherits
 the exact bound |q| <= sup|q0| up to rounding.  Exponents are evaluated
 relative to their sampled minimum (log-sum-exp shift) so small eps is
-safe.  General (non-radial) potentials use an adaptive line integral for
-n = 1 and a tensor-grid reference path for n = 2, 3.
+safe.  Potentials given as callables take one tensor trapezoid rule in
+n = 1, 2, 3, refined until two levels agree or a typed error is raised.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class TimeDomainError(ValueError):
 
 class QuadratureBudgetError(RuntimeError):
     """Adaptive quadrature ran out of depth or splits before a panel met
-    its tolerance."""
+    its tolerance, or the next trapezoid level would pass its point budget."""
 
 
 class CharacteristicError(RuntimeError):
@@ -79,9 +79,9 @@ class FreespaceProblem:
     """Initial data for the free-space adhesion flow.
 
     Radial problems give q0 (phi0 = int_0^|x| q0) and a radial rho0
-    profile.  General problems give callables phi0, grad_phi0 and rho0 on
-    R^n, with a point of R^1 passed as a scalar.  rho0_support bounds the
-    support radius of rho0.
+    profile.  General problems give callables phi0, grad_phi0 and rho0,
+    each called at one point of R^n (a scalar for n = 1, else a length-n
+    array).  rho0_support bounds the support radius of rho0.
     """
 
     n: int
@@ -109,9 +109,6 @@ class FreespaceProblem:
     @property
     def is_radial(self) -> bool:
         return self.q0 is not None
-
-    def grad(self, y):
-        return np.asarray(self.grad_phi0(y), dtype=float)
 
 
 @dataclass
@@ -412,96 +409,105 @@ def _gaussian_sums(n, r, k, s, phi, cols):
 # general potentials
 
 
-def _line_velocity(problem: FreespaceProblem, x: float, t: float) -> float:
-    """General 1-D potential: adaptive integral over the whole line with an
-    expanding confinement window."""
-    eps = problem.epsilon
-    phi0 = problem.phi0
+_GENERAL_RTOL = 1e-10         # trapezoid levels agree to this share of the mean |grad phi0|
+_GENERAL_BUDGET = 400_000     # grid points of one trapezoid level
+_SCAN_POINTS = 33             # confinement scan points per axis
+_FIRST_LEVEL_POINTS = 17      # points per axis of the first trapezoid level
 
+
+def _exponent_grid(problem, x, t, lo, hi, m):
+    """The exponent f(y) = |x - y|^2/2t + phi0(y) on the tensor grid of m
+    points per axis on the box [lo, hi], shaped (m,) * n; the grid's points
+    as the callbacks take them (scalars for n = 1); the live mask, where f
+    lies within eps ln 1e18 of its minimum; and the live box: per axis, the
+    extent of the live points padded by two spacings, kept in [lo, hi]."""
+    n = x.size
+    axes = [np.linspace(a, b, m) for a, b in zip(lo, hi)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    args = pts[:, 0] if n == 1 else pts
+    f = np.array([problem.phi0(p) for p in args], dtype=float)
+    if np.isnan(f).any():
+        raise ValueError(f"phi0 is NaN at y = {args[np.argmax(np.isnan(f))]}")
+    f = (f + ((pts - x) ** 2).sum(axis=1) / (2.0 * t)).reshape((m,) * n)
+    live = f <= f.min() + problem.epsilon * math.log(1e18)
+    first, last = np.array([(i.min(), i.max()) for i in np.nonzero(live)]).T
+    h = (hi - lo) / (m - 1)
+    return f, args, live, (np.maximum(lo + (first - 2) * h, lo),
+                           np.minimum(lo + (last + 2) * h, hi))
+
+
+def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.ndarray:
+    """u(x, t) = int grad phi0 e^{-f/eps} / int e^{-f/eps} for a potential
+    given as callables, n = 1, 2, 3, with f as in _exponent_grid.
+
+    A tensor scan around x doubles its half-width until f on its boundary
+    lies more than 2 eps ln 1e18 above its minimum, else ConfinementError.
+    A tensor trapezoid rule, which converges geometrically on such
+    Gaussian-weighted analytic integrands, then sums the live points of
+    the scan's live box (the others weigh below 1e-18 of the largest).
+    Each level re-derives the box from its samples.  A box that loses
+    more than half its volume restarts the levels at the first; a smaller
+    loss, such as the two fine spacings of padding that each doubling
+    sheds, keeps the box.  Otherwise the points per axis double until two
+    levels agree to _GENERAL_RTOL of the weighted mean |grad phi0|, a
+    scale that stays positive where u = 0.  A level past _GENERAL_BUDGET
+    points raises QuadratureBudgetError.
+    """
+    eps, n = problem.epsilon, x.size
     w = math.sqrt(2.0 * t * (45.0 * eps + 4.0)) + 4.0
-    cut = eps * math.log(1e18)
-    for _ in range(60):
-        scan = np.linspace(x - w, x + w, 4097)
-        f_scan = (x - scan) ** 2 / (2.0 * t) + np.asarray([phi0(y) for y in scan])
-        fmin = f_scan.min()
-        edgezone = np.r_[f_scan[:120], f_scan[-120:]]
-        if edgezone.min() - fmin > cut * 1.2 + 2.0:
+    for _ in range(40):
+        f, _, _, (lo, hi) = _exponent_grid(problem, x, t, x - w, x + w, _SCAN_POINTS)
+        if min(np.moveaxis(f, k, 0)[[0, -1]].min() for k in range(n)) - f.min() \
+                > 2.0 * eps * math.log(1e18):
             break
         w *= 2.0
     else:
         raise ConfinementError("potential does not confine the integrand")
-    shift = fmin / eps
-    live = scan[f_scan <= fmin + cut * 1.3 + 2.0]
-    lo, hi = live.min() - w / 2048.0, live.max() + w / 2048.0
-
-    def fn(y):
-        f = (x - y) ** 2 / (2.0 * t) + np.asarray([phi0(v) for v in y])
-        wgt = np.exp(np.minimum(shift - f / eps, 700.0))
-        g = np.asarray([problem.grad(v) for v in y]).reshape(-1)
-        return np.stack([wgt, wgt * g])
-
-    width_cap = max((hi - lo) / 512.0, min(math.sqrt(2.0 * eps * t), (hi - lo) / 12.0))
-    edges = np.linspace(lo, hi, max(13, int(math.ceil((hi - lo) / width_cap)) + 1))
-    gscale = max(float(np.max(np.abs([problem.grad(v) for v in np.linspace(lo, hi, 65)]))),
-                 1e-6)
-    den, num = _adaptive(fn, edges, scale_fn=lambda rough: [rough[0], rough[0] * gscale])
-    if den <= 0 or not math.isfinite(den):
-        raise ConfinementError("velocity quadrature denominator degenerate")
-    return float(num / den)
-
-
-_TENSOR_HALF_POINTS = 28   # grid points on each side of x per axis
-
-
-def _tensor_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.ndarray:
-    """Reference tensor-grid evaluation for general n = 2, 3 potentials
-    (moderate tolerance; the radial path is the accurate one)."""
-    eps, n = problem.epsilon, problem.n
-    w = math.sqrt(2.0 * t * (45.0 * eps + 4.0)) + 2.0
-    for _ in range(40):
-        axes = [np.linspace(x[k] - w, x[k] + w, 2 * _TENSOR_HALF_POINTS + 1)
-                for k in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        f = np.array([problem.phi0(p) for p in pts])
-        f = f + ((pts - x[None, :]) ** 2).sum(axis=1) / (2.0 * t)
-        fmin = f.min()
-        interior = f.reshape([2 * _TENSOR_HALF_POINTS + 1] * n)
-        edge_min = min(interior[0].min(), interior[-1].min(),
-                       interior[:, 0].min(), interior[:, -1].min())
-        if edge_min - fmin > eps * math.log(1e17):
-            break
-        w *= 1.6
-    else:
-        raise ConfinementError("potential does not confine the integrand")
-    wgt = np.exp(np.minimum((fmin - f) / eps, 700.0))
-    grads = np.array([problem.grad(p) for p in pts])
-    den = wgt.sum()
-    num = (wgt[:, None] * grads).sum(axis=0)
-    return num / den
+    m, prev = _FIRST_LEVEL_POINTS, None
+    while True:
+        if m ** n > _GENERAL_BUDGET:
+            raise QuadratureBudgetError(
+                f"a trapezoid level of {m ** n} points exceeds the budget of {_GENERAL_BUDGET}")
+        f, args, live, box = _exponent_grid(problem, x, t, lo, hi, m)
+        if np.prod(box[1] - box[0]) < 0.5 * np.prod(hi - lo):
+            (lo, hi), m, prev = box, _FIRST_LEVEL_POINTS, None
+            continue
+        wgt = np.exp((f.min() - f[live]) / eps)
+        g = np.reshape([problem.grad_phi0(p) for p in args[live.ravel()]], (-1, n))
+        den = wgt.sum()
+        u = (wgt @ g) / den
+        if prev is not None and np.max(np.abs(u - prev)) <= (
+                _GENERAL_RTOL * (wgt @ np.linalg.norm(g, axis=1)) / den):
+            return u
+        prev, m = u, 2 * m - 1
 
 
 # ---------------------------------------------------------------------------
 # public velocity / characteristics / density / mass
 
 
+def _point(problem: FreespaceProblem, x) -> np.ndarray:
+    """x as a length-n float array; for n = 1 a scalar or a 1-element array."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if xv.shape != (problem.n,):
+        raise ValueError(f"x must be a point of R^{problem.n}, got shape {np.shape(x)}")
+    return xv
+
+
 def velocity(problem: FreespaceProblem, x, t: float):
-    """u(x, t); x is a scalar for n = 1, else a length-n point."""
+    """u(x, t) at x in R^n (for n = 1 a scalar or a 1-element array, and u
+    a float); any other shape raises ValueError.  Potentials given as
+    callables go through _general_velocity, which meets its tolerance or
+    raises."""
     if t <= 0:
         raise TimeDomainError("t must be positive")
+    xv = _point(problem, x)
     if problem.is_radial:
-        if problem.n == 1:
-            xs = float(np.asarray(x).reshape(()))
-            return math.copysign(1.0, xs) * radial_velocity(problem, abs(xs), t) \
-                if xs != 0.0 else 0.0
-        xv = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(xv))
-        if r == 0.0:
-            return np.zeros(problem.n)
-        return (xv / r) * radial_velocity(problem, r, t)
-    if problem.n == 1:
-        return _line_velocity(problem, float(np.asarray(x).reshape(())), t)
-    return _tensor_velocity(problem, np.asarray(x, dtype=float), t)
+        r = float(abs(xv[0]) if problem.n == 1 else np.linalg.norm(xv))
+        u = (xv / r) * radial_velocity(problem, r, t) if r else np.zeros(problem.n)
+    else:
+        u = _general_velocity(problem, xv, t)
+    return float(u[0]) if problem.n == 1 else u
 
 
 def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, walls=None):
@@ -607,48 +613,40 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
 
 def trace_characteristic(problem: FreespaceProblem, x, t: float):
     """Backward characteristic foot X0 = X(x,t,0) and the Jacobian
-    determinant of x -> X0.  Radial problems integrate the variational
-    equation along one trace; general ones difference a cloud of 2n+1
-    trajectories spaced 2e-3 (1 + |x|) apart.
+    determinant of x -> X0, for x as `velocity` takes it (a float foot for
+    n = 1).  Radial problems integrate the variational equation along one
+    trace; general ones difference a cloud of 2n+1 trajectories spaced
+    2e-3 (1 + |x|) apart, each driven by `_general_velocity`.
     """
     if t <= 0:
         raise TimeDomainError("t must be positive")
+    xv = _point(problem, x)
     if problem.is_radial:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
         r = float(np.linalg.norm(xv))
         if r == 0.0:
-            return (x * 0.0, 1.0) if problem.n > 1 else (0.0, 1.0)
+            return (xv * 0.0, 1.0) if problem.n > 1 else (0.0, 1.0)
         feet, dr0 = _trace_radial_batch(problem, np.array([r]), t)
         jac = float((max(feet[0], 1e-300) / r) ** (problem.n - 1) * dr0[0])
         if problem.n == 1:
             return float(np.sign(np.sum(xv)) * feet[0]), jac
         return (xv / r) * feet[0], jac
     # general callable
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     n = problem.n
-    cloud = [xv]
     h = 2e-3 * (1.0 + float(np.linalg.norm(xv)))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        cloud.extend([xv + e, xv - e])
-    cloud = np.array(cloud)
+    steps = h * np.eye(n)   # the cloud: x, then x + h e_k and x - h e_k per axis
+    cloud = np.concatenate([xv[None], np.stack([xv + steps, xv - steps], axis=1).reshape(-1, n)])
 
     def rhs(sigma, flat):
         # n = 1 points go to the callbacks as scalars, as velocity passes them
         pts = flat if n == 1 else flat.reshape(-1, n)
         s = t - sigma
         if s <= 1e-12:
-            return -np.array([problem.grad(p) for p in pts]).ravel()
+            return -np.array([problem.grad_phi0(p) for p in pts], dtype=float).ravel()
         return -np.array([velocity(problem, p, s) for p in pts]).reshape(-1)
 
     feet = _rk4_doubling(rhs, cloud.ravel(), 0.0, t).reshape(-1, n)
-    jac_mat = np.empty((n, n))
-    for k in range(n):
-        jac_mat[:, k] = (feet[1 + 2 * k] - feet[2 + 2 * k]) / (2.0 * h)
-    jac = float(np.linalg.det(jac_mat))
-    foot = feet[0]
-    return (foot if n > 1 else float(foot[0])), jac
+    jac = float(np.linalg.det((feet[1::2] - feet[2::2]).T / (2.0 * h)))
+    return (feet[0] if n > 1 else float(feet[0, 0])), jac
 
 
 def _rho0_value(problem: FreespaceProblem, pt):

@@ -281,7 +281,12 @@ class ScalarProfile:
         """Max of |f| over [lo, hi] (defaults to the whole real line, where
         the clamped extension makes it the max over the breakpoint range).
         Exact for degree <= 2; higher degrees add dense sampling.  The
-        whole-line value is computed once per profile."""
+        whole-line value is computed once per profile.
+
+        Each breakpoint is read on the piece to its right, so at a jump
+        down the left limit is missed: q0 = x on [0, 1), 0 after, gives
+        0.0, not the supremum 1.  Callers that need a bound over closed
+        pieces use `InviscidProblem._band_sup_q0`."""
         whole = lo is None and hi is None
         if whole and self._sup_whole is not None:
             return self._sup_whole

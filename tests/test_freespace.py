@@ -545,4 +545,104 @@ def test_separable_quadratic_2d_tensor_path():
     x = np.array([0.8, -0.5])
     u = fs.velocity(pr, x, 1.5)
     exact = np.array([a1 * x[0] / (1 + a1 * 1.5), a2 * x[1] / (1 + a2 * 1.5)])
-    assert u == pytest.approx(exact, abs=5e-4)
+    assert u == pytest.approx(exact, rel=1e-10)
+
+
+def _general_quadratic(n, eps, rho0=lambda x: 1.0):
+    # phi0 = |y|^2/2 through callables: u = x/(1+t) exactly, for every eps
+    if n == 1:
+        return fs.FreespaceProblem(n=1, epsilon=eps, phi0=lambda y: 0.5 * y * y,
+                                   grad_phi0=lambda y: float(y), rho0=rho0)
+    return fs.FreespaceProblem(n=n, epsilon=eps, phi0=lambda y: 0.5 * float(y @ y),
+                               grad_phi0=lambda y: y, rho0=rho0)
+
+
+_QUADRATIC_POINTS = {1: 0.7, 2: np.array([0.6, -0.3]), 3: np.array([0.6, -0.3, 0.45])}
+
+
+@pytest.mark.parametrize("n, eps, t", [
+    *[(n, eps, t) for n in (1, 2) for eps in (1.0, 0.1, 0.01) for t in (0.1, 1.0, 5.0)],
+    (3, 1.0, 1.0), (3, 0.01, 1.0)])
+def test_general_velocity_closed_form(n, eps, t):
+    x = _QUADRATIC_POINTS[n]
+    u = fs.velocity(_general_quadratic(n, eps), x, t)
+    assert np.max(np.abs(u - x / (1 + t))) <= 1e-8 * np.max(np.abs(x / (1 + t)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_general_velocity_zero_at_the_origin(n):
+    # u(0) = 0: the tolerance scales with the mean |grad phi0|, not with |u|
+    u = fs.velocity(_general_quadratic(n, 0.1), np.zeros(n), 1.0)
+    assert np.max(np.abs(u)) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.03])
+def test_general_velocity_separable_cosine_matches_line_solves(eps):
+    plane = fs.FreespaceProblem(n=2, epsilon=eps, phi0=lambda y: math.cos(y[0]) + math.cos(y[1]),
+                                grad_phi0=lambda y: -np.sin(y), rho0=lambda x: 1.0)
+    line = fs.FreespaceProblem(n=1, epsilon=eps, phi0=math.cos,
+                               grad_phi0=lambda y: -math.sin(y), rho0=lambda x: 1.0)
+    x = np.array([0.7, -1.9])
+    u = fs.velocity(plane, x, 1.0)
+    assert u == pytest.approx([fs.velocity(line, x[0], 1.0), fs.velocity(line, x[1], 1.0)],
+                              abs=1e-10)
+
+
+def test_general_velocity_kinked_potential_raises_budget_error():
+    # the trapezoid rule converges only algebraically across the kinks at 0
+    pr = fs.FreespaceProblem(n=3, epsilon=0.01, phi0=lambda y: abs(y[0]) + abs(y[1]) + abs(y[2]),
+                             grad_phi0=np.sign, rho0=lambda x: 1.0)
+    with pytest.raises(fs.QuadratureBudgetError, match="points"):
+        fs.velocity(pr, np.array([0.3, -0.2, 0.1]), 1.0)
+
+
+def test_general_velocity_concave_potential_raises_confinement_error():
+    pr = fs.FreespaceProblem(n=2, epsilon=0.3, phi0=lambda y: -float(y @ y),
+                             grad_phi0=lambda y: -2.0 * y, rho0=lambda x: 1.0)
+    with pytest.raises(fs.ConfinementError):
+        fs.velocity(pr, np.array([0.3, 0.1]), 2.0)
+
+
+def test_general_velocity_nan_potential_raises_value_error():
+    pr = fs.FreespaceProblem(n=1, epsilon=0.5, phi0=lambda y: math.sqrt(y) if y >= 0 else math.nan,
+                             grad_phi0=lambda y: 0.5 / math.sqrt(y), rho0=lambda x: 1.0)
+    with pytest.raises(ValueError, match="phi0 is NaN"):
+        fs.velocity(pr, 1.0, 1.0)
+
+
+def test_general_potential_n2_trace_density_and_flow_sample(monkeypatch):
+    # phi0 = |y|^2/2: foot x/(1+t), Jacobian (1+t)^-2, rho0(x/(1+t))/(1+t)^2;
+    # a trace takes about 200 velocity calls, so density and flow_sample
+    # share the one trace of (x, t)
+    bump = smooth_bump_rho()
+    rho0 = lambda y: float(bump(np.linalg.norm(y)))
+    pr = _general_quadratic(2, 0.5, rho0)
+    x, t = np.array([0.6, -0.3]), 0.5
+    foot, jac = trace = fs.trace_characteristic(pr, x, t)
+
+    def traced(problem, y, s):
+        assert problem is pr and np.array_equal(y, x) and s == t
+        return trace
+
+    monkeypatch.setattr(fs, "trace_characteristic", traced)
+    smp = fs.flow_sample(pr, x, t)
+    assert foot == pytest.approx(x / (1 + t), abs=1e-10)
+    assert jac == pytest.approx((1 + t) ** -2, abs=1e-10)
+    assert smp.u == pytest.approx(x / (1 + t), abs=1e-10)
+    rho = rho0(x / (1 + t)) / (1 + t) ** 2
+    assert fs.density(pr, x, t) == pytest.approx(rho, abs=1e-10)
+    assert smp.rho == pytest.approx(rho, abs=1e-10)
+
+
+@pytest.mark.parametrize("problem", [
+    compact_problem(1), compact_problem(3), _general_quadratic(1, 0.5), _general_quadratic(2, 0.5)],
+    ids=["radial-n1", "radial-n3", "general-n1", "general-n2"])
+def test_point_of_the_wrong_dimension_raises(problem):
+    n = problem.n
+    for bad in (np.ones(n + 1), np.ones((1, n)), [] if n == 1 else np.ones(n - 1)):
+        for call in (fs.velocity, fs.trace_characteristic, fs.density, fs.flow_sample):
+            with pytest.raises(ValueError, match=f"point of R\\^{n}"):
+                call(problem, bad, 0.5)
+    if n == 1:
+        # a scalar and a 1-element array name the same point
+        assert fs.velocity(problem, np.array([0.8]), 0.5) == fs.velocity(problem, 0.8, 0.5)
