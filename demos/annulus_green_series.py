@@ -44,7 +44,7 @@ def main():
         worst = max(worst, abs(g1 - g2) / max(abs(g1), 1e-300))
     print(f"weight-adjusted kernel symmetry, worst relative gap: {worst:.2e}")
 
-    rows = bg.mass_flux_report(state, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(state, [0.8])
     t, dm, fx, res = rows[0]
     print(f"two-wall flux identity at t={t}: dm/dt = {dm:+.6f}, "
           f"net flux = {fx:+.6f}, residual {res:+.1e}")

@@ -38,11 +38,11 @@ def main():
 
     mu1 = state.ev.eigs.values[0]
     t_big = 50.0 / eps * R ** 2 / mu1 ** 2
-    lt = bg.large_time_velocity(problem, 0.5, ev=state.ev)
+    lt = bg.large_time_velocity(state.ev, 0.5)
     print(f"one-mode limit at r=0.5: {lt:.12f}; full series at t={t_big:.1f}: "
           f"{state.velocity(0.5, t_big):.12f}")
 
-    rows = bg.mass_flux_report(state, [0.6, 1.0], dt=0.02)
+    rows = bg.mass_flux_report(state, [0.6, 1.0])
     for t, dm, fx, res in rows:
         print(f"t={t}: dm/dt = {dm:+.6f}, wall flux = {fx:+.6f}, "
               f"residual {res:+.1e}")

@@ -6,14 +6,13 @@ verification, and independent finite-difference / sticky-particle /
 brute-force oracles."""
 
 from .profiles import ScalarProfile
-from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel,
+from .specfun import (DomainCase, EigenProblem, EigenvalueList,
                       characteristic_value, find_eigenvalues)
 from .radial_core import (HopfColeState, RadialField, heat_residual,
                           lift_to_vector, read_radial_csv,
                           velocity_from_hopf_cole, viscous_residual,
                           write_radial_csv)
-from .freespace import (FlowSample, FreespaceProblem, MassQuadrature,
-                        density as freespace_density, flow_sample,
+from .freespace import (FreespaceProblem, density as freespace_density,
                         radial_velocity, surface_measure, total_mass,
                         trace_characteristic, velocity as freespace_velocity)
 from .bounded_green import (BoundedHopfCole, BoundedProblem, GreenEvaluator,
@@ -24,7 +23,7 @@ from .bounded_green import (BoundedHopfCole, BoundedProblem, GreenEvaluator,
 from .bounded_green import density_batch as bounded_density_batch
 from .inviscid import (InviscidProblem, PathMinimizer, PathMinimum,
                        SolutionPanel, SolutionSample, boundary_cost,
-                       interior_cost, minimize_paths, solution, solve_panel,
+                       interior_cost, solution, solve_panel,
                        weak_boundary_check, write_panel_csv)
 from .shockfront import (ShockFront, detect_fronts, mean_curvature,
                          rh_residual_1d, rh_residual_multid, write_front_csv)

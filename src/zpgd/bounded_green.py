@@ -44,6 +44,7 @@ __all__ = [
 
 
 _TWO_LOG_1E18 = 2.0 * math.log(1e18)   # decay exponent range of the kept modes
+_FLUX_DT = 0.02   # half-width of mass_flux_report's centred difference in t
 
 
 class TruncationError(RuntimeError):
@@ -484,15 +485,14 @@ def hopf_cole_boundary_state(problem: BoundedProblem,
 # public operations
 
 
-def large_time_velocity(problem: BoundedProblem, r,
-                        ev: GreenEvaluator | None = None):
-    """One-mode limit of the velocity; identically 0 for Neumann walls
-    (the zero mode dominates) and the weight integrals cancel otherwise."""
-    ev = ev or build_green_evaluator(problem, n_terms=8)
+def large_time_velocity(ev: GreenEvaluator, r):
+    """One-mode limit of the velocity of ev's problem; identically 0 for
+    Neumann walls (the zero mode dominates) and the weight integrals cancel
+    otherwise."""
     if ev.include_zero:
         return 0.0 if np.isscalar(r) else np.zeros(np.asarray(r).shape)
     phi, dphi = ev.phi(r)
-    out = -problem.epsilon * dphi[:, 0] / phi[:, 0]
+    out = -ev.problem.epsilon * dphi[:, 0] / phi[:, 0]
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
@@ -558,8 +558,9 @@ def radial_mass(state: BoundedHopfCole, t: float) -> float:
     return total
 
 
-def mass_flux_report(state: BoundedHopfCole, times, dt: float = 0.02):
-    """Check dm/dt against the wall fluxes -[q p] by centered differences.
+def mass_flux_report(state: BoundedHopfCole, times):
+    """Check dm/dt against the wall fluxes -[q p] by centred differences of
+    half-width _FLUX_DT.
 
     Returns rows (t, dm_dt, flux, residual).  The identity is stated for
     the radial mass integral of p; the full mass is omega_{n-1} times it.
@@ -568,9 +569,9 @@ def mass_flux_report(state: BoundedHopfCole, times, dt: float = 0.02):
     a, b = pr.domain
     rows = []
     for t in times:
-        m_lo = radial_mass(state, t - dt)
-        m_hi = radial_mass(state, t + dt)
-        dm_dt = (m_hi - m_lo) / (2.0 * dt)
+        m_lo = radial_mass(state, t - _FLUX_DT)
+        m_hi = radial_mass(state, t + _FLUX_DT)
+        dm_dt = (m_hi - m_lo) / (2.0 * _FLUX_DT)
         # the flux -sign q p of each wall, read 1e-7 widths inside it and
         # summed outer wall first
         terms = []

@@ -32,15 +32,12 @@ from .radial_core import gauss_panels, leggauss
 
 __all__ = [
     "FreespaceProblem",
-    "FlowSample",
-    "MassQuadrature",
     "surface_measure",
     "velocity",
     "radial_velocity",
     "trace_characteristic",
     "density",
     "total_mass",
-    "flow_sample",
 ]
 
 
@@ -79,9 +76,10 @@ class FreespaceProblem:
     """Initial data for the free-space adhesion flow.
 
     Radial problems give q0 (phi0 = int_0^|x| q0) and a radial rho0
-    profile.  General problems give callables phi0, grad_phi0 and rho0,
-    each called at one point of R^n (a scalar for n = 1, else a length-n
-    array).  rho0_support bounds the support radius of rho0.
+    profile (a callable rho0 is rejected).  General problems give callables
+    phi0, grad_phi0 and rho0, each called at one point of R^n (a scalar for
+    n = 1, else a length-n array).  rho0_support bounds the support radius
+    of rho0.
     """
 
     n: int
@@ -105,28 +103,13 @@ class FreespaceProblem:
             raise ValueError("a potential phi0 needs its gradient grad_phi0")
         if self.q0 is not None and not isinstance(self.q0, ScalarProfile):
             raise TypeError("q0 must be a ScalarProfile")
+        if self.q0 is not None and self.rho0 is not None and not isinstance(self.rho0,
+                                                                             ScalarProfile):
+            raise TypeError("a radial q0 needs a ScalarProfile rho0")
 
     @property
     def is_radial(self) -> bool:
         return self.q0 is not None
-
-
-@dataclass
-class FlowSample:
-    x: np.ndarray
-    t: float
-    u: np.ndarray
-    X0: np.ndarray
-    jac: float
-    rho: float
-
-
-@dataclass
-class MassQuadrature:
-    panels: int = 32
-    points: int = 10
-    radius: float | None = None   # integration radius; inferred if None,
-                                  # which a potential phi0 allows only at t = 0
 
 
 # ---------------------------------------------------------------------------
@@ -666,25 +649,17 @@ def density(problem: FreespaceProblem, x, t: float) -> float:
     return _rho0_value(problem, foot) * jac
 
 
-def flow_sample(problem: FreespaceProblem, x, t: float) -> FlowSample:
-    u = velocity(problem, x, t)
-    foot, jac = trace_characteristic(problem, x, t)
-    if jac <= 0:
-        raise CharacteristicError("non-positive characteristic Jacobian")
-    rho = _rho0_value(problem, foot) * jac
-    return FlowSample(np.asarray(x, dtype=float), t, np.asarray(u), np.asarray(foot),
-                      jac, rho)
+_MASS_PANELS = 32    # panels of total_mass's fine grid (the coarse one has half)
+_MASS_POINTS = 10    # Gauss points per mass panel
 
 
-def _support_image_radius(problem, t, quad):
+def _support_image_radius(problem, t):
     """Radius that holds the image of rho0's support at time t: q0's
     speed bound moves it out; a potential phi0 gives no such bound."""
-    if quad.radius is not None:
-        return quad.radius
     if problem.is_radial:
         L0 = problem.q0.sup_abs()
     elif t > 0.0:
-        raise ValueError("a potential phi0 bounds no speed: give MassQuadrature.radius "
+        raise ValueError("a potential phi0 bounds no speed: give total_mass a radius "
                          "for its mass at t > 0")
     else:
         L0 = 0.0
@@ -698,33 +673,29 @@ def _density_radial_batch(problem, radii, t):
     jac = (np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0
     if np.any(jac <= 0):
         raise CharacteristicError("non-positive characteristic Jacobian in mass grid")
-    if isinstance(problem.rho0, ScalarProfile):
-        vals = problem.rho0(feet)
-    else:
-        vals = np.array([_rho0_value(problem, f) for f in feet])
-    return vals * jac
+    return problem.rho0(feet) * jac
 
 
-def total_mass(problem: FreespaceProblem, t: float,
-               quad: MassQuadrature | None = None):
-    """Mass of rho(., t) over a ball containing the image of the initial
-    support.  Returns (mass, error estimate) where the estimate compares
-    against half the panel count (the two node sets share one backward
-    trace).  A radial n = 1 density is even, so its line integral is folded
-    onto [0, R] with half the panels of each grid and doubled.  Raises
-    MassConcentrationError when rho0 carries mass but the density at t is
-    zero at every node, rather than report a total loss as (0, 0), and
-    ValueError for a potential phi0 at t > 0 without quad.radius."""
-    quad = quad or MassQuadrature()
-    radius = _support_image_radius(problem, t, quad)
+def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None):
+    """Mass of rho(., t) over the ball of the given radius, by default one
+    containing the image of the initial support, on _MASS_PANELS Gauss
+    panels of _MASS_POINTS points.  Returns (mass, error estimate) where
+    the estimate compares against half the panel count (the two node sets
+    share one backward trace).  A radial n = 1 density is even, so its line
+    integral is folded onto [0, R] with half the panels of each grid and
+    doubled.  Raises MassConcentrationError when rho0 carries mass but the
+    density at t is zero at every node, rather than report a total loss as
+    (0, 0), and ValueError for a potential phi0 at t > 0 without a radius."""
+    if radius is None:
+        radius = _support_image_radius(problem, t)
     fold = problem.n == 1 and problem.is_radial
     half_line = problem.n > 1 or fold
-    fine, coarse = quad.panels, max(quad.panels // 2, 4)
+    fine, coarse = _MASS_PANELS, _MASS_PANELS // 2
     if fold:
-        fine, coarse = -(-fine // 2), -(-coarse // 2)
+        fine, coarse = fine // 2, coarse // 2
     lo = 0.0 if half_line else -radius
-    n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), quad.points)
-    n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), quad.points)
+    n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), _MASS_POINTS)
+    n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), _MASS_POINTS)
     nodes = np.concatenate([n1, n2])
     if t == 0.0:
         vals = np.array([_rho0_value(problem, r) for r in nodes])

@@ -32,7 +32,6 @@ __all__ = [
     "SolutionPanel",
     "interior_cost",
     "boundary_cost",
-    "minimize_paths",
     "solution",
     "solve_panel",
     "weak_boundary_check",
@@ -45,6 +44,7 @@ _GRID = 2048          # nodes of the seeding scans and of the boundary tables
 _BAND_BLOCK = 256     # the interior scan's band is whole blocks of nodes
 _TABLE_ROWS = 64      # t1 rows per block of the boundary-table cost (about 1 MB)
 _ORIGIN_PROBE = 1e-5  # radius at which weak_boundary_check reads q(0+, t)
+_MASS_RTOL = 1e-3     # weak_boundary_check's relative mass tolerance
 
 
 @dataclass
@@ -69,11 +69,9 @@ class InviscidProblem:
         # one at the same launch radius, so the interior branch always wins
         self._no_credit = self._vplus.sup_abs() == 0.0
         self._vsq_half = self._vplus.squared().scaled(0.5)
-        self._sup_q0 = self.q0.sup_abs()
-        # |q0| <= _band_sup_q0 everywhere, as the interior band needs:
-        # sup_abs reads each breakpoint on the piece to its right, so at a
-        # jump down it misses the left limit
-        self._band_sup_q0 = max(self._sup_q0, float(np.abs(self.q0._right_end_values()).max()))
+        # sup|q0| with the left limits at jumps, which sup_abs misses (it
+        # reads each breakpoint on the piece to its right)
+        self._sup_q0 = max(self.q0.sup_abs(), float(np.abs(self.q0._right_end_values()).max()))
 
     def sojourn_gain(self, s):
         """V(s) = int_0^s (q_bound^+)^2 / 2."""
@@ -160,10 +158,10 @@ class _BoundaryTables:
     def __init__(self, problem: InviscidProblem, t_max: float):
         self.problem = problem
         self.t_max = t_max
-        r0_hi = t_max * problem._sup_q0 * 2.0 + 1.0
+        sup_q0 = problem._sup_q0
+        r0_hi = t_max * sup_q0 * 2.0 + 1.0
         step = r0_hi / (_GRID - 1)
         self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, _GRID)])
-        sup_q0 = problem._band_sup_q0
         r0g = np.linspace(0.0, r0_hi, _GRID)[:_interior_band(0.0, self.t1[-1], sup_q0, step)[1]]
         c0 = problem.q0.cumulative(r0g)
         self.g = np.empty(self.t1.size)
@@ -263,7 +261,7 @@ class PathMinimizer:
         pr = self.problem
         r0_hi = r + t * (pr._sup_q0 + sup_v) + 1.0
         r0g = np.linspace(0.0, r0_hi, _GRID)
-        i0, i1 = _interior_band(r, t, pr._band_sup_q0, r0_hi / (_GRID - 1))
+        i0, i1 = _interior_band(r, t, pr._sup_q0, r0_hi / (_GRID - 1))
         # whole blocks of nodes: few distinct array sizes keep numpy's
         # cache of freed small arrays, and so the peak RSS, flat
         i0, i1 = i0 // _BAND_BLOCK * _BAND_BLOCK, -(-i1 // _BAND_BLOCK) * _BAND_BLOCK
@@ -395,10 +393,6 @@ class PathMinimizer:
         return m, r / (t - m.t2), -float(pr.p_bound(m.t2)) / pr.omega
 
 
-def minimize_paths(problem: InviscidProblem, r: float, t: float) -> PathMinimum:
-    return PathMinimizer(problem, t_max=max(2.0 * t, 1.0)).minimize(r, t)
-
-
 # ---------------------------------------------------------------------------
 # solution formulas
 
@@ -512,12 +506,12 @@ class BoundaryCheckRow:
 
 
 def weak_boundary_check(problem: InviscidProblem, times,
-                        minimizer: PathMinimizer | None = None,
-                        mass_rtol: float = 1e-3):
+                        minimizer: PathMinimizer | None = None):
     """Per time sample: either q(0+,t) = q_bound(t), or q(0+,t) <= 0 with
     q(0+,t)^2 <= (q_bound^+)^2; and the total mass matches p_bound(t)
-    whenever q(0+,t) > 0.  The traces at 0+ are read at r = _ORIGIN_PROBE;
-    mass is read off the primitive: omega * int_0^inf p = -omega * P(0+, t)."""
+    whenever q(0+,t) > 0, to the relative tolerance _MASS_RTOL.  The traces
+    at 0+ are read at r = _ORIGIN_PROBE; mass is read off the primitive:
+    omega * int_0^inf p = -omega * P(0+, t)."""
     times = np.asarray(times, dtype=float)
     mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * float(times[-1]), 1.0))
     rows = []
@@ -540,7 +534,7 @@ def weak_boundary_check(problem: InviscidProblem, times,
             ok = False
         note = ""
         if q0p > tol_q:
-            if abs(mass - target) > mass_rtol * max(abs(target), 1.0):
+            if abs(mass - target) > _MASS_RTOL * max(abs(target), 1.0):
                 ok = False
                 note = f"mass {mass:.6g} != target {target:.6g}"
         rows.append(BoundaryCheckRow(t, q0p, qb, mode, mass, target, ok, note))

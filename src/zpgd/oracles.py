@@ -350,9 +350,7 @@ def brute_force_Q(problem, r: float, t: float, grid_density: int = 200,
     """
     if grid_density < 50:
         raise ValueError("grid_density must be >= 50")
-    sup_q0 = problem.q0.sup_abs()
-    sup_qb = problem._vplus.sup_abs(0.0, t)
-    r0_hi = r + t * (sup_q0 + sup_qb) + 1.0
+    r0_hi = r + t * (problem._sup_q0 + problem._vplus.sup_abs(0.0, t)) + 1.0
 
     def interior_scan(r0_lo_s, r0_hi_s, g):
         r0 = np.linspace(r0_lo_s, r0_hi_s, g)

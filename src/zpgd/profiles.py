@@ -11,6 +11,7 @@ path functionals downstream rely on.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -286,7 +287,7 @@ class ScalarProfile:
         Each breakpoint is read on the piece to its right, so at a jump
         down the left limit is missed: q0 = x on [0, 1), 0 after, gives
         0.0, not the supremum 1.  Callers that need a bound over closed
-        pieces use `InviscidProblem._band_sup_q0`."""
+        pieces use `InviscidProblem._sup_q0`."""
         whole = lo is None and hi is None
         if whole and self._sup_whole is not None:
             return self._sup_whole
@@ -375,7 +376,7 @@ class ScalarProfile:
         for i in range(len(self.breakpoints) - 1):
             b = self.breakpoints[i]
             # x^k = sum_j C(k,j) b^(k-j) u^j in the local variable u
-            mono = np.array([_binom(k, j) * b ** (k - j) for j in range(k + 1)])
+            mono = np.array([math.comb(k, j) * b ** (k - j) for j in range(k + 1)])
             rows.append(np.convolve(self.coeffs[i], mono))
         return ScalarProfile(self.breakpoints, _as_coeff_matrix(rows))
 
@@ -387,11 +388,5 @@ def _shift_poly(c, s):
     out = np.zeros(d)
     for k in range(d):
         for j in range(k + 1):
-            out[j] += c[k] * _binom(k, j) * s ** (k - j)
+            out[j] += c[k] * math.comb(k, j) * s ** (k - j)
     return out
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)

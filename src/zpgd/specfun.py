@@ -22,7 +22,6 @@ __all__ = [
     "DomainCase",
     "EigenProblem",
     "EigenvalueList",
-    "bessel",
     "bessel_all",
     "bessel_j01",
     "characteristic_value",
@@ -47,24 +46,6 @@ def _bessel_kernels():
         from scipy.special import j0, j1, y0, y1
         _kernels = (j0, j1, y0, y1)
     return _kernels
-
-
-def bessel(kind: str, order: int, x):
-    """Bessel function of the given kind ('J' or 'Y') and order (0 or 1);
-    J takes x >= 0, Y needs x > 0."""
-    if kind not in ("J", "Y"):
-        raise ValueError("kind must be 'J' or 'Y'")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    x = np.asarray(x, dtype=float)
-    xf = x.reshape(1) if x.ndim == 0 else x
-    low = _least(xf)
-    if kind == "Y" and not low > 0.0 and (xf <= 0.0).any():
-        raise ValueError("Y requires x > 0")
-    if not low >= 0.0 and (xf < 0.0).any():
-        raise ValueError("J requires x >= 0")
-    out = _bessel_kernels()[order + 2 * (kind == "Y")](xf)
-    return float(out[0]) if x.ndim == 0 else out
 
 
 def _least(x):

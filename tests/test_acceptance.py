@@ -234,12 +234,12 @@ def test_c07_series_vs_fd_oracle():
 def test_c08_mass_flux_identities():
     ball = _four_bounded_problems()[1]
     st = bg.hopf_cole_boundary_state(ball)
-    rows = bg.mass_flux_report(st, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(st, [0.8])
     res_ball = abs(rows[0][3])
     assert res_ball <= 1e-4
     ann = _four_bounded_problems()[3]
     sta = bg.hopf_cole_boundary_state(ann)
-    rows = bg.mass_flux_report(sta, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(sta, [0.8])
     res_ann = abs(rows[0][3])
     assert res_ann <= 1e-4
     _report(8, "mass-flux identities", ball=res_ball, annulus=res_ann)

@@ -47,7 +47,7 @@ def test_neumann_trivial_all_cases():
         rr = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), 9)
         assert np.abs(st.evaluate(rr, 0.4) - 1.0).max() < 1e-12
         assert np.abs(st.velocity(rr, 0.8)).max() < 1e-12
-        assert bg.large_time_velocity(pr, rr[3]) == 0.0
+        assert bg.large_time_velocity(st.ev, rr[3]) == 0.0
 
 
 def test_normalizations_match_tabulated_coefficients():
@@ -221,7 +221,7 @@ def test_large_time_velocity_matches_series():
     mu1 = st.ev.eigs.values[0]
     t_big = 50.0 / pr.epsilon * pr.radius ** 2 / mu1 ** 2
     for r in (0.3, 0.6, 0.9):
-        lt = bg.large_time_velocity(pr, r, ev=st.ev)
+        lt = bg.large_time_velocity(st.ev, r)
         assert st.velocity(r, t_big) == pytest.approx(lt, rel=1e-10)
 
 
@@ -302,7 +302,7 @@ def test_velocity_derivative_fd_vs_fused(case):
 def test_mass_flux_identity_ball_and_annulus():
     pr = ball3d_problem()
     st = bg.hopf_cole_boundary_state(pr)
-    rows = bg.mass_flux_report(st, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(st, [0.8])
     assert abs(rows[0][3]) < 1e-4
     # annulus, outflow at both walls
     q0 = ScalarProfile.from_pieces([1.0, 2.0, 3.0],
@@ -311,7 +311,7 @@ def test_mass_flux_identity_ball_and_annulus():
                             ScalarProfile.constant(1.0), r_inner=1.0,
                             r_outer=2.0, q_inner=-0.2, q_outer=0.2)
     sta = bg.hopf_cole_boundary_state(pra)
-    rows = bg.mass_flux_report(sta, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(sta, [0.8])
     assert abs(rows[0][3]) < 1e-4
 
 
@@ -405,7 +405,7 @@ def test_mass_flux_identity_inflow_wall():
     # with four times the panels), an error of the mass quadrature that
     # this test does not cover.
     st = bg.hopf_cole_boundary_state(_inflow_annulus(ScalarProfile.constant(1.0)))
-    rows = bg.mass_flux_report(st, [0.8], dt=0.02)
+    rows = bg.mass_flux_report(st, [0.8])
     assert abs(rows[0][3]) < 1e-4
 
 

@@ -74,9 +74,7 @@ def test_freespace_closed_form_density_check(tmp_path):
     assert float(m[3]) == 1e-5
 
 
-def test_check_failure_exit_code(tmp_path):
-    cfg = tmp_path / "strict.cfg"
-    cfg.write_text("""
+EIGEN_CFG = """
 mode = eigen
 count = 3
 [problem]
@@ -84,13 +82,32 @@ case = ball2d
 epsilon = 1.0
 radius = 1.0
 q_boundary = 0.0
-[checks]
-residual = 1e-30
-""")
-    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    # --tolerance-scale can rescue it
+"""
+
+
+def test_check_failure_exit_code(tmp_path):
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text(EIGEN_CFG)
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # --tolerance-scale is the one tolerance setting: shrunk, a check fails
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path),
-                    "--tolerance-scale", "1e22"]) == 0
+                    "--tolerance-scale", "1e-30"]) == 1
+    assert "[FAIL] eigen residual (scaled)" in (tmp_path / "eigen_report.txt").read_text()
+
+
+@pytest.mark.parametrize("line", ["residual = 1e-30", "robin = 1e-3", "mass_tol = 1e-5"])
+def test_unknown_checks_key_exit_code(tmp_path, capsys, line):
+    # tolerances are fixed per check, so a [checks] key other than the
+    # free-space switches is an error, not silently ignored
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text(EIGEN_CFG + "[checks]\n" + line + "\n")
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    key = line.split(" = ")[0]
+    assert f"validation error: unknown [checks] key {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the switches pass validation
+    cfg.write_text(EIGEN_CFG + "[checks]\nmass = 1\ndecay = 0\nclosed_form = 0\n")
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

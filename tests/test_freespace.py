@@ -185,7 +185,7 @@ def test_trace_characteristic_examples():
     assert jac3 == pytest.approx(1.0 / 27.0, rel=1e-5)
 
 
-def test_general_potential_n1_trace_density_and_flow_sample():
+def test_general_potential_n1_trace_velocity_and_density():
     # phi0 = y^2/2 through callables: u = x/(1+t), foot x/(1+t), Jacobian
     # 1/(1+t); the gradient takes scalars only, as velocity passes them
     bump = smooth_bump_rho()
@@ -198,11 +198,11 @@ def test_general_potential_n1_trace_density_and_flow_sample():
     assert jac == pytest.approx(1 / (1 + t), abs=1e-10)
     x, t = -0.6, 2.0
     assert fs.density(pr, x, t) == pytest.approx(rho0(x / (1 + t)) / (1 + t), abs=1e-10)
-    smp = fs.flow_sample(pr, 2.1, 0.5)
-    assert smp.u == pytest.approx(2.1 / 1.5, rel=1e-8)
-    assert smp.X0 == pytest.approx(1.4, abs=1e-10)
-    assert smp.jac == pytest.approx(1 / 1.5, abs=1e-10)
-    assert smp.rho == pytest.approx(rho0(1.4) / 1.5, abs=1e-10)
+    assert fs.velocity(pr, 2.1, 0.5) == pytest.approx(2.1 / 1.5, rel=1e-8)
+    foot, jac = fs.trace_characteristic(pr, 2.1, 0.5)
+    assert foot == pytest.approx(1.4, abs=1e-10)
+    assert jac == pytest.approx(1 / 1.5, abs=1e-10)
+    assert fs.density(pr, 2.1, 0.5) == pytest.approx(rho0(1.4) / 1.5, abs=1e-10)
 
 
 @pytest.mark.parametrize("kwargs, error, match", [
@@ -214,6 +214,8 @@ def test_general_potential_n1_trace_density_and_flow_sample():
     (dict(n=2, epsilon=0.5, q0=ScalarProfile.piecewise_linear([0.0, 1.0], [0.0, 1.0]),
           phi0=lambda y: -2.5 * y[1] ** 2, grad_phi0=lambda y: np.array([0.0, -5.0 * y[1]])),
      ValueError, "not both"),
+    (dict(n=1, epsilon=0.5, q0=ScalarProfile.zero(), rho0=lambda x: 1.0), TypeError,
+     "ScalarProfile rho0"),
 ])
 def test_problem_rejects_invalid_data(kwargs, error, match):
     with pytest.raises(error, match=match):
@@ -230,10 +232,11 @@ def test_density_examples():
     assert fs.density(pr, 1.2, 1.0) == pytest.approx(rho0(0.6) / 2.0, rel=1e-5)
 
 
-def test_flow_sample_positive_jacobian():
-    s = fs.flow_sample(compact_problem(), 0.8, 0.9)
-    assert s.jac > 0
-    assert abs(s.rho - fs.density(compact_problem(), 0.8, 0.9)) < 1e-10
+def test_trace_characteristic_positive_jacobian():
+    pr = compact_problem()
+    foot, jac = fs.trace_characteristic(pr, 0.8, 0.9)
+    assert jac > 0
+    assert abs(pr.rho0(abs(foot)) * jac - fs.density(pr, 0.8, 0.9)) < 1e-10
 
 
 def test_total_mass_conservation():
@@ -299,13 +302,13 @@ def test_total_mass_raises_once_all_mass_sits_at_the_origin():
         fs.total_mass(pr, 2.0)
 
 
-def _full_line_mass(pr, t, quad):
+def _full_line_mass(pr, t):
     """(mass, error estimate) with both of total_mass's grids on the whole
     line [-R, R]."""
-    radius = fs._support_image_radius(pr, t, quad)
-    n1, w1 = gauss_panels(np.linspace(-radius, radius, quad.panels + 1), quad.points)
-    n2, w2 = gauss_panels(np.linspace(-radius, radius, max(quad.panels // 2, 4) + 1),
-                          quad.points)
+    radius = fs._support_image_radius(pr, t)
+    panels, points = fs._MASS_PANELS, fs._MASS_POINTS
+    n1, w1 = gauss_panels(np.linspace(-radius, radius, panels + 1), points)
+    n2, w2 = gauss_panels(np.linspace(-radius, radius, panels // 2 + 1), points)
     if pr.is_radial:
         vals = fs._density_radial_batch(pr, np.concatenate([n1, n2]), t)
     else:
@@ -316,10 +319,9 @@ def _full_line_mass(pr, t, quad):
 
 def test_total_mass_radial_n1_folds_onto_half_line():
     pr = compact_problem(1, 0.4)
-    quad = fs.MassQuadrature(panels=16, points=6)
     for t in (0.0, 0.5, 2.0):
-        m, err = fs.total_mass(pr, t, quad)
-        m_ref, err_ref = _full_line_mass(pr, t, quad)
+        m, err = fs.total_mass(pr, t)
+        m_ref, err_ref = _full_line_mass(pr, t)
         # the error estimate is a difference of two masses, so it is held
         # to the same absolute bound as the masses themselves
         assert abs(m - m_ref) <= 1e-13 * abs(m_ref)
@@ -332,9 +334,8 @@ def test_total_mass_non_radial_n1_keeps_full_line():
     pr = fs.FreespaceProblem(n=1, epsilon=0.4, phi0=lambda y: 0.0,
                              grad_phi0=lambda y: 0.0,
                              rho0=lambda x: float(bump(abs(x + 1.0))), rho0_support=3.0)
-    quad = fs.MassQuadrature()
-    m, err = fs.total_mass(pr, 0.0, quad)
-    m_ref, err_ref = _full_line_mass(pr, 0.0, quad)
+    m, err = fs.total_mass(pr, 0.0)
+    m_ref, err_ref = _full_line_mass(pr, 0.0)
     assert m == m_ref and err == err_ref
     assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
 
@@ -351,7 +352,7 @@ def test_total_mass_non_radial_needs_radius_at_positive_t(monkeypatch):
         raise AssertionError("traced a characteristic")
 
     monkeypatch.setattr(fs, "_rk4_doubling", no_trace)
-    with pytest.raises(ValueError, match="MassQuadrature.radius"):
+    with pytest.raises(ValueError, match="give total_mass a radius"):
         fs.total_mass(pr, 0.5)
     m, _ = fs.total_mass(pr, 0.0)
     assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
@@ -610,10 +611,10 @@ def test_general_velocity_nan_potential_raises_value_error():
         fs.velocity(pr, 1.0, 1.0)
 
 
-def test_general_potential_n2_trace_density_and_flow_sample(monkeypatch):
-    # phi0 = |y|^2/2: foot x/(1+t), Jacobian (1+t)^-2, rho0(x/(1+t))/(1+t)^2;
-    # a trace takes about 200 velocity calls, so density and flow_sample
-    # share the one trace of (x, t)
+def test_general_potential_n2_trace_velocity_and_density(monkeypatch):
+    # phi0 = |y|^2/2: u = x/(1+t), foot x/(1+t), Jacobian (1+t)^-2 and
+    # rho0(x/(1+t))/(1+t)^2; a trace takes about 200 velocity calls, so
+    # density reuses the one trace of (x, t)
     bump = smooth_bump_rho()
     rho0 = lambda y: float(bump(np.linalg.norm(y)))
     pr = _general_quadratic(2, 0.5, rho0)
@@ -625,13 +626,11 @@ def test_general_potential_n2_trace_density_and_flow_sample(monkeypatch):
         return trace
 
     monkeypatch.setattr(fs, "trace_characteristic", traced)
-    smp = fs.flow_sample(pr, x, t)
     assert foot == pytest.approx(x / (1 + t), abs=1e-10)
     assert jac == pytest.approx((1 + t) ** -2, abs=1e-10)
-    assert smp.u == pytest.approx(x / (1 + t), abs=1e-10)
+    assert fs.velocity(pr, x, t) == pytest.approx(x / (1 + t), abs=1e-10)
     rho = rho0(x / (1 + t)) / (1 + t) ** 2
     assert fs.density(pr, x, t) == pytest.approx(rho, abs=1e-10)
-    assert smp.rho == pytest.approx(rho, abs=1e-10)
 
 
 @pytest.mark.parametrize("problem", [
@@ -640,7 +639,7 @@ def test_general_potential_n2_trace_density_and_flow_sample(monkeypatch):
 def test_point_of_the_wrong_dimension_raises(problem):
     n = problem.n
     for bad in (np.ones(n + 1), np.ones((1, n)), [] if n == 1 else np.ones(n - 1)):
-        for call in (fs.velocity, fs.trace_characteristic, fs.density, fs.flow_sample):
+        for call in (fs.velocity, fs.trace_characteristic, fs.density):
             with pytest.raises(ValueError, match=f"point of R\\^{n}"):
                 call(problem, bad, 0.5)
     if n == 1:

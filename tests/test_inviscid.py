@@ -61,7 +61,7 @@ def test_boundary_cost_constant_inflow_closed_form():
 
 def test_minimize_trivial_stationary():
     prob = make_problem()
-    m = iv.minimize_paths(prob, 1.3, 0.9)
+    m = iv.PathMinimizer(prob, t_max=1.8).minimize(1.3, 0.9)
     assert m.branch == "interior"
     assert m.r0 == pytest.approx(1.3, abs=1e-9)
     assert m.value == pytest.approx(0.0, abs=1e-12)
@@ -286,6 +286,40 @@ def _assert_tables_equal(tables, ref):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+def test_boundary_tables_reach_past_a_jump_down(monkeypatch):
+    # sup_abs() reads each breakpoint on the piece to its right, so it
+    # misses the left limit at a jump down; the tables' r0 range
+    # 2 t_max sup|q0| + 1 takes sup|q0| with that limit
+    ramp = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 1.0, 2.0],
+                                                           [[0.0, 1.0], [0.0]]), P0, ONE, ONE)
+    assert ramp.q0.sup_abs() == 0.0 and ramp._sup_q0 == 1.0
+    read = []   # the largest r0 of each C0 evaluation
+    cumulative = ScalarProfile.cumulative
+
+    def recorded(self, x):
+        if self is ramp.q0:
+            read.append(np.max(x))
+        return cumulative(self, x)
+
+    monkeypatch.setattr(ScalarProfile, "cumulative", recorded)
+    t_max = 4.0
+    iv._BoundaryTables(ramp, t_max)
+    # C0 is read on the widest band, r0 <= t_max sup|q0| plus padding,
+    # of the grid on [0, 2 t_max + 1]; a range of 1 would stop at r0 = 1
+    assert t_max < max(read) < t_max + 3 * (2 * t_max + 1) / 2047
+    monkeypatch.undo()
+    # q0 = -x on [0, 3), then 0: for t1 > 1 the row minimum of
+    # r0^2/(2 t1) + C0(r0) sits at the jump, r0 = 3, at 9/(2 t1) - 4.5,
+    # beyond a range of 1
+    drop = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 3.0, 4.0],
+                                                           [[0.0, -1.0], [0.0]]), P0, ONE, ONE)
+    assert drop.q0.sup_abs() == 0.0 and drop._sup_q0 == 3.0
+    tb = iv._BoundaryTables(drop, t_max)
+    step = (2 * t_max * 3.0 + 1) / 2047
+    assert abs(tb.g_r0[-1] - 3.0) < step
+    assert tb.g[-1] == pytest.approx(9.0 / (2 * t_max) - 4.5, abs=3.0 * step)
+
+
 def test_boundary_tables_match_dense_formula_byte_for_byte():
     # each block of rows scans only the band of its largest t1; q0 = -x on
     # [0, 1), then 0 has sup_abs() = 0, so its band rests on the left limit
@@ -488,7 +522,7 @@ def test_interior_band_holds_the_full_scan_argmin(case):
     k, want = _full_scan_interior(prob, r, t, sup_v)
     r0_hi = r + t * (prob._sup_q0 + sup_v) + 1.0
     r0g = np.linspace(0.0, r0_hi, 2048)
-    i0, i1 = iv._interior_band(r, t, prob._band_sup_q0, r0_hi / 2047)
+    i0, i1 = iv._interior_band(r, t, prob._sup_q0, r0_hi / 2047)
     band = r0g[i0:i1]
     assert i0 <= k < i1
     assert i0 + int(np.argmin((r - band) ** 2 / (2.0 * t) + q0.cumulative(band))) == k

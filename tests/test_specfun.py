@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from zpgd.specfun import (DomainCase, EigenProblem,
-                          InsufficientScanRangeError, bessel, bessel_all, bessel_j01,
+                          InsufficientScanRangeError, bessel_all, bessel_j01,
                           characteristic_value, find_eigenvalues)
 
 # Frozen oracle values: bisection on the ascending power series at 40
@@ -57,28 +57,19 @@ def _regenerate_frozen_values():  # pragma: no cover - manual tool
     return out
 
 
-def test_bessel_series_values_at_origin():
-    assert bessel("J", 0, 0.0) == 1.0
-    assert bessel("J", 1, 0.0) == 0.0
-
-
 def test_bessel_domain_errors():
-    with pytest.raises(ValueError):
-        bessel("Y", 0, 0.0)
-    with pytest.raises(ValueError):
-        bessel("Y", 1, -1.0)
-    with pytest.raises(ValueError):
-        bessel("J", 0, -0.5)
-    with pytest.raises(ValueError):
-        bessel("K", 0, 1.0)
-    with pytest.raises(ValueError):
-        bessel("J", 2, 1.0)
+    for fn in (bessel_all, bessel_j01):
+        for bad in (0.0, -1.0, np.array([0.5, -0.5])):
+            with pytest.raises(ValueError, match=f"{fn.__name__} requires x > 0"):
+                fn(bad)
+    # NaN passes the domain check and comes back as NaN
+    assert np.isnan(bessel_j01(np.array([1.0, np.nan]))[0][1])
 
 
 def test_bessel_first_j0_zero_against_frozen_oracle():
     # bisection with our own evaluator must land on the frozen series value
     lo, hi = 2.0, 3.0
-    f = lambda x: bessel("J", 0, x)
+    f = lambda x: float(bessel_j01(x)[0][0])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if f(lo) * f(mid) <= 0:
