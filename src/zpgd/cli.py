@@ -2,12 +2,14 @@
 
 Subcommands: run, list-scenarios, eigen, verify.  A scenario is a small
 INI-style file (sections in brackets, dotted nesting, key = value) with
-profiles given as breakpoint tables.  Each check's tolerance is fixed at
-its ctx.check call and scaled by --tolerance-scale; a scenario's [checks]
-section holds only the free-space switches CHECK_SWITCHES, and any other
-key there is a validation error.  Exit codes: 0 all checks pass,
-1 check failure, 2 parse error, 3 validation error, 4 numerical failure
-(a solver raised one of NUMERICAL_ERRORS; the report names it).
+profiles given as breakpoint tables.  Its mode picks a row of MODES: the
+handler, the problem class whose fields the [problem] section gives, and
+the keys the handler reads outside [problem].  Any other key, a repeated
+one or a missing field is an error, reported before any output is
+written.  Each check's tolerance is fixed at its ctx.check call and scaled
+by --tolerance-scale.  Exit codes: 0 all checks pass, 1 check failure,
+2 parse error, 3 validation error, 4 numerical failure (a solver raised
+one of NUMERICAL_ERRORS; the report names it).
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.Confinemen
                     fs.MassConcentrationError,
                     orc.StabilityError, InsufficientScanRangeError)
 
-# the [checks] keys a scenario may set: switches for the free-space checks
-CHECK_SWITCHES = ("mass", "decay", "closed_form")
+# the viscosities of the inviscid-limit sweep, halving toward 0
+_LIMIT_EPSILONS = (0.1, 0.05, 0.025)
 
 _CONVENTION_NOTES = {
     "eigen": [
@@ -81,7 +83,7 @@ class ValidationError(ValueError):
 
 def parse_config(text: str) -> dict:
     """INI-style sections with dotted nesting; values become floats, float
-    lists or strings."""
+    lists or strings.  A key may appear once per section."""
     root: dict = {}
     section = root
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,6 +100,8 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in section:
+            raise ConfigError(f"line {lineno}: repeated key {key}")
         section[key] = _parse_value(val)
     return root
 
@@ -114,27 +118,50 @@ def _parse_value(val: str):
 
 
 def profile_from_config(cfg: dict, name: str) -> ScalarProfile:
+    """The profile of section [name]: type constant (value), linear
+    (breakpoints, values) or pieces (breakpoints, then coeffs0 ... one row
+    per piece).  A missing or unknown key is a validation error."""
     kind = str(cfg.get("type", "constant"))
+    bps = np.atleast_1d(cfg.get("breakpoints", []))
+    keys = {"constant": ["value"], "linear": ["breakpoints", "values"],
+            "pieces": ["breakpoints", *(f"coeffs{i}" for i in range(bps.size - 1))]}.get(kind)
+    if keys is None:
+        raise ValidationError(f"[{name}]: unknown profile type {kind!r}")
+    bad = [k for k in keys if k not in cfg] + [k for k in cfg if k not in ("type", *keys)]
+    if bad:
+        raise ValidationError(f"{'missing' if bad[0] in keys else 'unknown'} [{name}] key "
+                              f"{bad[0]} (type {kind} reads {', '.join(keys)})")
+    if kind == "constant":
+        return ScalarProfile.constant(float(cfg["value"]))
+    if kind == "linear":
+        return ScalarProfile.piecewise_linear(bps, np.atleast_1d(cfg["values"]))
+    return ScalarProfile.from_pieces(bps, [np.atleast_1d(cfg[key]) for key in keys[1:]])
+
+
+def _problem(cls, section: dict):
+    """cls built from a [problem] section: a subsection is a profile, case
+    a DomainCase, a whole n an int and any other value a float (so cls
+    rejects a fractional n).  An unknown or missing field is a validation
+    error that names it."""
+    kw = {}
+    for key, val in section.items():
+        if isinstance(val, dict):
+            kw[key] = profile_from_config(val, f"problem.{key}")
+            continue
+        try:
+            kw[key] = (DomainCase(str(val).lower()) if key == "case"
+                       else int(val) if key == "n" and float(val).is_integer()
+                       else float(val))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"[problem] key {key}: {exc}") from exc
     try:
-        if kind == "constant":
-            return ScalarProfile.constant(float(cfg["value"]))
-        if kind == "linear":
-            return ScalarProfile.piecewise_linear(
-                np.atleast_1d(cfg["breakpoints"]), np.atleast_1d(cfg["values"]))
-        if kind == "pieces":
-            bps = np.atleast_1d(cfg["breakpoints"])
-            rows = []
-            for i in range(len(bps) - 1):
-                rows.append(np.atleast_1d(cfg[f"coeffs{i}"]))
-            return ScalarProfile.from_pieces(bps, rows)
-    except KeyError as exc:
-        raise ValidationError(f"profile {name}: missing {exc}") from exc
-    raise ValidationError(f"profile {name}: unknown type {kind!r}")
+        return cls(**kw)
+    except TypeError as exc:
+        raise ValidationError(f"[problem] {exc}") from exc
 
 
 def _grid(cfg, key, default):
-    spec = cfg.get(key, default)
-    lo, hi, count = spec
+    lo, hi, count = cfg.get(key, default)
     return np.linspace(float(lo), float(hi), int(count))
 
 
@@ -188,24 +215,7 @@ class RunContext:
 # mode handlers
 
 
-def _domain_from(cfg: dict) -> dict:
-    """EigenProblem keywords (case, epsilon, radii and wall velocities) from
-    a [problem] section or the eigen subcommand's flags.  A wall velocity
-    defaults to 0; a missing radius is a validation error."""
-    case = DomainCase(str(cfg["case"]).lower())
-    kw = dict(case=case, epsilon=float(cfg.get("epsilon", 1.0)))
-    walls = ((("r_inner", "q_inner"), ("r_outer", "q_outer")) if case.is_annulus
-             else (("radius", "q_boundary"),))
-    for r_key, q_key in walls:
-        if cfg.get(r_key) is None:
-            raise ValidationError(f"{case.value} needs {r_key}")
-        kw[r_key] = float(cfg[r_key])
-        kw[q_key] = float(cfg.get(q_key, 0.0))
-    return kw
-
-
-def run_eigen(cfg: dict, ctx: RunContext) -> None:
-    prob = EigenProblem(**_domain_from(cfg.get("problem", {})))
+def run_eigen(cfg: dict, prob: EigenProblem, ctx: RunContext) -> None:
     count = int(cfg.get("count", 5))
     eigs = find_eigenvalues(prob, count)
     ctx.params.append(f"case={prob.case.value} count={count}")
@@ -217,20 +227,8 @@ def run_eigen(cfg: dict, ctx: RunContext) -> None:
               1e-10)
 
 
-def _bounded_problem_from(cfg: dict) -> bg.BoundedProblem:
-    pcfg = cfg.get("problem", {})
-    kw = _domain_from(pcfg)
-    for key in ("rho_boundary", "rho_inner", "rho_outer"):
-        if key in pcfg:
-            kw[key] = profile_from_config(pcfg[key], key)
-    return bg.BoundedProblem(q0=profile_from_config(pcfg.get("q0", {}), "q0"),
-                             rho0=profile_from_config(pcfg.get("rho0", {}), "rho0"), **kw)
-
-
-def run_bounded(cfg: dict, ctx: RunContext) -> None:
-    problem = _bounded_problem_from(cfg)
-    state = bg.hopf_cole_boundary_state(
-        problem, n_terms=int(cfg["n_terms"]) if "n_terms" in cfg else None)
+def run_bounded(cfg: dict, problem: bg.BoundedProblem, ctx: RunContext) -> None:
+    state = bg.hopf_cole_boundary_state(problem)
     a, b = problem.domain
     grid_r = _grid(cfg.get("grid", {}), "r", [a + 0.05 * (b - a), b - 0.05 * (b - a), 25])
     grid_t = _grid(cfg.get("grid", {}), "t", [max(0.1, state.time_floor), 2.0, 11])
@@ -252,15 +250,10 @@ def run_bounded(cfg: dict, ctx: RunContext) -> None:
     ctx.check("mass-flux identity", rows[0][3], 1e-4)
 
 
-def run_freespace(cfg: dict, ctx: RunContext) -> None:
-    pcfg = cfg.get("problem", {})
-    n = int(pcfg.get("n", 1))
-    eps = float(pcfg.get("epsilon", 0.5))
-    q0 = profile_from_config(pcfg.get("q0", {}), "q0")
-    rho0 = profile_from_config(pcfg.get("rho0", {}), "rho0")
-    support = float(pcfg.get("rho0_support", rho0.breakpoints[-1]))
-    problem = fs.FreespaceProblem(n=n, epsilon=eps, q0=q0, rho0=rho0,
-                                  rho0_support=support)
+def run_freespace(cfg: dict, problem: fs.FreespaceProblem, ctx: RunContext) -> None:
+    if not problem.is_radial or problem.rho0 is None:
+        raise ValidationError("freespace runs take a radial problem: q0 and rho0 profiles")
+    n, eps, q0, rho0 = problem.n, problem.epsilon, problem.q0, problem.rho0
     grid_r = _grid(cfg.get("grid", {}), "r", [0.05, 3.0, 25])
     grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 2.0, 9])
     ctx.params.append(f"n={n} eps={eps} sup|q0|={q0.sup_abs():.6g}")
@@ -300,19 +293,7 @@ def run_freespace(cfg: dict, ctx: RunContext) -> None:
         ctx.check("large-time decay ratio", sup1000 / max(sup1, 1e-300), 0.01)
 
 
-def _inviscid_problem_from(cfg: dict) -> iv.InviscidProblem:
-    pcfg = cfg.get("problem", {})
-    return iv.InviscidProblem(
-        n=int(pcfg.get("n", 3)),
-        q0=profile_from_config(pcfg.get("q0", {}), "q0"),
-        p0=profile_from_config(pcfg.get("p0", {}), "p0"),
-        q_bound=profile_from_config(pcfg.get("q_bound", {}), "q_bound"),
-        p_bound=profile_from_config(pcfg.get("p_bound", {}), "p_bound"),
-    )
-
-
-def run_inviscid(cfg: dict, ctx: RunContext) -> iv.SolutionPanel:
-    problem = _inviscid_problem_from(cfg)
+def run_inviscid(cfg: dict, problem: iv.InviscidProblem, ctx: RunContext) -> iv.SolutionPanel:
     grid_r = _grid(cfg.get("grid", {}), "r", [0.05, 2.5, 49])
     grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 1.5, 15])
     ctx.params.append(f"n={problem.n} omega={problem.omega:.6g}")
@@ -338,8 +319,8 @@ def run_inviscid(cfg: dict, ctx: RunContext) -> iv.SolutionPanel:
     return panel
 
 
-def run_verify_rh(cfg: dict, ctx: RunContext) -> None:
-    panel = run_inviscid(cfg, ctx)
+def run_verify_rh(cfg: dict, problem: iv.InviscidProblem, ctx: RunContext) -> None:
+    panel = run_inviscid(cfg, problem, ctx)
     fronts = sfm.detect_fronts(panel)
     if not fronts:
         ctx.check_flag("fronts detected", False)
@@ -359,61 +340,66 @@ def run_verify_rh(cfg: dict, ctx: RunContext) -> None:
     ctx.check("multi-d equivalence excess", worst_multi, 1e-10)
 
 
-def run_oracle_compare(cfg: dict, ctx: RunContext) -> None:
-    target = str(cfg.get("compare", "fd"))
-    if target == "fd":
-        problem = _bounded_problem_from(cfg)
-        state = bg.hopf_cole_boundary_state(problem)
-        grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 2.0, 20])
-        a, b = problem.domain
-        n_r = int(cfg.get("fd_points", 1200))
-        field = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), grid_t, n_r)
-        win = (field.grid_r >= a + 0.1 * (b - a)) & (field.grid_r <= b - 0.1 * (b - a))
-        worst = 0.0
-        for i, t in enumerate(grid_t):
-            qs = state.velocity(field.grid_r[win], float(t))
-            worst = max(worst, float(np.abs(qs - field.q[i][win]).max()))
-        write_radial_csv(field, ctx.path("fd_field.csv"))
-        ctx.params.append(f"fd grid={n_r} case={problem.case.value}")
-        ctx.check("series vs fd velocity gap", worst, 1e-3)
-        return
-    if target == "inviscid-limit":
-        problem = _inviscid_problem_from(cfg)
-        eps_list = [float(e) for e in np.atleast_1d(cfg.get("epsilons", [0.1, 0.05, 0.025]))]
-        pts = np.atleast_1d(cfg.get("points", [0.5, 1.5]))
-        t_eval = float(cfg.get("time", 1.0))
-        mz = iv.PathMinimizer(problem, t_max=2.0 * t_eval)
-        rho0 = problem.p0  # 1-D: p0 = rho0
-        errs = np.zeros((len(eps_list), len(pts)))
-        for j, eps in enumerate(eps_list):
-            fp = fs.FreespaceProblem(n=problem.n, epsilon=eps, q0=problem.q0,
-                                     rho0=rho0, rho0_support=rho0.breakpoints[-1])
-            for k, r in enumerate(pts):
-                q_eps = fs.radial_velocity(fp, float(r), t_eval)
-                q_inv = mz.solve_at(float(r), t_eval)[1]
-                errs[j, k] = abs(q_eps - q_inv)
-        write_csv(ctx.path("eps_sweep.csv"),
-                  ["epsilon", *(f"err_r{FLOAT_FMT % p}" for p in pts)],
-                  ([eps, *row] for eps, row in zip(eps_list, errs.tolist())))
-        mono = bool(np.all(np.diff(errs, axis=0) < 1e-12))
-        orders = np.log(errs[:-1] / errs[1:]) / math.log(2.0)
-        ctx.params.append(f"epsilons={eps_list}")
-        ctx.check_flag("viscosity errors decrease monotonically", mono)
-        ctx.check("min empirical order shortfall",
-                  max(0.0, 0.8 - float(orders.min())), 1e-12)
-        return
-    raise ValidationError(f"unknown compare target {target!r}")
+def run_oracle_compare(cfg: dict, problem: bg.BoundedProblem, ctx: RunContext) -> None:
+    state = bg.hopf_cole_boundary_state(problem)
+    grid_t = _grid(cfg.get("grid", {}), "t", [0.1, 2.0, 20])
+    a, b = problem.domain
+    field = orc.fd_viscous_solve(orc.ViscousIVP.from_bounded(problem), grid_t)
+    win = (field.grid_r >= a + 0.1 * (b - a)) & (field.grid_r <= b - 0.1 * (b - a))
+    worst = 0.0
+    for i, t in enumerate(grid_t):
+        qs = state.velocity(field.grid_r[win], float(t))
+        worst = max(worst, float(np.abs(qs - field.q[i][win]).max()))
+    write_radial_csv(field, ctx.path("fd_field.csv"))
+    ctx.params.append(f"fd grid={field.grid_r.size} case={problem.case.value}")
+    ctx.check("series vs fd velocity gap", worst, 1e-3)
 
 
-_HANDLERS = {
-    "eigen": run_eigen,
-    "ball": run_bounded,
-    "annulus": run_bounded,
-    "freespace": run_freespace,
-    "inviscid": run_inviscid,
-    "verify-rh": run_verify_rh,
-    "oracle-compare": run_oracle_compare,
+def run_inviscid_limit(cfg: dict, problem: iv.InviscidProblem, ctx: RunContext) -> None:
+    pts = np.atleast_1d(cfg.get("points", [0.5, 1.5]))
+    t_eval = float(cfg.get("time", 1.0))
+    mz = iv.PathMinimizer(problem, t_max=2.0 * t_eval)
+    errs = np.zeros((len(_LIMIT_EPSILONS), len(pts)))
+    for j, eps in enumerate(_LIMIT_EPSILONS):
+        # 1-D: p0 = rho0
+        fp = fs.FreespaceProblem(n=problem.n, epsilon=eps, q0=problem.q0, rho0=problem.p0)
+        for k, r in enumerate(pts):
+            q_eps = fs.radial_velocity(fp, float(r), t_eval)
+            q_inv = mz.solve_at(float(r), t_eval)[1]
+            errs[j, k] = abs(q_eps - q_inv)
+    write_csv(ctx.path("eps_sweep.csv"),
+              ["epsilon", *(f"err_r{FLOAT_FMT % p}" for p in pts)],
+              ([eps, *row] for eps, row in zip(_LIMIT_EPSILONS, errs.tolist())))
+    mono = bool(np.all(np.diff(errs, axis=0) < 1e-12))
+    orders = np.log(errs[:-1] / errs[1:]) / math.log(2.0)
+    ctx.params.append(f"epsilons={list(_LIMIT_EPSILONS)}")
+    ctx.check_flag("viscosity errors decrease monotonically", mono)
+    ctx.check("min empirical order shortfall",
+              max(0.0, 0.8 - float(orders.min())), 1e-12)
+
+
+# mode -> (handler, the class its [problem] section builds, the keys it
+# reads outside [problem]); every mode also reads mode and output.prefix
+_GRID = ("grid.r", "grid.t")
+MODES = {
+    "eigen": (run_eigen, EigenProblem, ("count",)),
+    "ball": (run_bounded, bg.BoundedProblem, _GRID),
+    "annulus": (run_bounded, bg.BoundedProblem, _GRID),
+    "freespace": (run_freespace, fs.FreespaceProblem,
+                  (*_GRID, "checks.mass", "checks.decay", "checks.closed_form")),
+    "inviscid": (run_inviscid, iv.InviscidProblem, _GRID),
+    "verify-rh": (run_verify_rh, iv.InviscidProblem, _GRID),
+    "oracle-compare": (run_oracle_compare, bg.BoundedProblem, ("grid.t",)),
+    "inviscid-limit": (run_inviscid_limit, iv.InviscidProblem, ("points", "time")),
 }
+
+
+def _dotted_keys(cfg: dict, prefix: str = ""):
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from _dotted_keys(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +432,27 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     mode = str(cfg.get("mode", "")).strip()
-    if mode not in _HANDLERS:
-        print(f"validation error: unknown mode {mode!r}", file=sys.stderr)
-        return 3
-    checks = cfg.get("checks", {})
-    unknown = sorted(set(checks) - set(CHECK_SWITCHES)) if isinstance(checks, dict) else ["checks"]
-    if unknown:
-        print(f"validation error: unknown [checks] key {', '.join(unknown)} (tolerances are "
-              f"fixed per check; the switches are {', '.join(CHECK_SWITCHES)})", file=sys.stderr)
+    try:
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}")
+        handler, cls, reads = MODES[mode]
+        section = cfg.pop("problem") if isinstance(cfg.get("problem"), dict) else {}
+        for dotted in _dotted_keys(cfg):
+            if dotted not in ("mode", "output.prefix", *reads):
+                where, _, key = dotted.rpartition(".")
+                raise ValidationError(f"unknown {f'[{where}] ' if where else ''}key {key} "
+                                      f"(mode {mode} reads {', '.join(reads)} and output.prefix)")
+        problem = _problem(cls, section)
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
         return 3
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(cfg.get("output", {}).get("prefix", mode.replace("-", "_"))) + "_"
     ctx = RunContext(out, prefix, tolerance_scale)
     try:
-        _HANDLERS[mode](cfg, ctx)
-    except (ValidationError, KeyError, ValueError) as exc:
+        handler(cfg, problem, ctx)
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     except NUMERICAL_ERRORS as exc:
@@ -507,8 +498,11 @@ def main(argv=None) -> int:
             print(f"{name:28s} {desc}")
         return 0
     if args.command == "eigen":
+        flags = vars(args)
         try:
-            prob = EigenProblem(**_domain_from(vars(args)))
+            prob = _problem(EigenProblem, {f.name: flags[f.name]
+                                           for f in dataclasses.fields(EigenProblem)
+                                           if flags[f.name] is not None})
             eigs = find_eigenvalues(prob, args.count)
         except ValueError as exc:
             print(f"validation error: {exc}", file=sys.stderr)

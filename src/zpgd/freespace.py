@@ -79,7 +79,7 @@ class FreespaceProblem:
     profile (a callable rho0 is rejected).  General problems give callables
     phi0, grad_phi0 and rho0, each called at one point of R^n (a scalar for
     n = 1, else a length-n array).  rho0_support bounds the support radius
-    of rho0.
+    of rho0: by default the last breakpoint of a profile rho0, else 1.
     """
 
     n: int
@@ -88,7 +88,7 @@ class FreespaceProblem:
     rho0: object = None              # ScalarProfile (radial) or callable
     phi0: object = None              # callable, general case
     grad_phi0: object = None         # callable, general case
-    rho0_support: float = 1.0
+    rho0_support: float | None = None
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -103,9 +103,14 @@ class FreespaceProblem:
             raise ValueError("a potential phi0 needs its gradient grad_phi0")
         if self.q0 is not None and not isinstance(self.q0, ScalarProfile):
             raise TypeError("q0 must be a ScalarProfile")
-        if self.q0 is not None and self.rho0 is not None and not isinstance(self.rho0,
-                                                                             ScalarProfile):
-            raise TypeError("a radial q0 needs a ScalarProfile rho0")
+        if self.phi0 is not None and not (callable(self.phi0) and callable(self.grad_phi0)):
+            raise TypeError("a potential phi0 and its gradient grad_phi0 must be callable")
+        if self.rho0 is not None and not (isinstance(self.rho0, ScalarProfile) if self.is_radial
+                                          else callable(self.rho0)):
+            raise TypeError("a radial q0 needs a ScalarProfile rho0, a potential a callable rho0")
+        if self.rho0_support is None:
+            self.rho0_support = (float(self.rho0.breakpoints[-1])
+                                 if isinstance(self.rho0, ScalarProfile) else 1.0)
 
     @property
     def is_radial(self) -> bool:

@@ -105,19 +105,51 @@ def test_unknown_checks_key_exit_code(tmp_path, capsys, line):
     key = line.split(" = ")[0]
     assert f"validation error: unknown [checks] key {key} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # the switches pass validation
-    cfg.write_text(EIGEN_CFG + "[checks]\nmass = 1\ndecay = 0\nclosed_form = 0\n")
+    # the switches pass validation in a free-space config
+    cfg.write_text(cli.resolve_config("freespace_closed_form").replace(
+        "closed_form = 1\n", "mass = 0\ndecay = 0\nclosed_form = 1\n"))
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("name, old, new, message", [
+    ("eigen_ball3d", "count = 8", "cuont = 3", "unknown key cuont "),
+    ("freespace_decay", "epsilon = 0.4", "epsilon = 0.4\nepsilom = 0.1", "'epsilom'"),
+    ("oracle_compare_ball3d", "t = 0.1, 2.0, 20", "t = 0.1, 2.0, 20\nr = 0.1, 0.9, 9",
+     "unknown [grid] key r "),
+    ("ball3d_smooth", "coeffs1 = 0.25", "coeffs1 = 0.25\ncoeffs2 = 0.0",
+     "unknown [problem.q0] key coeffs2 "),
+    ("eigen_ball3d", "[output]", "[checks]\nmass = 1\n[output]", "unknown [checks] key mass "),
+    ("freespace_decay", "epsilon = 0.4\n", "", "'epsilon'"),
+    ("inviscid_inflow", "n = 3", "n = 2.5", "n must be 1, 2 or 3"),
+])
+def test_unknown_or_missing_key_exit_code(tmp_path, capsys, name, old, new, message):
+    # every key a scenario may set is a key of its mode or a field of its
+    # problem class; any other, or a missing field, exits 3 before any output
+    text = cli.resolve_config(name)
+    assert old in text
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(cli.resolve_config("freespace_decay").replace(
+        "epsilon = 0.4\n", "epsilon = 0.4\nepsilon = 0.1\n"))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "line 6: repeated key epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     # one term cannot meet the series tail bound: a numerical failure (4),
     # not a failed check (1), with the exception named in the report
-    text = cli.resolve_config("ball3d_smooth").replace("mode = ball\n",
-                                                       "mode = ball\nn_terms = 1\n")
-    cfg = tmp_path / "one_term.cfg"
-    cfg.write_text(text)
-    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    state = cli.bg.hopf_cole_boundary_state
+    monkeypatch.setattr(cli.bg, "hopf_cole_boundary_state",
+                        lambda problem: state(problem, n_terms=1))
+    assert run_cli(["run", "--config", "ball3d_smooth", "--out", str(tmp_path)]) == 4
     assert "numerical failure: TruncationError" in capsys.readouterr().err
     report = (tmp_path / "ball3d_smooth_report.txt").read_text()
     assert "numerical failure: TruncationError: series tail" in report
@@ -150,7 +182,8 @@ def test_eigen_subcommand(tmp_path, capsys):
     assert (tmp_path / "eigen_ball2d.csv").exists()
     assert run_cli(["eigen", "--case", "annulus2d", "--count", "2",
                     "--out", str(tmp_path)]) == 3   # missing geometry
-    assert "validation error: annulus2d needs r_inner" in capsys.readouterr().err
+    assert ("validation error: annulus cases need r_inner and r_outer"
+            in capsys.readouterr().err)
 
 
 def test_run_bundled_eigen_scenario(tmp_path):

@@ -216,10 +216,24 @@ def test_general_potential_n1_trace_velocity_and_density():
      ValueError, "not both"),
     (dict(n=1, epsilon=0.5, q0=ScalarProfile.zero(), rho0=lambda x: 1.0), TypeError,
      "ScalarProfile rho0"),
+    (dict(n=1, epsilon=1.0, phi0=1.0, grad_phi0=1.0), TypeError, "must be callable"),
+    (dict(n=1, epsilon=1.0, phi0=lambda y: 0.5 * y * y, grad_phi0=1.0), TypeError,
+     "must be callable"),
+    (dict(n=1, epsilon=1.0, phi0=lambda y: 0.5 * y * y, grad_phi0=lambda y: y, rho0=1.0),
+     TypeError, "callable rho0"),
 ])
 def test_problem_rejects_invalid_data(kwargs, error, match):
     with pytest.raises(error, match=match):
         fs.FreespaceProblem(**kwargs)
+
+
+def test_rho0_support_defaults_to_the_profile_end():
+    # a profile rho0 is supported up to its last breakpoint; otherwise 1
+    assert compact_problem().rho0_support == 2.0
+    bump = fs.FreespaceProblem(n=1, epsilon=0.4, q0=smooth_bump_q0(), rho0=smooth_bump_rho())
+    assert bump.rho0_support == 3.0 and type(bump.rho0_support) is float
+    assert fs.FreespaceProblem(n=1, epsilon=0.4, q0=smooth_bump_q0()).rho0_support == 1.0
+    assert _general_quadratic(1, 0.5).rho0_support == 1.0
 
 
 def test_density_examples():

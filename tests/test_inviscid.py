@@ -411,7 +411,7 @@ def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():
     from zpgd import cli
 
     problems = _c09_problems() + [
-        cli._inviscid_problem_from(cli.parse_config(cli.resolve_config(name)))
+        cli._problem(iv.InviscidProblem, cli.parse_config(cli.resolve_config(name))["problem"])
         for name in ("inviscid_inflow", "verify_rh_riemann")]
     # the launch problems run the r0 and t1 line searches once t > 4
     cases = ([(prob, [*np.linspace(0.1, 2.0, 9), 3.7]) for prob in problems]
