@@ -22,9 +22,8 @@ from .bounded_green import (BoundedHopfCole, BoundedProblem, GreenEvaluator,
                             write_eigenvalue_csv)
 from .bounded_green import density_batch as bounded_density_batch
 from .inviscid import (InviscidProblem, PathMinimizer, PathMinimum,
-                       SolutionPanel, SolutionSample, boundary_cost,
-                       interior_cost, solution, solve_panel,
-                       weak_boundary_check, write_panel_csv)
+                       SolutionPanel, boundary_cost, interior_cost,
+                       solve_panel, weak_boundary_check, write_panel_csv)
 from .shockfront import (ShockFront, detect_fronts, mean_curvature,
                          rh_residual_1d, rh_residual_multid, write_front_csv)
 from .oracles import (Particle, StickyTrajectory, ViscousIVP, brute_force_Q,

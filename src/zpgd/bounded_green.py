@@ -406,23 +406,10 @@ class BoundedHopfCole:
         k = self.ev.active_modes(t)
         return k, self.coef[:k] * self.ev.decay(t, reference=reference, k=k)
 
-    def evaluate(self, r, t: float, reference: bool = False) -> np.ndarray:
-        """a(r, t) (up to the fixed positive normalization exp(shift));
-        reference=True rescales by the slowest mode for large-t ratios."""
-        k, c = self._weights(t, reference)
+    def evaluate(self, r, t: float) -> np.ndarray:
+        """a(r, t) (up to the fixed positive normalization exp(shift))."""
+        k, c = self._weights(t, reference=False)
         return self.ev.phi(r, k=k)[0] @ c
-
-    def _sums(self, r, t: float):
-        """The active mode count k, the decayed weights c, the phi matrix
-        and the series sums a and a_r at the radii r, at or above the
-        floor."""
-        k, c = self._weights(t, reference=True)
-        phi0, phi1 = self.ev.phi(r, k=k)
-        a = phi0 @ c
-        a_r = phi1 @ c
-        if np.any(np.abs(a) < 1e-300):
-            raise TruncationError("series denominator underflow")
-        return k, c, phi0, a, a_r
 
     def velocity(self, r, t: float):
         """q = -eps a_r / a, the q of velocity_and_derivative; only defined
@@ -430,8 +417,7 @@ class BoundedHopfCole:
         if t < self.ev.t_floor:
             raise TruncationError(
                 f"t={t:g} below the series floor {self.ev.t_floor:g}")
-        _, _, _, a, a_r = self._sums(r, t)
-        out = -self._eps * a_r / a
+        out = self.velocity_and_derivative(r, t)[0]
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
     def velocity_and_derivative(self, r, t: float):
@@ -449,7 +435,12 @@ class BoundedHopfCole:
             q = q0 + t * qdot
             dq = dq0   # O(t) correction dropped; only used below the floor
             return q, dq
-        k, c, phi0, a, a_r = self._sums(rr, t)
+        k, c = self._weights(t, reference=True)
+        phi0, phi1 = self.ev.phi(rr, k=k)
+        a = phi0 @ c
+        a_r = phi1 @ c
+        if np.any(np.abs(a) < 1e-300):
+            raise TruncationError("series denominator underflow")
         a_rr = -(phi0 @ (c * self.ev._lam2[:k])) - nm1 / rr * a_r
         q = -self._eps * a_r / a
         dq = -self._eps * a_rr / a + q * q / self._eps
@@ -460,9 +451,9 @@ class BoundedHopfCole:
         pr = self.ev.problem
         a, b = pr.domain
         probe = np.linspace(a + 1e-6 * (b - a), b, 101)
-        scale = float(np.max(np.abs(self.evaluate(probe, t, reference=True))))
-        res = 0.0
         k, c = self._weights(t, reference=True)
+        scale = float(np.max(np.abs(self.ev.phi(probe, k=k)[0] @ c)))
+        res = 0.0
         for w in pr.walls:
             phi, dphi = self.ev.phi(np.array([w.r]), k=k)
             res = max(res, abs(pr.epsilon * (dphi @ c)[0] + w.q * (phi @ c)[0]))

@@ -160,8 +160,16 @@ def _problem(cls, section: dict):
         raise ValidationError(f"[problem] {exc}") from exc
 
 
+def _whole(val) -> bool:
+    return isinstance(val, (int, float)) and float(val).is_integer() and val > 0
+
+
 def _grid(cfg, key, default):
-    lo, hi, count = cfg.get(key, default)
+    val = cfg.get(key, default)
+    if not (isinstance(val, list) and len(val) == 3 and _whole(val[2])):
+        raise ValidationError(f"[grid] key {key}: expected lo, hi, count "
+                              f"(a whole positive count), got {val!r}")
+    lo, hi, count = val
     return np.linspace(float(lo), float(hi), int(count))
 
 
@@ -180,6 +188,9 @@ class RunContext:
         self.failure: str | None = None
 
     def path(self, suffix: str) -> Path:
+        """The artifact path for suffix; the output directory is made on
+        first use, so a value rejected before any output leaves none."""
+        self.out.mkdir(parents=True, exist_ok=True)
         p = self.out / f"{self.prefix}{suffix}"
         self.artifacts.append(str(p))
         return p
@@ -206,6 +217,7 @@ class RunContext:
             lines += ["", self.failure]
         lines += ["", f"result: {'PASS' if ok_all else 'FAIL'}", "artifacts:"]
         lines += [f"  {a}" for a in self.artifacts]
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / f"{self.prefix}report.txt"
         path.write_text("\n".join(lines) + "\n")
         return ok_all
@@ -216,7 +228,10 @@ class RunContext:
 
 
 def run_eigen(cfg: dict, prob: EigenProblem, ctx: RunContext) -> None:
-    count = int(cfg.get("count", 5))
+    count = cfg.get("count", 5)
+    if not _whole(count):
+        raise ValidationError(f"key count: expected a whole positive number, got {count!r}")
+    count = int(count)
     eigs = find_eigenvalues(prob, count)
     ctx.params.append(f"case={prob.case.value} count={count}")
     bg.write_eigenvalue_csv(eigs, ctx.path("eigenvalues.csv"))
@@ -356,8 +371,12 @@ def run_oracle_compare(cfg: dict, problem: bg.BoundedProblem, ctx: RunContext) -
 
 
 def run_inviscid_limit(cfg: dict, problem: iv.InviscidProblem, ctx: RunContext) -> None:
-    pts = np.atleast_1d(cfg.get("points", [0.5, 1.5]))
-    t_eval = float(cfg.get("time", 1.0))
+    pts, t_eval = cfg.get("points", [0.5, 1.5]), cfg.get("time", 1.0)
+    if isinstance(pts, str):
+        raise ValidationError(f"key points: expected numbers, got {pts!r}")
+    if not isinstance(t_eval, float):
+        raise ValidationError(f"key time: expected one number, got {t_eval!r}")
+    pts = np.atleast_1d(pts)
     mz = iv.PathMinimizer(problem, t_max=2.0 * t_eval)
     errs = np.zeros((len(_LIMIT_EPSILONS), len(pts)))
     for j, eps in enumerate(_LIMIT_EPSILONS):
@@ -447,7 +466,6 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prefix = str(cfg.get("output", {}).get("prefix", mode.replace("-", "_"))) + "_"
     ctx = RunContext(out, prefix, tolerance_scale)
     try:

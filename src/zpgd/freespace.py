@@ -120,7 +120,7 @@ class FreespaceProblem:
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
+def _adaptive(fn, edges, scale_fn, max_depth=16, budget=24000):
     """Adaptive panel integration of a vector integrand fn(s)->(k,m), one
     refinement level at a time.
 
@@ -129,10 +129,11 @@ def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
     estimate to per-component tolerance scales (a single-panel estimate
     can miss a narrow peak entirely and drive runaway refinement, so the
     rough pass is composite).  A panel is accepted once its halves agree
-    with it to the tolerance; one that still needs splitting at max_depth,
-    or beyond `budget` splits in all, raises QuadratureBudgetError.  The
-    accepted panels are summed in descending order of their left edge, the
-    order of a depth-first pass that refines right halves first.
+    with it to _ADAPTIVE_RTOL times those scales; one that still needs
+    splitting at max_depth, or beyond `budget` splits in all, raises
+    QuadratureBudgetError.  The accepted panels are summed in descending
+    order of their left edge, the order of a depth-first pass that refines
+    right halves first.
     """
     x, w = leggauss(15)
 
@@ -145,7 +146,7 @@ def _adaptive(fn, edges, scale_fn, rtol=1e-11, max_depth=16, budget=24000):
 
     a, b = edges[:-1], edges[1:]
     coarse = rule(a, b)
-    tol = rtol * np.asarray(scale_fn(np.abs(np.sum(coarse, axis=0))))
+    tol = _ADAPTIVE_RTOL * np.asarray(scale_fn(np.abs(np.sum(coarse, axis=0))))
     lefts, sums = [], []
     splits = 0
     for depth in range(max_depth + 1):
@@ -272,6 +273,7 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
     return float(num / den)
 
 
+_ADAPTIVE_RTOL = 1e-11  # per-panel tolerance of _adaptive, relative to scale_fn
 _MAX_PANELS = 224     # panels of one batch grid
 _EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
 _BLOCK_ROWS = 64      # sorted radii per row block of the batch kernel

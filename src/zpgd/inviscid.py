@@ -28,11 +28,9 @@ from .radial_core import RadialField, write_radial_csv
 __all__ = [
     "InviscidProblem",
     "PathMinimum",
-    "SolutionSample",
     "SolutionPanel",
     "interior_cost",
     "boundary_cost",
-    "solution",
     "solve_panel",
     "weak_boundary_check",
     "write_panel_csv",
@@ -183,7 +181,7 @@ class _BoundaryTables:
         self.w_best = _running_first_argmin(self.w)
 
 
-def _line_min(fun, lo, hi, kinks=()):
+def _line_min(fun, lo, hi, kinks):
     """Golden-section line search (at most 90 steps) plus explicit kink
     candidates."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -398,42 +396,6 @@ class PathMinimizer:
 
 
 @dataclass
-class SolutionSample:
-    r: float
-    t: float
-    q: float
-    P: float
-    p: float
-    branch: str
-    minimum: PathMinimum
-    discontinuity: bool = False
-    left: tuple | None = None     # one-sided (q, P) when flagged
-    right: tuple | None = None
-
-
-def solution(problem: InviscidProblem, r: float, t: float,
-             minimizer: PathMinimizer | None = None) -> SolutionSample:
-    """(q, P, p) at one point.  p comes from the one-sided differences of P
-    over h = max(1e-7, 1e-7 r) (the left point clamped at 1e-14): their
-    mean away from a jump, and at a flagged jump the one with the smaller
-    |p|.  A jump is flagged where the one-sided q differ by more than
-    1e-4 + 10 h / t; such points are returned as two-sided discontinuity
-    samples."""
-    mz = minimizer or PathMinimizer(problem, t_max=max(2.0 * t, 1.0))
-    m, q, P = mz.solve_at(r, t)
-    h = max(1e-7, 1e-7 * r)
-    _, q_l, P_l = mz.solve_at(max(r - h, 1e-14), t)
-    _, q_r, P_r = mz.solve_at(r + h, t)
-    disc = (abs(q_r - q_l) > _Q_GAP + 10.0 * h / t)
-    p_left = (P - P_l) / min(h, r - 1e-14)
-    p_right = (P_r - P) / h
-    p = 0.5 * (p_left + p_right) if not disc else (p_left if abs(p_left) < abs(p_right) else p_right)
-    return SolutionSample(r, t, q, P, p, m.branch, m, disc,
-                          left=(q_l, P_l) if disc else None,
-                          right=(q_r, P_r) if disc else None)
-
-
-@dataclass
 class SolutionPanel:
     """Sampled inviscid solution on an (r, t) grid."""
 
@@ -457,6 +419,13 @@ class SolutionPanel:
 
 
 def solve_panel(problem: InviscidProblem, grid_r, grid_t) -> SolutionPanel:
+    """(q, P, p) and jump flags on an (r, t) grid; the one place P becomes p.
+
+    A cell [r_j, r_j+1] of row t jumps where |q_j+1 - q_j| exceeds
+    1e-4 + 5 (r_j+1 - r_j) / t.  p at a point is the forward difference of
+    P over its right cell, or, where that cell jumps or is missing, the
+    backward difference over its left cell; with neither it is NaN.  Both
+    ends of every jump, and every NaN point, are flagged in disc."""
     grid_r = np.asarray(grid_r, dtype=float)
     grid_t = np.asarray(grid_t, dtype=float)
     mz = PathMinimizer(problem, t_max=max(2.0 * float(grid_t[-1]), 1.0))
@@ -468,9 +437,6 @@ def solve_panel(problem: InviscidProblem, grid_r, grid_t) -> SolutionPanel:
         for j, r in enumerate(grid_r):
             m, q[i, j], P[i, j] = mz.solve_at(float(r), float(t))
             branch[i, j] = "I" if m.branch == "interior" else "B"
-    # p by one-sided differences away from detected jumps: the forward one
-    # unless the cell to the right jumps, else the backward one; a point
-    # with jumps on both sides gets NaN.  Both ends of a jump are flagged.
     p = np.empty_like(P)
     disc = np.zeros((nt, nr), dtype=bool)
     for i in range(nt):

@@ -121,10 +121,20 @@ def test_unknown_checks_key_exit_code(tmp_path, capsys, line):
     ("eigen_ball3d", "[output]", "[checks]\nmass = 1\n[output]", "unknown [checks] key mass "),
     ("freespace_decay", "epsilon = 0.4\n", "", "'epsilon'"),
     ("inviscid_inflow", "n = 3", "n = 2.5", "n must be 1, 2 or 3"),
+    ("inviscid_inflow", "r = 0.05, 2.0, 40", "r = 5", "[grid] key r: "),
+    ("inviscid_inflow", "t = 0.2, 1.4, 7", "t = 0.2, 1.4, 7.5", "[grid] key t: "),
+    ("inviscid_inflow", "r = 0.05, 2.0, 40", "r = 0.05, 2.0, 0", "[grid] key r: "),
+    ("inviscid_inflow", "r = 0.05, 2.0, 40", "r = 0.05, 2.0, many", "[grid] key r: "),
+    ("eigen_ball3d", "count = 8", "count = 8, 9", "key count: "),
+    ("eigen_ball3d", "count = 8", "count = 2.5", "key count: "),
+    ("eigen_ball3d", "count = 8", "count = -1", "key count: "),
+    ("eps_sweep_riemann", "time = 2.0", "time = 1.0, 2.0", "key time: "),
+    ("eps_sweep_riemann", "points = 1.0, 3.3", "points = 1.0, r3.3", "key points: "),
 ])
 def test_unknown_or_missing_key_exit_code(tmp_path, capsys, name, old, new, message):
     # every key a scenario may set is a key of its mode or a field of its
-    # problem class; any other, or a missing field, exits 3 before any output
+    # problem class, with a value of the shape its reader takes; any other
+    # key or value, or a missing field, exits 3 before any output
     text = cli.resolve_config(name)
     assert old in text
     cfg = tmp_path / "edited.cfg"

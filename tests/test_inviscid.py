@@ -106,36 +106,36 @@ def test_brute_force_agreement_including_sign_change():
         assert abs(vb - mz.minimize(r, t).value) < 1e-6
 
 
+def _panel_around(prob, r, t):
+    """solve_panel on the three radii r - h, r, r + h, h = max(1e-7, 1e-7 r)."""
+    h = max(1e-7, 1e-7 * r)
+    return iv.solve_panel(prob, [r - h, r, r + h], [t])
+
+
 def test_solution_examples():
     # q0 = c > 0, absorbing origin: interior branch, q = c, P = -tail(r - ct)
     c = 0.6
-    q0 = ScalarProfile.constant(c)
     prob = make_problem(q0=ScalarProfile.piecewise_linear([0.0, 50.0], [c, c]))
-    mz = iv.PathMinimizer(prob, t_max=3.0)
     r, t = 1.8, 1.0
-    s = iv.solution(prob, r, t, minimizer=mz)
-    assert s.q == pytest.approx(c, abs=1e-8)
-    assert s.P == pytest.approx(-P0.tail_integral(r - c * t), abs=1e-8)
+    s = _panel_around(prob, r, t)
+    assert s.q[0, 1] == pytest.approx(c, abs=1e-8)
+    assert s.P[0, 1] == pytest.approx(-P0.tail_integral(r - c * t), abs=1e-8)
     # trivial data: q = 0, P = -tail(r), p = p0
-    prob0 = make_problem()
-    mz0 = iv.PathMinimizer(prob0, t_max=3.0)
-    s0 = iv.solution(prob0, 0.8, 1.0, minimizer=mz0)
-    assert s0.q == pytest.approx(0.0, abs=1e-10)
-    assert s0.P == pytest.approx(-P0.tail_integral(0.8), abs=1e-10)
-    assert s0.p == pytest.approx(float(P0(0.8)), abs=1e-4)
-    assert not s0.discontinuity
+    s0 = _panel_around(make_problem(), 0.8, 1.0)
+    assert s0.q[0, 1] == pytest.approx(0.0, abs=1e-10)
+    assert s0.P[0, 1] == pytest.approx(-P0.tail_integral(0.8), abs=1e-10)
+    assert s0.p[0, 1] == pytest.approx(float(P0(0.8)), abs=1e-4)
+    assert not s0.disc[0, 1]
 
 
 def test_solution_p_next_to_origin():
-    # for r <= h = 1e-7 the left point clamps at 1e-14, so the left
-    # difference spans r - 1e-14, not h; n = 1, q = 0 and p0 = 1 near 0
+    # one panel from r = 1e-8: n = 1, q = 0 and p0 = 1 near 0
     prob = make_problem(n=1, p0=ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[1.0], [0.0]]),
                         qb=ZERO)
-    mz = iv.PathMinimizer(prob, t_max=1.0)
-    for r in (1e-8, 5e-8, 1e-7):
-        s = iv.solution(prob, r, 0.5, minimizer=mz)
-        assert not s.discontinuity
-        assert s.p == pytest.approx(1.0, abs=1e-6)
+    s = iv.solve_panel(prob, [1e-8, 5e-8, 1e-7, 2e-7], [0.5])
+    for j in range(3):   # r = 1e-8, 5e-8, 1e-7
+        assert not s.disc[0, j]
+        assert s.p[0, j] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_riemann_shock_speed_and_two_sided_sample():
@@ -145,16 +145,48 @@ def test_riemann_shock_speed_and_two_sided_sample():
     p0 = ScalarProfile.from_pieces([0.0, 3.0, 3.5], [[1.0], [0.0]])
     prob = iv.InviscidProblem(3, q0, p0, ScalarProfile.constant(-1.0),
                               ScalarProfile.constant(4 * math.pi * 3))
-    mz = iv.PathMinimizer(prob, t_max=3.0)
     t = 1.0
     s_exact = rstar + 0.5 * (a + b) * t
-    left = iv.solution(prob, s_exact - 1e-4, t, minimizer=mz)
-    right = iv.solution(prob, s_exact + 1e-4, t, minimizer=mz)
-    assert left.q == pytest.approx(a, abs=1e-6)
-    assert right.q == pytest.approx(b, abs=1e-6)
-    on = iv.solution(prob, s_exact, t, minimizer=mz)
-    assert on.discontinuity
-    assert on.left is not None and on.right is not None
+    # the shock sits within h = max(1e-7, 1e-7 s) of its exact radius s,
+    # between one-sided samples 1e-4 to either side
+    h = max(1e-7, 1e-7 * s_exact)
+    s = iv.solve_panel(prob, [s_exact - 1e-4, s_exact - h, s_exact, s_exact + h,
+                              s_exact + 1e-4], [t])
+    assert s.q[0, 0] == pytest.approx(a, abs=1e-6)
+    assert s.q[0, 4] == pytest.approx(b, abs=1e-6)
+    assert s.disc[0, 2]
+    assert s.disc[0, 1]   # the jump's other end
+
+
+@pytest.mark.parametrize("grid_r", [np.linspace(0.1, 1.0, 10), np.array([0.45])])
+def test_panel_p_and_disc_at_jumps_and_edges(monkeypatch, grid_r):
+    # q steps by 0.5 / t^2 in cells 0, 3, 4 (adjacent: radius 4 has jumps
+    # on both sides) and 8, the two edge cells among them; at t = 2 the
+    # steps are below the jump threshold 1e-4 + 5 dr / t, so that row has none
+    steps = (0.15, 0.45, 0.55, 0.95)
+
+    def solve_at(self, r, t):
+        q = 0.5 * sum(r > x for x in steps) / t ** 2 + 0.01 * r
+        return iv.PathMinimum("interior", r, None, None, 0.0), q, -math.exp(-r * t) / 3.0
+
+    monkeypatch.setattr(iv.PathMinimizer, "solve_at", solve_at)
+    panel = iv.solve_panel(make_problem(), grid_r, [0.5, 1.0, 2.0])
+    p, disc = panel.p, panel.disc
+    if grid_r.size == 1:   # no cell to difference over
+        assert disc.all() and np.isnan(p).all()
+        return
+
+    def slope(i, j):   # P's difference over cell j of row i
+        return (panel.P[i, j + 1] - panel.P[i, j]) / (grid_r[j + 1] - grid_r[j])
+
+    for i in (0, 1):
+        assert np.flatnonzero(disc[i]).tolist() == [0, 1, 3, 4, 5, 8, 9]
+        assert np.flatnonzero(np.isnan(p[i])).tolist() == [0, 4, 9]
+        # forward where the right cell is smooth, else backward
+        assert [p[i, j] for j in (1, 3, 5, 8)] == [slope(i, 1), slope(i, 2),
+                                                    slope(i, 5), slope(i, 7)]
+    assert not disc[2].any()
+    assert p[2].tolist() == [slope(2, j) for j in range(9)] + [slope(2, 8)]
 
 
 def test_panel_monotone_primitive_and_branch_interval():
