@@ -215,6 +215,22 @@ def _angular_factors(n, alpha, derivs=False):
 # radial velocity
 
 
+def _with_points(grid, pts):
+    """np.unique(np.concatenate([grid, pts])) for a strictly increasing grid
+    and sorted points, without the sort: each point not yet present is
+    inserted in its place, and a grid that gains none is returned as is."""
+    pieces, prev, last = [], 0, None
+    for i, p in zip(grid.searchsorted(pts).tolist(), pts):
+        if p == last or (i < grid.size and grid[i] == p):
+            continue
+        pieces += [grid[prev:i], (p,)]
+        prev, last = i, p
+    if not pieces:
+        return grid
+    pieces.append(grid[prev:])
+    return np.concatenate(pieces)
+
+
 def _radial_window(problem: FreespaceProblem, r, t):
     """Confining half-width for the s-integral (provable for Lipschitz
     radial data: the well sits within t*sup|q0| of r and the Gaussian tail
@@ -230,12 +246,13 @@ def _radial_integrand(problem, r, t, shift):
 
     def fn(s):
         s = np.maximum(s, 0.0)
-        a_exp = ((r - s) ** 2 / (2.0 * t) + q0.cumulative(s)) / eps
+        q0s, c0 = q0._value_and_cumulative(s)
+        a_exp = ((r - s) ** 2 / (2.0 * t) + c0) / eps
         w = np.exp(np.minimum(shift - a_exp, 700.0))
         alpha = r * s / (eps * t)
         g0, g1 = _angular_factors(n, alpha)
         sw = s ** (n - 1) * w
-        return np.stack([sw * g0, sw * g1 * q0(s)])
+        return np.stack([sw * g0, sw * g1 * q0s])
 
     return fn
 
@@ -254,7 +271,7 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
     w = _radial_window(problem, r, t)
     lo, hi = max(0.0, r - w), r + w
     kinks = [k for k in problem.q0.breakpoints if lo < k < hi]
-    scan = np.unique(np.concatenate([np.linspace(lo, hi, 2049), kinks, [r]]))
+    scan = _with_points(np.linspace(lo, hi, 2049), sorted([*kinks, r]))
     a_scan = ((r - scan) ** 2 / (2.0 * t) + problem.q0.cumulative(scan)) / eps
     shift = float(a_scan.min())
     # trim to the region that matters plus a pad
@@ -262,9 +279,8 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
     lo = max(0.0, live.min() - (scan[1] - scan[0]))
     hi = live.max() + (scan[1] - scan[0])
     width_cap = max((hi - lo) / 512.0, min(math.sqrt(2.0 * eps * t), (hi - lo) / 12.0))
-    edges = np.unique(np.concatenate([
-        np.linspace(lo, hi, max(13, int(math.ceil((hi - lo) / width_cap)) + 1)),
-        [k for k in kinks if lo < k < hi]]))
+    edges = _with_points(np.linspace(lo, hi, max(13, int(math.ceil((hi - lo) / width_cap)) + 1)),
+                         [k for k in kinks if lo < k < hi])
     L0 = max(problem.q0.sup_abs(), 1e-300)
     fn = _radial_integrand(problem, r, t, shift)
     den, num = _adaptive(fn, edges, scale_fn=lambda rough: [rough[0], rough[0] * L0])
@@ -289,14 +305,18 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
     characteristic Jacobian without noise-amplifying differencing.  The
     radii are stable-sorted once and split into sub-batches that spread at
     most 0.7 * 224 Gaussian well widths sqrt(2 eps t), each with its own
-    grid; q and dq come back in the caller's order.  Only for t < 1e-12 is
-    the result q0(r), the exact t -> 0 limit.
+    grid; q and dq come back in the caller's order.  A non-decreasing batch
+    within one such spread is one sub-batch as it stands (the stable sort
+    would leave it as it is).  Only for t < 1e-12 is the result q0(r), the
+    exact t -> 0 limit.
     """
     r = np.asarray(r, dtype=float)
     if t < 1e-12:
         q, dq = problem.q0.with_derivatives(np.abs(r), 1)
         return np.where(r > 0, q, 0.0), dq
     reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
+    if r.size and r[-1] <= r[0] + reach and (r[1:] >= r[:-1]).all():
+        return _velocity_block(problem, r, t)
     order = np.argsort(r, kind="stable")
     rs = r[order]
     q, dq = np.empty_like(r), np.empty_like(r)
@@ -327,23 +347,35 @@ def _velocity_block(problem, r, t):
     lo = max(0.0, r_lo - w)
     hi = r_hi + w
     cap = max(0.7 * math.sqrt(2.0 * eps * t), (hi - lo) / _MAX_PANELS)
-    edges = np.unique(np.concatenate([
-        np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
-        [k for k in q0.breakpoints if lo < k < hi]]))
+    edges = _with_points(np.linspace(lo, hi, int(math.ceil((hi - lo) / cap)) + 1),
+                         [k for k in q0.breakpoints if lo < k < hi])
     s, wts = gauss_panels(edges, _PANEL_POINTS)
-    sn = s ** (n - 1) * wts
-    sq = sn * q0(s)
-    phi = q0.cumulative(s) / eps
-    cols = np.stack([sn, sq, sn * s, sq * s], axis=1)
-    sums = np.empty((r.size, 4))
-    for i in range(0, r.size, _BLOCK_ROWS):
-        blk = r[i:i + _BLOCK_ROWS]
+    # the node columns (sn, sq, sn s, sq s), sn = s^(n-1) wts and sq = sn q0
+    cols = np.empty((s.size, 4))
+    sn, sq = cols[:, 0], cols[:, 1]
+    if n == 1:
+        sn[:] = wts
+    else:
+        np.multiply(s ** (n - 1), wts, out=sn)
+    q0s, phi = q0._value_and_cumulative(s)
+    np.multiply(sn, q0s, out=sq)
+    np.multiply(sn, s, out=cols[:, 2])
+    np.multiply(sq, s, out=cols[:, 3])
+    phi /= eps
+
+    def block_sums(blk):
         a, b = np.searchsorted(s, [blk[0] - w, blk[-1] + w])
-        sums[i:i + blk.size] = _gaussian_sums(n, blk, 1.0 / (eps * t), s[a:b], phi[a:b],
-                                              cols[a:b])
+        return _gaussian_sums(n, blk, 1.0 / (eps * t), s[a:b], phi[a:b], cols[a:b])
+
+    sums = (block_sums(r) if r.size <= _BLOCK_ROWS else
+            np.concatenate([block_sums(r[i:i + _BLOCK_ROWS])
+                            for i in range(0, r.size, _BLOCK_ROWS)]))
     den, num, den_r, num_r = sums.T
-    q, dq = np.zeros_like(r), np.zeros_like(r)
     ok = (r > 0) & (den > 0)
+    if ok.all():
+        q = num / den
+        return q, (num_r - q * den_r) / (den * (eps * t))
+    q, dq = np.zeros_like(r), np.zeros_like(r)
     q[ok] = num[ok] / den[ok]
     dq[ok] = (num_r[ok] - q[ok] * den_r[ok]) / (den[ok] * (eps * t))
     return q, dq
@@ -365,14 +397,15 @@ def _gaussian_sums(n, r, k, s, phi, cols):
     them normal numbers avoids the slow underflow paths of exp and of the
     products.
     """
-    d = np.subtract.outer(r, s)
+    d = r[:, None] - s
     wgt = d * d
     wgt *= 0.5 * k
     wgt += phi
     np.subtract(wgt.min(axis=1, keepdims=True), wgt, out=wgt)
     np.maximum(wgt, _EXP_FLOOR, out=wgt)
+    out = np.empty((r.size, 4))
     if n == 1:
-        v = np.multiply.outer(r * (2.0 * k), s)
+        v = (r * (2.0 * k))[:, None] * s
         np.subtract(wgt, v, out=v)
         np.maximum(v, _EXP_FLOOR, out=v)
         np.exp(v, out=v)
@@ -381,18 +414,23 @@ def _gaussian_sums(n, r, k, s, phi, cols):
         wgt *= d
         v *= d
         wd, vd = wgt @ cols[:, :2], v @ cols[:, :2]
-        return np.stack([ws[:, 0] + vs[:, 0], ws[:, 1] - vs[:, 1],
-                         -2.0 * vs[:, 2] - wd[:, 0] - vd[:, 0],
-                         2.0 * vs[:, 3] - wd[:, 1] + vd[:, 1]], axis=1)
+        out[:, 0] = ws[:, 0] + vs[:, 0]
+        out[:, 1] = ws[:, 1] - vs[:, 1]
+        out[:, 2] = -2.0 * vs[:, 2] - wd[:, 0] - vd[:, 0]
+        out[:, 3] = 2.0 * vs[:, 3] - wd[:, 1] + vd[:, 1]
+        return out
     np.exp(wgt, out=wgt)
-    g0, g1, dg0, dg1 = _angular_factors(n, np.multiply.outer(r * k, s), derivs=True)
+    g0, g1, dg0, dg1 = _angular_factors(n, (r * k)[:, None] * s, derivs=True)
     for g in (g0, g1, dg0, dg1):
         g *= wgt
-    den, num = g0 @ cols[:, 0], g1 @ cols[:, 1]
+    out[:, 0] = g0 @ cols[:, 0]
+    out[:, 1] = g1 @ cols[:, 1]
     den_r, num_r = dg0 @ cols[:, 2], dg1 @ cols[:, 3]
     g0 *= d
     g1 *= d
-    return np.stack([den, num, den_r - g0 @ cols[:, 0], num_r - g1 @ cols[:, 1]], axis=1)
+    out[:, 2] = den_r - g0 @ cols[:, 0]
+    out[:, 3] = num_r - g1 @ cols[:, 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +742,9 @@ def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None)
     n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), _MASS_POINTS)
     n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), _MASS_POINTS)
     nodes = np.concatenate([n1, n2])
-    if t == 0.0:
+    if t == 0.0 and isinstance(problem.rho0, ScalarProfile):
+        vals = problem.rho0(nodes)   # radial: the nodes are radii
+    elif t == 0.0:
         vals = np.array([_rho0_value(problem, r) for r in nodes])
     elif problem.is_radial:
         vals = _density_radial_batch(problem, nodes, t)

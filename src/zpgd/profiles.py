@@ -210,19 +210,29 @@ class ScalarProfile:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xf = np.atleast_1d(x)
+        out = self._cumulative_at(xf, *self._locate(xf))
+        return float(out[0]) if scalar else out
+
+    def _cumulative_at(self, x, idx, dx):
+        """cumulative at the points of the array x, given their _locate."""
         bp = self.breakpoints
-        idx, dx = self._locate(xf)
         out = self._horner(self._int_cols, idx, dx)
         out *= dx
         out += self._cum.take(idx)
-        below = xf < bp[0]
-        above = xf > bp[-1]
+        below = x < bp[0]
+        above = x > bp[-1]
         lo_v, hi_v = self._end_vals
         if below.any():
-            out = np.where(below, (xf - bp[0] if lo_v else -1.0) * lo_v, out)
+            out = np.where(below, (x - bp[0] if lo_v else -1.0) * lo_v, out)
         if above.any():
-            out = np.where(above, self._cum[-1] + (xf - bp[-1] if hi_v else 1.0) * hi_v, out)
-        return float(out[0]) if scalar else out
+            out = np.where(above, self._cum[-1] + (x - bp[-1] if hi_v else 1.0) * hi_v, out)
+        return out
+
+    def _value_and_cumulative(self, x):
+        """(f(x), cumulative(x)) at the points of the 1-D float array x from
+        one _locate, bit-identical to __call__ and cumulative."""
+        idx, dx = self._locate(x)
+        return self._horner(self._deriv_cols[0], idx, dx), self._cumulative_at(x, idx, dx)
 
     def _right_end_values(self) -> np.ndarray:
         """Each piece's value at its own right breakpoint: the left limit

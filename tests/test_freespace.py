@@ -390,6 +390,22 @@ def test_rk4_doubling_reuses_first_stage():
     assert min(s for s, _ in seen if s > 0.0) < 1.0 / 64.0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_total_mass_at_zero_keeps_the_per_node_rho0_bits(n):
+    # t = 0 reads a profile rho0 on the whole node array at once; m0 and its
+    # error estimate keep the bits of one scalar rho0 call per node
+    pr = compact_problem(n, 0.4)
+    radius = fs._support_image_radius(pr, 0.0)
+    fine = fs._MASS_PANELS // 2 if n == 1 else fs._MASS_PANELS   # n = 1 folds
+    n1, w1 = gauss_panels(np.linspace(0.0, radius, fine + 1), fs._MASS_POINTS)
+    n2, w2 = gauss_panels(np.linspace(0.0, radius, fine // 2 + 1), fs._MASS_POINTS)
+    nodes = np.concatenate([n1, n2])
+    vals = np.array([fs._rho0_value(pr, r) for r in nodes])
+    vals = vals * fs.surface_measure(n) * np.abs(nodes) ** (n - 1)
+    m1 = float(vals[: n1.size] @ w1)
+    assert fs.total_mass(pr, 0.0) == (m1, abs(m1 - float(vals[n1.size:] @ w2)))
+
+
 def test_total_mass_radial_n3():
     pr = compact_problem(3, 0.5)
     m0, _ = fs.total_mass(pr, 0.0)
@@ -508,10 +524,10 @@ def _elementwise_grid(problem, r, t):
     return q, dq
 
 
-def _elementwise_batch(problem, r, t):
-    """The batch kernel's sub-batches of sorted radii, spread at most
-    0.7 * 224 well widths, each on its own grid by _elementwise_grid; q and
-    dq in the caller's order."""
+def _sort_and_scatter(problem, r, t, block):
+    """The batch kernel's sub-batches of stable-sorted radii, spread at most
+    0.7 * 224 well widths, each on its own grid by block; q and dq scattered
+    back to the caller's order."""
     order = np.argsort(r, kind="stable")
     rs = r[order]
     reach = 0.7 * 224 * math.sqrt(2.0 * problem.epsilon * t)
@@ -519,10 +535,13 @@ def _elementwise_batch(problem, r, t):
     start = 0
     while start < rs.size:
         stop = int(np.searchsorted(rs, rs[start] + reach, side="right"))
-        q[order[start:stop]], dq[order[start:stop]] = _elementwise_grid(
-            problem, rs[start:stop], t)
+        q[order[start:stop]], dq[order[start:stop]] = block(problem, rs[start:stop], t)
         start = stop
     return q, dq
+
+
+def _elementwise_batch(problem, r, t):
+    return _sort_and_scatter(problem, r, t, _elementwise_grid)
 
 
 def test_batch_kernel_matches_elementwise_formula():
@@ -547,6 +566,37 @@ def test_batch_kernel_matches_elementwise_formula():
                 q_sorted, dq_sorted = fs._radial_velocity_batch(pr, rr[order], t)
                 assert np.array_equal(q[order], q_sorted)
                 assert np.array_equal(dq[order], dq_sorted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_edge_cases_match_sort_and_scatter_bit_for_bit(n, monkeypatch):
+    # a non-decreasing batch within one reach skips the sort and the
+    # scatter; every batch keeps the bits of the sort-and-scatter path
+    pr = compact_problem(n, 0.01)
+    t = 0.05
+    reach = 0.7 * 224 * math.sqrt(2.0 * pr.epsilon * t)
+    sorted_in_reach = np.linspace(0.05, 0.05 + reach, 30)
+    batches = {
+        "empty": np.array([]),
+        "one radius": np.array([0.7]),
+        "tied radii": np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.25, 1.25]),
+        "descending": np.linspace(3.0, 0.05, 17),
+        "wider than one reach": np.linspace(0.05, 6.0, 40),
+        "sorted in one reach": sorted_in_reach,
+    }
+    assert np.ptp(batches["wider than one reach"]) > reach
+    for name, rr in batches.items():
+        q, dq = fs._radial_velocity_batch(pr, rr, t)
+        q_ref, dq_ref = _sort_and_scatter(pr, rr, t, fs._velocity_block)
+        for got, ref in ((q, q_ref), (dq, dq_ref)):
+            assert got.shape == ref.shape, name
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted a non-decreasing batch within one reach")
+
+    monkeypatch.setattr(fs.np, "argsort", no_sort)
+    fs._radial_velocity_batch(pr, sorted_in_reach, t)
 
 
 def test_separable_quadratic_2d_tensor_path():

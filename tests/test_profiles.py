@@ -247,6 +247,29 @@ def test_array_kernel_matches_gather_and_clip_formula_bit_for_bit(prof, fraction
                 cf = np.zeros((cf.shape[0], 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(prof=_piecewise_polynomial(), fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+       zero_ends=st.booleans())
+@example(prof=ScalarProfile.from_pieces([0.0, 1.0], [[-0.0, 1.0]]), fractions=[],
+         zero_ends=False)
+def test_value_and_cumulative_is_call_and_cumulative_bit_for_bit(prof, fractions, zero_ends):
+    if zero_ends:
+        # zero pieces at both ends: zero end values, whose clamped tails add
+        # signed zeros (also at -inf and +inf, where (x - end) * 0.0 is NaN)
+        bp, zero = prof.breakpoints, np.zeros((1, prof.coeffs.shape[1]))
+        prof = ScalarProfile(np.concatenate([[bp[0] - 1.0], bp, [bp[-1] + 1.0]]),
+                             np.vstack([zero, prof.coeffs, zero]))
+    bp = prof.breakpoints
+    lo, hi = bp[0], bp[-1]
+    # below, on and above every breakpoint, inside the pieces, beyond both ends
+    x = np.array([*bp, *np.nextafter(bp, -math.inf), *np.nextafter(bp, math.inf),
+                  *(lo + np.asarray(fractions) * (hi - lo)), lo - 0.7, hi + 1.3,
+                  0.0, -0.0, math.nan, math.inf, -math.inf])
+    value, integral = prof._value_and_cumulative(x)
+    assert _same_bits(value, prof(x))
+    assert _same_bits(integral, prof.cumulative(x))
+
+
 def _bits(v):
     return np.float64(v).tobytes()
 
