@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .profiles import ScalarProfile
-from .radial_core import HopfColeState, gauss_panels, write_csv
+from .radial_core import gauss_panels, write_csv
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
                       bessel_j01, find_eigenvalues)
 
@@ -44,6 +44,11 @@ __all__ = [
 
 
 _TWO_LOG_1E18 = 2.0 * math.log(1e18)   # decay exponent range of the kept modes
+# modes in every series: at the floor t = 1e-3 * 2 L^2 / eps (L the domain
+# width) the rates whose decay stays within 1e-18 of the slowest mode's lie
+# below sqrt(2 ln 1e18 / (eps t)) = 203.6 / L, about 65 modes at the
+# spacing pi / L; eight more make 73
+_N_MODES = 73
 _FLUX_DT = 0.02   # half-width of mass_flux_report's centred difference in t
 
 
@@ -260,11 +265,12 @@ def _zero_mode_norm(problem: BoundedProblem) -> float:
     return (b ** n - a ** n) / n
 
 
-def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
-                          t_floor: float | None = None) -> GreenEvaluator:
-    """Assemble the series with enough modes that the tail at the time
-    floor is below 1e-14 of the leading term (default floor:
-    1e-3 * 2 L^2 / eps with L the domain width)."""
+def build_green_evaluator(problem: BoundedProblem) -> GreenEvaluator:
+    """Assemble the series of _N_MODES modes (plus the zero mode of
+    Neumann data) for its one time floor, t_floor = 1e-3 * 2 L^2 / eps with
+    L the domain width.  TruncationError is raised when the last mode's
+    decay at t_floor, relative to the slowest mode and weighted by 1 + its
+    rate, exceeds 1e-10."""
     if problem.eigen.has_robin_zero_mode:
         zero_mode = "A + B ln r" if problem.n == 2 else "A + B/r"
         raise ValueError(
@@ -276,16 +282,8 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
             "the Robin data carry a growing mode outside the positive-frequency "
             "series (an inflow wall too strong for the domain); the expansion "
             "would be incomplete")
-    L = problem.length_scale
-    eps = problem.epsilon
-    explicit_terms = n_terms is not None
-    if t_floor is None and not explicit_terms:
-        t_floor = 1e-3 * 2.0 * L ** 2 / eps
-    if n_terms is None:
-        lam_target = math.sqrt(_TWO_LOG_1E18 / (eps * t_floor))
-        n_terms = int(math.ceil(lam_target * L / math.pi)) + 8
-        n_terms = min(max(n_terms, 8), 900)
-    eigs = find_eigenvalues(problem.eigen, n_terms)
+    t_floor = 1e-3 * 2.0 * problem.length_scale ** 2 / problem.epsilon
+    eigs = find_eigenvalues(problem.eigen, _N_MODES)
     if problem.case.is_annulus:
         rates = eigs.values.copy()
     else:
@@ -300,16 +298,13 @@ def build_green_evaluator(problem: BoundedProblem, n_terms: int | None = None,
         inv_norms = np.concatenate([[1.0 / _zero_mode_norm(problem)], inv_norms])
         if walls[0] is not None:   # placeholders: phi overwrites the constant column
             walls = tuple(np.concatenate([[0.0], c]) for c in walls)
-    if t_floor is None:
-        # explicit term count: the floor is wherever its tail bound is met
-        gap = rates[-1] ** 2 - rates.min() ** 2
-        t_floor = 2.0 * math.log((1.0 + rates[-1]) * 1e14) / (eps * max(gap, 1e-300))
     ev = GreenEvaluator(problem, eigs, rates, inv_norms, include_zero, t_floor,
                         *walls)
     tail = ev.decay(t_floor, reference=True)[-1] * (1.0 + rates[-1])
     if tail > 1e-10:
         raise TruncationError(
-            f"series tail {tail:.2e} at the time floor; raise n_terms above {n_terms}")
+            f"series tail {tail:.2e} at the time floor t={t_floor:g} with "
+            f"{eigs.values.size} modes")
     return ev
 
 
@@ -394,8 +389,8 @@ class BoundedHopfCole:
         for tt in (ev.t_floor, 4.0 * ev.t_floor, 16.0 * ev.t_floor):
             if np.any(self.evaluate(rs, tt) <= 0.0):
                 raise TruncationError(
-                    "nonpositive Hopf-Cole variable near the floor; increase "
-                    f"n_terms beyond {len(ev.eigs.values)} or raise t_floor")
+                    f"nonpositive Hopf-Cole variable at t={tt:g}, near the series "
+                    f"floor, with {len(ev.eigs.values)} modes")
 
     @property
     def time_floor(self) -> float:
@@ -459,17 +454,9 @@ class BoundedHopfCole:
             res = max(res, abs(pr.epsilon * (dphi @ c)[0] + w.q * (phi @ c)[0]))
         return res / max(scale, 1e-300)
 
-    def sample(self, grid_r: np.ndarray, grid_t: np.ndarray) -> HopfColeState:
-        """HopfColeState on a grid (true time scaling, for residual tests)."""
-        vals = np.empty((len(grid_t), len(grid_r)))
-        for i, tt in enumerate(grid_t):
-            vals[i] = self.evaluate(grid_r, float(tt))
-        return HopfColeState(np.asarray(grid_r, float), np.asarray(grid_t, float), vals)
 
-
-def hopf_cole_boundary_state(problem: BoundedProblem,
-                             n_terms: int | None = None) -> BoundedHopfCole:
-    return BoundedHopfCole(build_green_evaluator(problem, n_terms))
+def hopf_cole_boundary_state(problem: BoundedProblem) -> BoundedHopfCole:
+    return BoundedHopfCole(build_green_evaluator(problem))
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def _interior_band(r: float, t: float, sup_q0: float, step: float):
 class PathMinimizer:
     """Caches the boundary tables; evaluates Q(r, t) pointwise."""
 
-    def __init__(self, problem: InviscidProblem, t_max: float = 10.0):
+    def __init__(self, problem: InviscidProblem, t_max: float):
         self.problem = problem
         self.tables = _BoundaryTables(problem, t_max)
         self._sup_v_t, self._sup_v = None, 0.0   # sup q_B^+ over [0, t] at the last t
@@ -412,10 +412,6 @@ class SolutionPanel:
     @property
     def n(self) -> int:
         return self.problem.n
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.p / self.grid_r[None, :] ** (self.problem.n - 1)
 
 
 def solve_panel(problem: InviscidProblem, grid_r, grid_t) -> SolutionPanel:

@@ -7,11 +7,11 @@ import time
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from residuals import heat_residual, sample
 from zpgd import bounded_green as bg
 from zpgd import freespace as fs
 from zpgd import inviscid as iv
 from zpgd import oracles as orc
-from zpgd import radial_core as rc
 from zpgd import shockfront as sfm
 from zpgd.profiles import ScalarProfile
 from zpgd.specfun import DomainCase, EigenProblem, find_eigenvalues
@@ -182,15 +182,15 @@ def test_c06_green_series_heat_residual_and_robin():
     worst_order = math.inf
     worst_robin = 0.0
     for pr in _four_bounded_problems():
-        st = bg.hopf_cole_boundary_state(pr, n_terms=200)
+        st = bg.hopf_cole_boundary_state(pr)
         a, b = pr.domain
         t_lo = 0.05 * 2.0 * pr.length_scale ** 2 / pr.epsilon
 
         def resid(nr, nt):
             gr = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), nr)
             gt = np.linspace(t_lo, t_lo + 0.4, nt)
-            state = st.sample(gr, gt)
-            return np.abs(rc.heat_residual(state, pr.epsilon, pr.n)).max() \
+            state = sample(st, gr, gt)
+            return np.abs(heat_residual(state, pr.epsilon, pr.n)).max() \
                 / np.abs(state.a).max()
 
         order = math.log2(resid(41, 41) / resid(81, 81))

@@ -5,11 +5,12 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
+from residuals import heat_residual, sample, velocity_from_hopf_cole, viscous_residual
 from zpgd import bounded_green as bg
 from zpgd import oracles as orc
-from zpgd import radial_core as rc
 from zpgd.profiles import ScalarProfile
-from zpgd.specfun import DomainCase, bessel_all, bessel_j01
+from zpgd.radial_core import RadialField
+from zpgd.specfun import DomainCase, bessel_all, bessel_j01, find_eigenvalues
 
 CASES = {
     DomainCase.BALL_2D: dict(radius=1.0, q_boundary=0.3),
@@ -55,17 +56,16 @@ def test_normalizations_match_tabulated_coefficients():
     # coefficient expressions, at the computed eigenvalues
     pr = bg.BoundedProblem(DomainCase.BALL_2D, 0.8, ScalarProfile.zero(),
                            ScalarProfile.constant(1.0), radius=1.3, q_boundary=0.4)
-    ev = bg.build_green_evaluator(pr, n_terms=10)
-    mu = ev.eigs.values
+    mu = find_eigenvalues(pr.eigen, 10).values
     kr = pr.eigen.robin_kr
     j0, j1, _, _ = bessel_all(mu)
     printed = (2.0 / pr.radius ** 2) * mu ** 2 / ((kr ** 2 + mu ** 2) * j0 ** 2)
-    assert np.abs(printed / ev.inv_norms - 1).max() < 1e-12
+    inv_norms = 1.0 / bg._eigen_norms(pr, mu, mu / pr.radius)
+    assert np.abs(printed / inv_norms - 1).max() < 1e-12
 
     pr3 = bg.BoundedProblem(DomainCase.BALL_3D, 0.6, ScalarProfile.zero(),
                             ScalarProfile.constant(1.0), radius=1.1, q_boundary=0.5)
-    ev3 = bg.build_green_evaluator(pr3, n_terms=10)
-    mu3 = ev3.eigs.values
+    mu3 = find_eigenvalues(pr3.eigen, 10).values
     kr3 = pr3.eigen.robin_kr
     printed3 = (2.0 / pr3.radius) * (mu3 ** 2 + (kr3 - 1) ** 2) \
         / (mu3 ** 2 + kr3 * (kr3 - 1))
@@ -73,8 +73,7 @@ def test_normalizations_match_tabulated_coefficients():
 
     pra = bg.BoundedProblem(DomainCase.ANNULUS_3D, 0.7, ScalarProfile.zero(),
                             ScalarProfile.constant(1.0), **CASES[DomainCase.ANNULUS_3D])
-    eva = bg.build_green_evaluator(pra, n_terms=10)
-    lam = eva.eigs.values
+    lam = find_eigenvalues(pra.eigen, 10).values
     b1, b2 = pra.eigen.b1, pra.eigen.b2
     R1, R2 = pra.r_inner, pra.r_outer
     d = R2 - R1
@@ -85,8 +84,7 @@ def test_normalizations_match_tabulated_coefficients():
 
     pr2a = bg.BoundedProblem(DomainCase.ANNULUS_2D, 0.9, ScalarProfile.zero(),
                              ScalarProfile.constant(1.0), **CASES[DomainCase.ANNULUS_2D])
-    ev2a = bg.build_green_evaluator(pr2a, n_terms=10)
-    lam = ev2a.eigs.values
+    lam = find_eigenvalues(pr2a.eigen, 10).values
     a1 = pr2a.q_inner / pr2a.epsilon
     a2 = pr2a.q_outer / pr2a.epsilon
     R1, R2 = pr2a.r_inner, pr2a.r_outer
@@ -135,7 +133,7 @@ def test_green_large_time_one_term_dominance():
 def test_heat_kernel_property_against_fd_oracle():
     # int G(r, xi, t) f(xi) dxi ~ f evolved by the FD heat solver at small t
     pr = ball3d_problem(eps=0.5, qb=0.25)
-    ev = bg.build_green_evaluator(pr, t_floor=2e-3)
+    ev = bg.build_green_evaluator(pr)
     f = lambda r: np.exp(-((r - 0.5) / 0.22) ** 2)
     t = 0.01
     cells, a_fd = orc.fd_heat_solve(3, pr.epsilon, f, t, pr.radius,
@@ -168,8 +166,8 @@ def test_hopf_cole_state_heat_residual_refines():
     def resid(nr, nt):
         gr = np.linspace(0.05, 0.95, nr)
         gt = np.linspace(0.1, 0.5, nt)
-        state = st.sample(gr, gt)
-        return np.abs(rc.heat_residual(state, pr.epsilon, 3)).max() / np.abs(state.a).max()
+        state = sample(st, gr, gt)
+        return np.abs(heat_residual(state, pr.epsilon, 3)).max() / np.abs(state.a).max()
 
     coarse, fine = resid(41, 41), resid(81, 81)
     assert math.log2(coarse / fine) > 1.8
@@ -185,12 +183,12 @@ def test_linearization_round_trip():
     def residuals(nr, nt):
         gr = np.linspace(0.1, 0.9, nr)
         gt = np.linspace(0.2, 0.6, nt)
-        state = st.sample(gr, gt)
-        heat = np.abs(rc.heat_residual(state, pr.epsilon, 3)).max() \
+        state = sample(st, gr, gt)
+        heat = np.abs(heat_residual(state, pr.epsilon, 3)).max() \
             / np.abs(state.a).max()
-        q = rc.velocity_from_hopf_cole(state, pr.epsilon)
-        fld = rc.RadialField(3, pr.epsilon, gr, gt, q, np.ones_like(q))
-        visc = np.abs(rc.viscous_residual(fld)[0]).max()
+        q = velocity_from_hopf_cole(state, pr.epsilon)
+        fld = RadialField(3, pr.epsilon, gr, gt, q, np.ones_like(q))
+        visc = np.abs(viscous_residual(fld)[0]).max()
         return heat, visc
 
     h1, v1 = residuals(41, 41)
@@ -620,9 +618,8 @@ def test_series_kernels_match_plain_formulas_bit_for_bit(make):
 
 def test_eigenvalue_csv(tmp_path):
     pr = ball3d_problem()
-    ev = bg.build_green_evaluator(pr, n_terms=5)
     path = tmp_path / "eig.csv"
-    bg.write_eigenvalue_csv(ev.eigs, path)
+    bg.write_eigenvalue_csv(find_eigenvalues(pr.eigen, 5), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,value,residual"
     assert len(lines) == 6

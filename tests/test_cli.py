@@ -154,11 +154,10 @@ def test_repeated_key_parse_error(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
-    # one term cannot meet the series tail bound: a numerical failure (4),
-    # not a failed check (1), with the exception named in the report
-    state = cli.bg.hopf_cole_boundary_state
-    monkeypatch.setattr(cli.bg, "hopf_cole_boundary_state",
-                        lambda problem: state(problem, n_terms=1))
+    # one eigenvalue cannot meet the series tail bound: a numerical failure
+    # (4), not a failed check (1), with the exception named in the report
+    find = cli.bg.find_eigenvalues
+    monkeypatch.setattr(cli.bg, "find_eigenvalues", lambda eigen, count: find(eigen, 1))
     assert run_cli(["run", "--config", "ball3d_smooth", "--out", str(tmp_path)]) == 4
     assert "numerical failure: TruncationError" in capsys.readouterr().err
     report = (tmp_path / "ball3d_smooth_report.txt").read_text()
