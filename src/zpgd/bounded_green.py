@@ -246,12 +246,6 @@ class GreenEvaluator:
         expo = self._expo_ref if reference else self._expo_abs
         return np.exp(expo[:k] * t)
 
-    def truncation_check(self, r: float, xi: float, t: float) -> float:
-        """|last term| relative to the partial sum at (r, xi, t)."""
-        terms = self._terms(r, xi, t)
-        total = terms.sum()
-        return abs(terms[-1]) / max(abs(total), 1e-300)
-
     def _terms(self, r, xi, t):
         pr = self.problem
         w = xi ** (pr.n - 1)
@@ -474,8 +468,7 @@ def large_time_velocity(ev: GreenEvaluator, r):
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
-def density_batch(state: BoundedHopfCole, radii, t: float,
-                  rtol: float = 1e-8) -> np.ndarray:
+def density_batch(state: BoundedHopfCole, radii, t: float) -> np.ndarray:
     """rho(r, t) at many radii, one backward trace for the whole batch.
 
     Each characteristic of p_t + (qp)_r = 0 is traced back to the parabolic
@@ -504,7 +497,7 @@ def density_batch(state: BoundedHopfCole, radii, t: float,
 
     # state: feet and the accumulated d(log p)/ds integral
     y, s_exit = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
-                              rtol=rtol, walls=(lo, hi))
+                              walls=(lo, hi))
     feet = np.clip(y[:m], lo_clip, hi_clip)
     integral_qr = y[m:]   # = -int_{t0}^{t} q_r ds
     p_gamma = pr.p0_profile()(feet)

@@ -294,6 +294,7 @@ _MAX_PANELS = 224     # panels of one batch grid
 _EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
 _BLOCK_ROWS = 64      # sorted radii per row block of the batch kernel
 _PANEL_POINTS = 8     # Gauss points per panel of the batch grid
+_RK_RTOL = 1e-8       # relative step-error tolerance of _rk4_doubling, in every trace
 
 
 def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
@@ -464,9 +465,11 @@ def _exponent_grid(problem, x, t, lo, hi, m):
                            np.minimum(lo + (last + 2) * h, hi))
 
 
-def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.ndarray:
-    """u(x, t) = int grad phi0 e^{-f/eps} / int e^{-f/eps} for a potential
-    given as callables, n = 1, 2, 3, with f as in _exponent_grid.
+def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float):
+    """(u, du) at x for a potential given as callables, n = 1, 2, 3, f as in
+    _exponent_grid: u = int grad phi0 e^{-f/eps} / int e^{-f/eps} and
+    du[i, j] = du_i/dx_j = Cov_w(d_i phi0, y_j)/(eps t) on the same nodes,
+    centred on u and x so that nothing cancels at small t.
 
     A tensor scan around x doubles its half-width until f on its boundary
     lies more than 2 eps ln 1e18 above its minimum, else ConfinementError.
@@ -477,9 +480,9 @@ def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.
     more than half its volume restarts the levels at the first; a smaller
     loss, such as the two fine spacings of padding that each doubling
     sheds, keeps the box.  Otherwise the points per axis double until two
-    levels agree to _GENERAL_RTOL of the weighted mean |grad phi0|, a
-    scale that stays positive where u = 0.  A level past _GENERAL_BUDGET
-    points raises QuadratureBudgetError.
+    levels agree to _GENERAL_RTOL of s = E_w|grad phi0| in u (s stays
+    positive where u = 0) and of s E_w|y - x| / (eps t) in du.  A level
+    past _GENERAL_BUDGET points raises QuadratureBudgetError.
     """
     eps, n = problem.epsilon, x.size
     w = math.sqrt(2.0 * t * (45.0 * eps + 4.0)) + 4.0
@@ -501,13 +504,17 @@ def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float) -> np.
             (lo, hi), m, prev = box, _FIRST_LEVEL_POINTS, None
             continue
         wgt = np.exp((f.min() - f[live]) / eps)
+        dy = np.reshape(args[live.ravel()], (-1, n)) - x
         g = np.reshape([problem.grad_phi0(p) for p in args[live.ravel()]], (-1, n))
         den = wgt.sum()
         u = (wgt @ g) / den
-        if prev is not None and np.max(np.abs(u - prev)) <= (
-                _GENERAL_RTOL * (wgt @ np.linalg.norm(g, axis=1)) / den):
-            return u
-        prev, m = u, 2 * m - 1
+        du = ((g - u) * wgt[:, None]).T @ dy / (den * eps * t)
+        tol = _GENERAL_RTOL * (wgt @ np.linalg.norm(g, axis=1)) / den
+        tol_du = tol * (wgt @ np.linalg.norm(dy, axis=1)) / (den * eps * t)
+        if prev is not None and np.abs(u - prev[0]).max() <= tol \
+                and np.abs(du - prev[1]).max() <= tol_du:
+            return u, du
+        prev, m = (u, du), 2 * m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +541,16 @@ def velocity(problem: FreespaceProblem, x, t: float):
         r = float(abs(xv[0]) if problem.n == 1 else np.linalg.norm(xv))
         u = (xv / r) * radial_velocity(problem, r, t) if r else np.zeros(problem.n)
     else:
-        u = _general_velocity(problem, xv, t)
+        u = _general_velocity(problem, xv, t)[0]
     return float(u[0]) if problem.n == 1 else u
 
 
-def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, walls=None):
+def _rk4_doubling(rhs, y0, s0, s1, walls=None):
     """Step-doubled classic RK4 with Richardson extrapolation (an embedded
-    4th/5th-order pair); vectorized over the state, with absolute tolerance
-    1e-10.  A step-size floor of 1/1500 of the span keeps quadrature noise
-    in the right side from stalling the controller.
+    4th/5th-order pair); vectorized over the state, with tolerances 1e-10
+    absolute and _RK_RTOL relative.  A step-size floor of 1/1500 of the
+    span keeps quadrature noise in the right side from stalling the
+    controller.
 
     With walls=(lo, hi) the state is two rows of m entries, the positions
     of m traces and then one quantity carried along each, and the result
@@ -586,7 +594,8 @@ def _rk4_doubling(rhs, y0, s0, s1, rtol=1e-8, walls=None):
         y_full = step(y, s, h, k1)
         y_mid = step(y, s, 0.5 * h, k1)
         y_half = step(y_mid, s + 0.5 * h, 0.5 * h, f(s + 0.5 * h, y_mid))
-        err = np.max(np.abs(y_half - y_full) / (1e-10 + rtol * np.maximum(np.abs(y_half), 1.0)))
+        err = np.max(np.abs(y_half - y_full)
+                     / (1e-10 + _RK_RTOL * np.maximum(np.abs(y_half), 1.0)))
         if err <= 15.0 or abs(h) <= h_min:
             y_next = y_half + (y_half - y_full) / 15.0
             if walls is not None:
@@ -642,39 +651,28 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
 def trace_characteristic(problem: FreespaceProblem, x, t: float):
     """Backward characteristic foot X0 = X(x,t,0) and the Jacobian
     determinant of x -> X0, for x as `velocity` takes it (a float foot for
-    n = 1).  Radial problems integrate the variational equation along one
-    trace; general ones difference a cloud of 2n+1 trajectories spaced
-    2e-3 (1 + |x|) apart, each driven by `_general_velocity`.
+    n = 1).  Both kinds integrate dJ/dsigma = -du/dx J along the one trace,
+    du/dx from the velocity's own quadrature: the radial batch kernel's dq,
+    or one `_general_velocity` call per right side at times >= 1e-12.
     """
     if t <= 0:
         raise TimeDomainError("t must be positive")
-    xv = _point(problem, x)
+    xv, n = _point(problem, x), problem.n
     if problem.is_radial:
         r = float(np.linalg.norm(xv))
         if r == 0.0:
-            return (xv * 0.0, 1.0) if problem.n > 1 else (0.0, 1.0)
+            return (xv * 0.0, 1.0) if n > 1 else (0.0, 1.0)
         feet, dr0 = _trace_radial_batch(problem, np.array([r]), t)
-        jac = float((max(feet[0], 1e-300) / r) ** (problem.n - 1) * dr0[0])
-        if problem.n == 1:
-            return float(np.sign(np.sum(xv)) * feet[0]), jac
-        return (xv / r) * feet[0], jac
-    # general callable
-    n = problem.n
-    h = 2e-3 * (1.0 + float(np.linalg.norm(xv)))
-    steps = h * np.eye(n)   # the cloud: x, then x + h e_k and x - h e_k per axis
-    cloud = np.concatenate([xv[None], np.stack([xv + steps, xv - steps], axis=1).reshape(-1, n)])
+        foot = (xv / r) * feet[0]
+        jac = float((max(feet[0], 1e-300) / r) ** (n - 1) * dr0[0])
+    else:
+        def rhs(sigma, state):   # the foot X, then J = dX/dx row by row
+            u, du = _general_velocity(problem, state[:n], max(t - sigma, 1e-12))
+            return -np.concatenate([u, (du @ state[n:].reshape(n, n)).ravel()])
 
-    def rhs(sigma, flat):
-        # n = 1 points go to the callbacks as scalars, as velocity passes them
-        pts = flat if n == 1 else flat.reshape(-1, n)
-        s = t - sigma
-        if s <= 1e-12:
-            return -np.array([problem.grad_phi0(p) for p in pts], dtype=float).ravel()
-        return -np.array([velocity(problem, p, s) for p in pts]).reshape(-1)
-
-    feet = _rk4_doubling(rhs, cloud.ravel(), 0.0, t).reshape(-1, n)
-    jac = float(np.linalg.det((feet[1::2] - feet[2::2]).T / (2.0 * h)))
-    return (feet[0] if n > 1 else float(feet[0, 0])), jac
+        state = _rk4_doubling(rhs, np.concatenate([xv, np.eye(n).ravel()]), 0.0, t)
+        foot, jac = state[:n], float(np.linalg.det(state[n:].reshape(n, n)))
+    return (foot if n > 1 else float(foot[0])), jac
 
 
 def _rho0_value(problem: FreespaceProblem, pt):

@@ -29,7 +29,6 @@ __all__ = [
     "InviscidProblem",
     "PathMinimum",
     "SolutionPanel",
-    "interior_cost",
     "boundary_cost",
     "solve_panel",
     "weak_boundary_check",
@@ -84,24 +83,6 @@ class PathMinimum:
     t2: float | None
     value: float
     runner_up_gap: float = math.inf   # value gap to the best competing branch
-
-    def check_value(self, problem: InviscidProblem, r: float, t: float) -> float:
-        """|value - re-evaluation at the stored minimizers|."""
-        if self.branch == "interior":
-            v = interior_cost(r, self.r0, t) + problem.q0.cumulative(self.r0)
-        else:
-            v = (boundary_cost(r, self.r0, t, self.t1, self.t2, problem)
-                 + problem.q0.cumulative(self.r0))
-        return abs(v - self.value)
-
-
-def interior_cost(r: float, r0: float, t: float) -> float:
-    """Action of the straight-line path: (r - r0)^2 / (2 t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if r < 0 or r0 < 0:
-        raise ValueError("radii must be nonnegative")
-    return (r - r0) ** 2 / (2.0 * t)
 
 
 def boundary_cost(r: float, r0: float, t: float, t1: float, t2: float,

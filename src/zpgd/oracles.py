@@ -455,23 +455,6 @@ class StickyTrajectory:
             vs.append(self.velocities[k][row])
         return np.array(ts), np.array(rs), np.array(ms), np.array(vs)
 
-    def binned_field(self, k: int, edges):
-        """Empirical (q, p) by mass-weighted binning of snapshot k."""
-        edges = np.asarray(edges, dtype=float)
-        r = self.positions[k]
-        m = self.masses[k]
-        v = self.velocities[k]
-        idx = np.searchsorted(edges, r) - 1
-        ok = (idx >= 0) & (idx < edges.size - 1)
-        p = np.zeros(edges.size - 1)
-        mom = np.zeros(edges.size - 1)
-        np.add.at(p, idx[ok], m[ok])
-        np.add.at(mom, idx[ok], (m * v)[ok])
-        with np.errstate(invalid="ignore"):
-            q = np.where(p > 0, mom / np.maximum(p, 1e-300), 0.0)
-        p /= np.diff(edges)
-        return q, p
-
 
 def sticky_particle_run(particles, sample_times, absorb_at_origin: bool = True):
     """Free flight with perfectly inelastic adjacent collisions.

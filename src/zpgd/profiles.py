@@ -182,9 +182,9 @@ class ScalarProfile:
         """(f, f', ..., f^(k)) at the points x from one _locate.
 
         Each entry is an array of x's shape, bit-identical to evaluating
-        derivative_profile() applied j times (same table, same Horner pass
-        on the same piece and clamped offset); beyond the degree the rows
-        are zero."""
+        the profile ScalarProfile(breakpoints, _derivative_cols(j).T) (same
+        table, same Horner pass on the same piece and clamped offset);
+        beyond the degree the rows are zero."""
         x = np.asarray(x, dtype=float)
         idx, dx = self._locate(np.atleast_1d(x))
         return tuple(self._horner(self._derivative_cols(j), idx, dx).reshape(x.shape)
@@ -269,9 +269,6 @@ class ScalarProfile:
                 acc = acc * dx + c
             return cum + acc * dx
         return on_piece
-
-    def integral(self, a: float, b: float) -> float:
-        return float(self.cumulative(b) - self.cumulative(a))
 
     def tail_integral(self, r) -> float:
         """Integral from r to infinity; requires the clamped right end value
@@ -374,9 +371,6 @@ class ScalarProfile:
                 dcols = np.zeros((1, cols.shape[1]))
             tables.append(dcols)
         return tables[k]
-
-    def derivative_profile(self) -> "ScalarProfile":
-        return ScalarProfile(self.breakpoints, self._derivative_cols(1).T)
 
     def times_monomial(self, k: int) -> "ScalarProfile":
         """Profile multiplied by x**k (exact, piecewise)."""

@@ -168,7 +168,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_characteristic_failure_exit_code(tmp_path, monkeypatch, capsys):
     # a backward trace with a negative Jacobian is a numerical failure (4)
     monkeypatch.setattr(cli.fs, "_trace_radial_batch",
-                        lambda problem, radii, t, rtol=1e-8: (radii, -np.ones_like(radii)))
+                        lambda problem, radii, t: (radii, -np.ones_like(radii)))
     code = run_cli(["run", "--config", "freespace_closed_form", "--out", str(tmp_path)])
     assert code == 4
     assert "numerical failure: CharacteristicError" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from helpers import integral
 from zpgd import freespace as fs
 from zpgd.profiles import ScalarProfile
 from zpgd.radial_core import gauss_panels
@@ -145,7 +146,7 @@ def test_adaptive_calls_fn_once_per_level():
 
 def test_negative_jacobian_raises_characteristic_error(monkeypatch):
     monkeypatch.setattr(fs, "_trace_radial_batch",
-                        lambda problem, radii, t, rtol=1e-8: (radii, -np.ones_like(radii)))
+                        lambda problem, radii, t: (radii, -np.ones_like(radii)))
     with pytest.raises(fs.CharacteristicError, match="non-positive"):
         fs._density_radial_batch(compact_problem(), np.linspace(0.1, 1.0, 5), 0.5)
 
@@ -256,7 +257,7 @@ def test_trace_characteristic_positive_jacobian():
 def test_total_mass_conservation():
     pr = compact_problem(1, 0.4)
     m0, err0 = fs.total_mass(pr, 0.0)
-    exact = 2.0 * smooth_bump_rho().integral(0.0, 2.0)
+    exact = 2.0 * integral(smooth_bump_rho(), 0.0, 2.0)
     assert m0 == pytest.approx(exact, rel=1e-10)
     for t in (0.5, 2.0):
         m, err = fs.total_mass(pr, t)
@@ -351,7 +352,7 @@ def test_total_mass_non_radial_n1_keeps_full_line():
     m, err = fs.total_mass(pr, 0.0)
     m_ref, err_ref = _full_line_mass(pr, 0.0)
     assert m == m_ref and err == err_ref
-    assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
+    assert m == pytest.approx(2.0 * integral(bump, 0.0, 2.0), rel=1e-4)
 
 
 def test_total_mass_non_radial_needs_radius_at_positive_t(monkeypatch):
@@ -369,7 +370,7 @@ def test_total_mass_non_radial_needs_radius_at_positive_t(monkeypatch):
     with pytest.raises(ValueError, match="give total_mass a radius"):
         fs.total_mass(pr, 0.5)
     m, _ = fs.total_mass(pr, 0.0)
-    assert m == pytest.approx(2.0 * bump.integral(0.0, 2.0), rel=1e-4)
+    assert m == pytest.approx(2.0 * integral(bump, 0.0, 2.0), rel=1e-4)
 
 
 def test_rk4_doubling_reuses_first_stage():
@@ -629,9 +630,11 @@ _QUADRATIC_POINTS = {1: 0.7, 2: np.array([0.6, -0.3]), 3: np.array([0.6, -0.3, 0
     *[(n, eps, t) for n in (1, 2) for eps in (1.0, 0.1, 0.01) for t in (0.1, 1.0, 5.0)],
     (3, 1.0, 1.0), (3, 0.01, 1.0)])
 def test_general_velocity_closed_form(n, eps, t):
+    # u = x/(1+t) and du/dx = I/(1+t) from one quadrature
     x = _QUADRATIC_POINTS[n]
-    u = fs.velocity(_general_quadratic(n, eps), x, t)
+    u, du = fs._general_velocity(_general_quadratic(n, eps), np.atleast_1d(x), t)
     assert np.max(np.abs(u - x / (1 + t))) <= 1e-8 * np.max(np.abs(x / (1 + t)))
+    assert np.max(np.abs(du - np.eye(n) / (1 + t))) <= 1e-8 / (1 + t)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -677,24 +680,55 @@ def test_general_velocity_nan_potential_raises_value_error():
 
 def test_general_potential_n2_trace_velocity_and_density(monkeypatch):
     # phi0 = |y|^2/2: u = x/(1+t), foot x/(1+t), Jacobian (1+t)^-2 and
-    # rho0(x/(1+t))/(1+t)^2; a trace takes about 200 velocity calls, so
-    # density reuses the one trace of (x, t)
+    # rho0(x/(1+t))/(1+t)^2; the trace makes one velocity call per right side
     bump = smooth_bump_rho()
     rho0 = lambda y: float(bump(np.linalg.norm(y)))
     pr = _general_quadratic(2, 0.5, rho0)
     x, t = np.array([0.6, -0.3]), 0.5
-    foot, jac = trace = fs.trace_characteristic(pr, x, t)
-
-    def traced(problem, y, s):
-        assert problem is pr and np.array_equal(y, x) and s == t
-        return trace
-
-    monkeypatch.setattr(fs, "trace_characteristic", traced)
+    calls = []
+    general_velocity = fs._general_velocity
+    monkeypatch.setattr(fs, "_general_velocity",
+                        lambda *args: calls.append(1) or general_velocity(*args))
+    foot, jac = fs.trace_characteristic(pr, x, t)
+    assert len(calls) <= 52
     assert foot == pytest.approx(x / (1 + t), abs=1e-10)
     assert jac == pytest.approx((1 + t) ** -2, abs=1e-10)
     assert fs.velocity(pr, x, t) == pytest.approx(x / (1 + t), abs=1e-10)
     rho = rho0(x / (1 + t)) / (1 + t) ** 2
     assert fs.density(pr, x, t) == pytest.approx(rho, abs=1e-10)
+
+
+def _as_potential(problem):
+    # a radial n = 1 problem posed through callables: phi0 = C0(|y|)
+    q0, rho0 = problem.q0, problem.rho0
+    return fs.FreespaceProblem(n=1, epsilon=problem.epsilon,
+                               phi0=lambda y: float(q0.cumulative(abs(y))),
+                               grad_phi0=lambda y: math.copysign(float(q0(abs(y))), y),
+                               rho0=lambda y: float(rho0(abs(y))),
+                               rho0_support=problem.rho0_support)
+
+
+@pytest.mark.parametrize("x, t", [(x, t) for t in (0.5, 2.0) for x in (0.3, 0.9, 1.5)])
+def test_general_n1_density_matches_the_radial_density(x, t):
+    # the same data as a radial profile and as a potential: the general
+    # trace's Jacobian comes from its quadrature, as the radial one's does
+    radial = compact_problem(1, 0.4)
+    assert fs.density(_as_potential(radial), x, t) == pytest.approx(
+        fs.density(radial, x, t), rel=1e-9)
+
+
+def test_general_n2_separable_cosine_trace_matches_line_traces():
+    # phi0 = cos y1 + cos y2 separates: the foot is the pair of n = 1 feet
+    # and the Jacobian their product, up to the traces' step-error tolerance
+    plane = fs.FreespaceProblem(n=2, epsilon=0.3, phi0=lambda y: math.cos(y[0]) + math.cos(y[1]),
+                                grad_phi0=lambda y: -np.sin(y), rho0=lambda x: 1.0)
+    line = fs.FreespaceProblem(n=1, epsilon=0.3, phi0=math.cos,
+                               grad_phi0=lambda y: -math.sin(y), rho0=lambda x: 1.0)
+    x, t = np.array([0.7, -1.9]), 0.5
+    foot, jac = fs.trace_characteristic(plane, x, t)
+    (f1, j1), (f2, j2) = (fs.trace_characteristic(line, xk, t) for xk in x)
+    assert foot == pytest.approx([f1, f2], abs=1e-9)
+    assert jac == pytest.approx(j1 * j2, rel=1e-9)
 
 
 @pytest.mark.parametrize("problem", [

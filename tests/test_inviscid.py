@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from helpers import check_value, interior_cost
 from zpgd import inviscid as iv
 from zpgd import oracles as orc
 from zpgd.profiles import ScalarProfile
@@ -23,13 +24,13 @@ def make_problem(n=3, q0=ZERO, p0=P0, qb=None, pb=None):
 
 
 def test_interior_cost_examples():
-    assert iv.interior_cost(1.0, 1.0, 0.7) == 0.0
-    assert iv.interior_cost(1.0, 0.0, 1.0) == pytest.approx(0.5)
+    assert interior_cost(1.0, 1.0, 0.7) == 0.0
+    assert interior_cost(1.0, 0.0, 1.0) == pytest.approx(0.5)
     # doubling t halves the cost
-    assert iv.interior_cost(2.0, 0.5, 2.0) == pytest.approx(
-        0.5 * iv.interior_cost(2.0, 0.5, 1.0))
+    assert interior_cost(2.0, 0.5, 2.0) == pytest.approx(
+        0.5 * interior_cost(2.0, 0.5, 1.0))
     with pytest.raises(ValueError):
-        iv.interior_cost(1.0, 1.0, 0.0)
+        interior_cost(1.0, 1.0, 0.0)
 
 
 def test_boundary_cost_examples():
@@ -75,7 +76,7 @@ def test_minimize_boundary_wins_near_origin():
     assert m.branch == "boundary"
     assert m.value == pytest.approx(c * 0.5 - c * c * 2.0 / 2, abs=1e-9)
     assert 0.5 / (2.0 - m.t2) == pytest.approx(c, abs=1e-6)
-    assert m.check_value(prob, 0.5, 2.0) < 1e-10
+    assert check_value(m, prob, 0.5, 2.0) < 1e-10
     far = mz.minimize(2.5, 2.0)
     assert far.branch == "interior"
 
@@ -459,7 +460,7 @@ def test_minimize_value_is_boundary_cost_at_its_minimizers_exactly():
             for r in [0.004, 0.02, *np.linspace(0.05, 2.5, 12)]:
                 before = len(descents)
                 m = mz.minimize(float(r), float(t))
-                assert m.check_value(prob, float(r), float(t)) == 0.0, (r, t, m)
+                assert check_value(m, prob, float(r), float(t)) == 0.0, (r, t, m)
                 branches.add(m.branch)
                 descended_wins += m.branch == "boundary" and len(descents) > before
                 three_segment_wins += m.branch == "boundary" and m.t1 > 0.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import binned_field
 from zpgd import bounded_green as bg
 from zpgd import oracles as orc
 from zpgd.profiles import ScalarProfile
@@ -307,7 +308,7 @@ def test_binned_field_reconstruction():
                                   count=2000)
     traj = orc.sticky_particle_run(parts, [0.5])
     edges = np.linspace(0.0, 3.0, 31)
-    q, p = traj.binned_field(0, edges)
+    q, p = binned_field(traj, 0, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     left = mids < 1.1
     right = mids > 1.4

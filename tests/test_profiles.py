@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from helpers import derivative_profile
 from zpgd.profiles import ScalarProfile
 
 
@@ -78,7 +79,7 @@ def _acceptance_bump():
     ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[1.0], [0.0]]),
     ScalarProfile.piecewise_linear([0.0, 0.8, 1.6, 2.6], [0.9, 0.3, -0.6, 0.4]),
     ScalarProfile.piecewise_linear([0.5, 1.0, 3.0], [-1.0, 2.0, 0.25]),
-    _acceptance_bump().derivative_profile(),
+    derivative_profile(_acceptance_bump()),
     _acceptance_bump(),
     # a -0.0 constant term: the value at x = -0.0 is +0.0 only if the clamp
     # maps the offset -0.0 to +0.0 (1.0 * -0.0 + -0.0 would be -0.0)
@@ -146,7 +147,7 @@ def test_times_monomial():
 
 def test_derivative_profile():
     p = ScalarProfile.from_pieces([0.0, 2.0], [[1.0, 3.0, -1.0]])
-    d = p.derivative_profile()
+    d = derivative_profile(p)
     assert d(0.5) == pytest.approx(3.0 - 1.0)
 
 
@@ -179,7 +180,7 @@ def test_with_derivatives_matches_repeated_derivative_profile(prof, fractions, d
         ref = d(x)
         assert row.shape == x.shape
         assert np.array_equal(row.view(np.int64), ref.view(np.int64)), j
-        nxt = d.derivative_profile()
+        nxt = derivative_profile(d)
         # the table differentiated term by term, one power at a time
         dcf = d.coeffs[:, 1:] * np.arange(1, d.coeffs.shape[1])
         assert np.array_equal(nxt.coeffs, dcf if dcf.size else np.zeros((len(dcf), 1)))
