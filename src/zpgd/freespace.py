@@ -120,7 +120,7 @@ class FreespaceProblem:
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-def _adaptive(fn, edges, scale_fn, max_depth=16, budget=24000):
+def _adaptive(fn, edges, scale_fn):
     """Adaptive panel integration of a vector integrand fn(s)->(k,m), one
     refinement level at a time.
 
@@ -130,10 +130,10 @@ def _adaptive(fn, edges, scale_fn, max_depth=16, budget=24000):
     can miss a narrow peak entirely and drive runaway refinement, so the
     rough pass is composite).  A panel is accepted once its halves agree
     with it to _ADAPTIVE_RTOL times those scales; one that still needs
-    splitting at max_depth, or beyond `budget` splits in all, raises
-    QuadratureBudgetError.  The accepted panels are summed in descending
-    order of their left edge, the order of a depth-first pass that refines
-    right halves first.
+    splitting at depth _ADAPTIVE_MAX_DEPTH, or beyond _ADAPTIVE_BUDGET
+    splits in all, raises QuadratureBudgetError.  The accepted panels are
+    summed in descending order of their left edge, the order of a
+    depth-first pass that refines right halves first.
     """
     x, w = leggauss(15)
 
@@ -149,7 +149,7 @@ def _adaptive(fn, edges, scale_fn, max_depth=16, budget=24000):
     tol = _ADAPTIVE_RTOL * np.asarray(scale_fn(np.abs(np.sum(coarse, axis=0))))
     lefts, sums = [], []
     splits = 0
-    for depth in range(max_depth + 1):
+    for depth in range(_ADAPTIVE_MAX_DEPTH + 1):
         m = 0.5 * (a + b)
         halves = rule(np.concatenate([a, m]), np.concatenate([m, b]))
         left, right = halves[:a.size], halves[a.size:]
@@ -160,11 +160,11 @@ def _adaptive(fn, edges, scale_fn, max_depth=16, budget=24000):
         bad = np.flatnonzero(~ok)
         if not bad.size:
             break
-        if depth >= max_depth or splits + bad.size > budget:
+        if depth >= _ADAPTIVE_MAX_DEPTH or splits + bad.size > _ADAPTIVE_BUDGET:
             i = bad[np.argmax(a[bad])]
             raise QuadratureBudgetError(
                 f"panel [{a[i]:g}, {b[i]:g}] unconverged at depth {depth} after {splits} "
-                f"splits (max_depth {max_depth}, budget {budget})")
+                f"splits (max_depth {_ADAPTIVE_MAX_DEPTH}, budget {_ADAPTIVE_BUDGET})")
         splits += bad.size
         a, b = np.concatenate([a[bad], m[bad]]), np.concatenate([m[bad], b[bad]])
         coarse = np.concatenate([left[bad], right[bad]])
@@ -290,6 +290,8 @@ def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
 
 
 _ADAPTIVE_RTOL = 1e-11  # per-panel tolerance of _adaptive, relative to scale_fn
+_ADAPTIVE_MAX_DEPTH = 16  # refinement levels of _adaptive below the first
+_ADAPTIVE_BUDGET = 24000  # panel splits of one _adaptive call
 _MAX_PANELS = 224     # panels of one batch grid
 _EXP_FLOOR = -600.0   # e^-600 ~ 3e-261: far below rounding, still a normal number
 _BLOCK_ROWS = 64      # sorted radii per row block of the batch kernel
@@ -304,28 +306,24 @@ def _radial_velocity_batch(problem: FreespaceProblem, r: np.ndarray, t: float):
     Returns (q, dq/dr); dq/dr comes from differentiating the quadrature
     (same nodes), which feeds the variational equation for the
     characteristic Jacobian without noise-amplifying differencing.  The
-    radii are stable-sorted once and split into sub-batches that spread at
-    most 0.7 * 224 Gaussian well widths sqrt(2 eps t), each with its own
-    grid; q and dq come back in the caller's order.  A non-decreasing batch
-    within one such spread is one sub-batch as it stands (the stable sort
-    would leave it as it is).  Only for t < 1e-12 is the result q0(r), the
-    exact t -> 0 limit.
+    radii come in non-decreasing order, as _trace_radial_batch keeps them
+    (backward characteristics never cross), and a decreasing pair raises
+    CharacteristicError.  One pass splits them into blocks that spread at
+    most 0.7 * 224 Gaussian well widths sqrt(2 eps t), each on its own
+    grid.  Only for t < 1e-12 is the result q0(r), the exact t -> 0 limit.
     """
     r = np.asarray(r, dtype=float)
+    if (r[1:] < r[:-1]).any():
+        raise CharacteristicError("radii out of order: characteristics crossed in a trace")
     if t < 1e-12:
         q, dq = problem.q0.with_derivatives(np.abs(r), 1)
         return np.where(r > 0, q, 0.0), dq
     reach = 0.7 * _MAX_PANELS * math.sqrt(2.0 * problem.epsilon * t)
-    if r.size and r[-1] <= r[0] + reach and (r[1:] >= r[:-1]).all():
-        return _velocity_block(problem, r, t)
-    order = np.argsort(r, kind="stable")
-    rs = r[order]
     q, dq = np.empty_like(r), np.empty_like(r)
     start = 0
-    while start < rs.size:
-        stop = int(np.searchsorted(rs, rs[start] + reach, side="right"))
-        q[order[start:stop]], dq[order[start:stop]] = _velocity_block(
-            problem, rs[start:stop], t)
+    while start < r.size:
+        stop = int(np.searchsorted(r, r[start] + reach, side="right"))
+        q[start:stop], dq[start:stop] = _velocity_block(problem, r[start:stop], t)
         start = stop
     return q, dq
 
@@ -368,18 +366,12 @@ def _velocity_block(problem, r, t):
         a, b = np.searchsorted(s, [blk[0] - w, blk[-1] + w])
         return _gaussian_sums(n, blk, 1.0 / (eps * t), s[a:b], phi[a:b], cols[a:b])
 
-    sums = (block_sums(r) if r.size <= _BLOCK_ROWS else
-            np.concatenate([block_sums(r[i:i + _BLOCK_ROWS])
-                            for i in range(0, r.size, _BLOCK_ROWS)]))
+    sums = np.concatenate([block_sums(r[i:i + _BLOCK_ROWS])
+                           for i in range(0, r.size, _BLOCK_ROWS)])
     den, num, den_r, num_r = sums.T
-    ok = (r > 0) & (den > 0)
-    if ok.all():
-        q = num / den
-        return q, (num_r - q * den_r) / (den * (eps * t))
-    q, dq = np.zeros_like(r), np.zeros_like(r)
-    q[ok] = num[ok] / den[ok]
-    dq[ok] = (num_r[ok] - q[ok] * den_r[ok]) / (den[ok] * (eps * t))
-    return q, dq
+    sums[~((r > 0) & (den > 0))] = (1.0, 0.0, 0.0, 0.0)   # q = dq = 0 at r = 0 or den = 0
+    q = num / den
+    return q, (num_r - q * den_r) / (den * (eps * t))
 
 
 def _gaussian_sums(n, r, k, s, phi, cols):
@@ -480,9 +472,11 @@ def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float):
     more than half its volume restarts the levels at the first; a smaller
     loss, such as the two fine spacings of padding that each doubling
     sheds, keeps the box.  Otherwise the points per axis double until two
-    levels agree to _GENERAL_RTOL of s = E_w|grad phi0| in u (s stays
-    positive where u = 0) and of s E_w|y - x| / (eps t) in du.  A level
-    past _GENERAL_BUDGET points raises QuadratureBudgetError.
+    levels agree to _GENERAL_RTOL of s = E_w|grad phi0| + 1e-6 E_w|y - x|/t
+    in u and of s E_w|y - x| / (eps t) in du.  E_w|y - x|/t is the
+    exponent's own velocity scale (by parts u = (x - E_w y)/t), so s stays
+    positive where u = 0 or the weight sits on a flat part of phi0.  A
+    level past _GENERAL_BUDGET points raises QuadratureBudgetError.
     """
     eps, n = problem.epsilon, x.size
     w = math.sqrt(2.0 * t * (45.0 * eps + 4.0)) + 4.0
@@ -509,8 +503,9 @@ def _general_velocity(problem: FreespaceProblem, x: np.ndarray, t: float):
         den = wgt.sum()
         u = (wgt @ g) / den
         du = ((g - u) * wgt[:, None]).T @ dy / (den * eps * t)
-        tol = _GENERAL_RTOL * (wgt @ np.linalg.norm(g, axis=1)) / den
-        tol_du = tol * (wgt @ np.linalg.norm(dy, axis=1)) / (den * eps * t)
+        spread = wgt @ np.linalg.norm(dy, axis=1)
+        tol = _GENERAL_RTOL * ((wgt @ np.linalg.norm(g, axis=1)) / den + 1e-6 * spread / (den * t))
+        tol_du = tol * spread / (den * eps * t)
         if prev is not None and np.abs(u - prev[0]).max() <= tol \
                 and np.abs(du - prev[1]).max() <= tol_du:
             return u, du
@@ -634,9 +629,13 @@ def _hermite(theta, y0, dy0, y1, dy1):
 
 def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
     """Backward feet for a batch of radii at a common time and d(foot)/dr
-    via the variational equation integrated alongside."""
+    via the variational equation integrated alongside.  The radii are
+    stable-sorted once: backward characteristics never cross, so the feet
+    stay in the order the batch kernel takes.  Feet and d(foot)/dr come
+    back in the caller's order."""
     radii = np.asarray(radii, dtype=float)
     m = radii.size
+    order = np.argsort(radii, kind="stable")
 
     def rhs(sigma, state):
         s = t - sigma
@@ -644,8 +643,10 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
         q, dq = _radial_velocity_batch(problem, np.maximum(beta, 0.0), s)
         return np.concatenate([-q, -dq * w])
 
-    state = _rk4_doubling(rhs, np.concatenate([radii, np.ones(m)]), 0.0, t)
-    return state[:m], state[m:]
+    state = _rk4_doubling(rhs, np.concatenate([radii[order], np.ones(m)]), 0.0, t)
+    feet, dr0 = np.empty(m), np.empty(m)
+    feet[order], dr0[order] = state[:m], state[m:]
+    return feet, dr0
 
 
 def trace_characteristic(problem: FreespaceProblem, x, t: float):

@@ -66,9 +66,6 @@ class InviscidProblem:
         # one at the same launch radius, so the interior branch always wins
         self._no_credit = self._vplus.sup_abs() == 0.0
         self._vsq_half = self._vplus.squared().scaled(0.5)
-        # sup|q0| with the left limits at jumps, which sup_abs misses (it
-        # reads each breakpoint on the piece to its right)
-        self._sup_q0 = max(self.q0.sup_abs(), float(np.abs(self.q0._right_end_values()).max()))
 
     def sojourn_gain(self, s):
         """V(s) = int_0^s (q_bound^+)^2 / 2."""
@@ -137,7 +134,7 @@ class _BoundaryTables:
     def __init__(self, problem: InviscidProblem, t_max: float):
         self.problem = problem
         self.t_max = t_max
-        sup_q0 = problem._sup_q0
+        sup_q0 = problem.q0.sup_abs()
         r0_hi = t_max * sup_q0 * 2.0 + 1.0
         step = r0_hi / (_GRID - 1)
         self.t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, _GRID)])
@@ -214,10 +211,10 @@ def _interior_band(r: float, t: float, sup_q0: float, step: float):
     edge node, and the scan over [i0, i1) finds the full scan's argmin with
     its first-occurrence tie-break.  Two nodes of padding per side cover
     the edge node, the floor of the index estimate and an underestimate of
-    sup|q0| by up to step/t >= 1/(2047 t).  With the pieces' end values
-    added, sup_abs is exact up to rounding for degree <= 2; above that it
-    takes np.roots of q0' on every piece plus 4,097 samples, so its error
-    is second order in a root's error.
+    sup|q0| by up to step/t >= 1/(2047 t).  q0.sup_abs(), which reads the
+    left limits at jumps, is exact up to rounding for degree <= 2; above
+    that it takes np.roots of q0' on every piece plus 4,097 samples, so its
+    error is second order in a root's error.
 
     Two scans use it: PathMinimizer._interior per query, and each block of
     _BoundaryTables rows, whose row t1 is this scan at r = 0, t = t1 on
@@ -238,9 +235,10 @@ class PathMinimizer:
 
     def _interior(self, r: float, t: float, sup_v: float):
         pr = self.problem
-        r0_hi = r + t * (pr._sup_q0 + sup_v) + 1.0
+        sup_q0 = pr.q0.sup_abs()
+        r0_hi = r + t * (sup_q0 + sup_v) + 1.0
         r0g = np.linspace(0.0, r0_hi, _GRID)
-        i0, i1 = _interior_band(r, t, pr._sup_q0, r0_hi / (_GRID - 1))
+        i0, i1 = _interior_band(r, t, sup_q0, r0_hi / (_GRID - 1))
         # whole blocks of nodes: few distinct array sizes keep numpy's
         # cache of freed small arrays, and so the peak RSS, flat
         i0, i1 = i0 // _BAND_BLOCK * _BAND_BLOCK, -(-i1 // _BAND_BLOCK) * _BAND_BLOCK
@@ -275,7 +273,7 @@ class PathMinimizer:
         seed_val = float(total[k])
         # descent can improve the seed by at most ~cell * local slope
         slope = (sup_v ** 2
-                 + r * r / (t - t2g[k]) ** 2 + pr._sup_q0 ** 2 + 1.0)
+                 + r * r / (t - t2g[k]) ** 2 + pr.q0.sup_abs() ** 2 + 1.0)
         if seed_val - 4.0 * cell * slope > prune_above:
             return tb.g_r0[i1], tb.t1[i1], float(t2g[k]), seed_val
         return self._descend(r, t, tb.g_r0[i1], tb.t1[i1], t2g[k], cell=cell)
@@ -321,10 +319,10 @@ class PathMinimizer:
         v = two_segment(t2)
         if v < best:
             r0, t1, best = 0.0, 0.0, v
-        span = 3.0 * cell
+        span, sup_q0 = 3.0 * cell, pr.q0.sup_abs()
         for _ in range(5):
             if t1 > 0.0:
-                on = (max(0.0, r0 - span * pr._sup_q0 - 0.05), r0 + span * pr._sup_q0 + 0.05)
+                on = (max(0.0, r0 - span * sup_q0 - 0.05), r0 + span * sup_q0 + 0.05)
                 x, v = _line_min(lambda z: path_cost(z, t1, t2), *on, kinks=kr)
                 if v <= best:
                     r0, best = x, v

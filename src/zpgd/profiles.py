@@ -234,11 +234,6 @@ class ScalarProfile:
         idx, dx = self._locate(x)
         return self._horner(self._deriv_cols[0], idx, dx), self._cumulative_at(x, idx, dx)
 
-    def _right_end_values(self) -> np.ndarray:
-        """Each piece's value at its own right breakpoint: the left limit
-        there, where f itself reads the next piece."""
-        return self._horner(self._deriv_cols[0], np.arange(self._widths.size), self._widths)
-
     def _cumulative_on_piece(self, lo: float, hi: float):
         """One-point cumulative for x in the closed bracket [lo, hi].
 
@@ -286,15 +281,15 @@ class ScalarProfile:
         return self.coeffs.shape[1] - 1
 
     def sup_abs(self, lo: float | None = None, hi: float | None = None) -> float:
-        """Max of |f| over [lo, hi] (defaults to the whole real line, where
-        the clamped extension makes it the max over the breakpoint range).
+        """Sup of |f| over [lo, hi] (defaults to the whole real line, where
+        the clamped extension makes it the sup over the breakpoint range).
         Exact for degree <= 2; higher degrees add dense sampling.  The
         whole-line value is computed once per profile.
 
-        Each breakpoint is read on the piece to its right, so at a jump
-        down the left limit is missed: q0 = x on [0, 1), 0 after, gives
-        0.0, not the supremum 1.  Callers that need a bound over closed
-        pieces use `InviscidProblem._sup_q0`."""
+        A breakpoint b is read on both sides: f(b) on the piece to its
+        right, and for lo < b <= hi also the left limit, the value of the
+        piece that ends at b.  So q0 = x on [0, 1), 0 after, gives 1.0
+        over the whole line, and 0.0 over [1, 2]."""
         whole = lo is None and hi is None
         if whole and self._sup_whole is not None:
             return self._sup_whole
@@ -316,7 +311,12 @@ class ScalarProfile:
                             cand.append(x)
             if self.degree > 2:
                 cand.extend(np.linspace(lo, hi, 4097))
-        out = float(np.max(np.abs(self(np.asarray(cand)))))
+        # one Horner pass: the candidates, then each piece ending in (lo, hi] at its width
+        idx, dx = self._locate(np.asarray(cand, dtype=float))
+        ends = np.flatnonzero((self.breakpoints[1:] > lo) & (self.breakpoints[1:] <= hi))
+        vals = self._horner(self._deriv_cols[0], np.concatenate([idx, ends]),
+                            np.concatenate([dx, self._widths[ends]]))
+        out = float(np.max(np.abs(vals)))
         if whole:
             object.__setattr__(self, "_sup_whole", out)
         return out

@@ -103,20 +103,23 @@ def _narrow_peak(s):
     return np.exp(-((s - 0.3) / 0.01) ** 2)[None, :]
 
 
-def test_adaptive_budget_exhaustion_raises():
+def test_adaptive_budget_exhaustion_raises(monkeypatch):
     # a narrow peak needs many splits; a tiny budget or depth cannot reach
     # the tolerance and must not be accepted unconverged
     fn = _narrow_peak
     edges = np.array([0.0, 1.0])
     total = fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
     assert total[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
-    with pytest.raises(fs.QuadratureBudgetError, match="budget 2"):
-        fs._adaptive(fn, edges, scale_fn=lambda rough: rough, budget=2)
+    with monkeypatch.context() as m:
+        m.setattr(fs, "_ADAPTIVE_BUDGET", 2)
+        with pytest.raises(fs.QuadratureBudgetError, match="budget 2"):
+            fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
+    monkeypatch.setattr(fs, "_ADAPTIVE_MAX_DEPTH", 1)
     with pytest.raises(fs.QuadratureBudgetError, match="max_depth 1"):
-        fs._adaptive(fn, edges, scale_fn=lambda rough: rough, max_depth=1)
+        fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
 
 
-def test_adaptive_calls_fn_once_per_level():
+def test_adaptive_calls_fn_once_per_level(monkeypatch):
     # the narrow peak refines over many levels; each level evaluates all of
     # its pending panels in one fn call
     fn = _narrow_peak
@@ -131,8 +134,9 @@ def test_adaptive_calls_fn_once_per_level():
     assert total[0] == pytest.approx(0.01 * math.sqrt(math.pi), rel=1e-10)
 
     def converges(max_depth):
+        monkeypatch.setattr(fs, "_ADAPTIVE_MAX_DEPTH", max_depth)
         try:
-            fs._adaptive(fn, edges, scale_fn=lambda rough: rough, max_depth=max_depth)
+            fs._adaptive(fn, edges, scale_fn=lambda rough: rough)
         except fs.QuadratureBudgetError:
             return False
         return True
@@ -546,16 +550,14 @@ def _elementwise_batch(problem, r, t):
 
 
 def test_batch_kernel_matches_elementwise_formula():
-    # the 31 radii fit one row block; the 200 shuffled ones hold r = 0
+    # the 31 radii fit one row block; the 200 sorted ones hold r = 0
     # twice, repeated radii, 150 radii on the hump (three row blocks of 64)
     # and 40 far radii, whose spread splits the batch at t = 0.01 and 0.1
     rng = np.random.default_rng(12)
-    shuffled = np.concatenate([[0.0, 0.0], np.repeat([0.5, 1.25], 4),
-                               rng.uniform(0.0, 3.0, 150), rng.uniform(3.0, 60.0, 40)])
-    rng.shuffle(shuffled)
-    assert np.ptp(shuffled) > 0.7 * 224 * math.sqrt(2.0 * 0.4 * 0.1)
-    for rr in (np.linspace(0.0, 3.0, 31), shuffled):
-        order = np.argsort(rr, kind="stable")
+    spread = np.sort(np.concatenate([[0.0, 0.0], np.repeat([0.5, 1.25], 4),
+                                     rng.uniform(0.0, 3.0, 150), rng.uniform(3.0, 60.0, 40)]))
+    assert np.ptp(spread) > 0.7 * 224 * math.sqrt(2.0 * 0.4 * 0.1)
+    for rr in (np.linspace(0.0, 3.0, 31), spread):
         for n in (1, 2, 3):
             pr = compact_problem(n, 0.4)
             for t in (0.01, 0.1, 0.8, 4.0):
@@ -563,41 +565,63 @@ def test_batch_kernel_matches_elementwise_formula():
                 q_ref, dq_ref = _elementwise_batch(pr, rr, t)
                 assert np.all(np.abs(q - q_ref) <= 1e-11 * np.maximum(np.abs(q_ref), 1e-3))
                 assert np.all(np.abs(dq - dq_ref) <= 1e-11 * np.maximum(np.abs(dq_ref), 1e-3))
-                # q and dq come back in the caller's order
-                q_sorted, dq_sorted = fs._radial_velocity_batch(pr, rr[order], t)
-                assert np.array_equal(q[order], q_sorted)
-                assert np.array_equal(dq[order], dq_sorted)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batch_edge_cases_match_sort_and_scatter_bit_for_bit(n, monkeypatch):
-    # a non-decreasing batch within one reach skips the sort and the
-    # scatter; every batch keeps the bits of the sort-and-scatter path
+    # a non-decreasing batch is split into blocks as it stands, with no
+    # sort and no scatter, and keeps the bits of the sort-and-scatter path;
+    # a descending batch means a trace has failed
     pr = compact_problem(n, 0.01)
     t = 0.05
     reach = 0.7 * 224 * math.sqrt(2.0 * pr.epsilon * t)
-    sorted_in_reach = np.linspace(0.05, 0.05 + reach, 30)
     batches = {
         "empty": np.array([]),
         "one radius": np.array([0.7]),
         "tied radii": np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.25, 1.25]),
-        "descending": np.linspace(3.0, 0.05, 17),
         "wider than one reach": np.linspace(0.05, 6.0, 40),
-        "sorted in one reach": sorted_in_reach,
+        "sorted in one reach": np.linspace(0.05, 0.05 + reach, 30),
     }
     assert np.ptp(batches["wider than one reach"]) > reach
-    for name, rr in batches.items():
-        q, dq = fs._radial_velocity_batch(pr, rr, t)
-        q_ref, dq_ref = _sort_and_scatter(pr, rr, t, fs._velocity_block)
-        for got, ref in ((q, q_ref), (dq, dq_ref)):
-            assert got.shape == ref.shape, name
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+    refs = {name: _sort_and_scatter(pr, rr, t, fs._velocity_block)
+            for name, rr in batches.items()}
 
     def no_sort(*args, **kwargs):
-        raise AssertionError("sorted a non-decreasing batch within one reach")
+        raise AssertionError("sorted a non-decreasing batch")
 
     monkeypatch.setattr(fs.np, "argsort", no_sort)
-    fs._radial_velocity_batch(pr, sorted_in_reach, t)
+    for name, rr in batches.items():
+        q, dq = fs._radial_velocity_batch(pr, rr, t)
+        for got, ref in zip((q, dq), refs[name]):
+            assert got.shape == ref.shape, name
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+    # a descending batch, and one pair out of order by one ulp, raise at t
+    # and at the t -> 0 limit
+    for rr in (np.linspace(3.0, 0.05, 17), np.array([0.1, 0.4, np.nextafter(0.4, 0.0), 2.0])):
+        for time in (t, 1e-13):
+            with pytest.raises(fs.CharacteristicError, match="out of order"):
+                fs._radial_velocity_batch(pr, rr, time)
+
+
+def test_density_batch_returns_the_callers_order(monkeypatch):
+    # total_mass's two node sets one after the other: the trace sorts them
+    # once, the batch kernel sees only ordered radii, and every density
+    # keeps the bits of the sorted call
+    pr = compact_problem(3, 0.4)
+    nodes = np.concatenate([gauss_panels(np.linspace(0.0, 2.5, k + 1), 10)[0] for k in (16, 8)])
+    order = np.argsort(nodes, kind="stable")
+    assert (np.diff(nodes) < 0).any()
+    kernel, ordered = fs._radial_velocity_batch, []
+
+    def spy(problem, r, t):
+        ordered.append(bool((np.diff(r) >= 0).all()))
+        return kernel(problem, r, t)
+
+    monkeypatch.setattr(fs, "_radial_velocity_batch", spy)
+    got = fs._density_radial_batch(pr, nodes, 0.5)
+    assert ordered and all(ordered)
+    ref = fs._density_radial_batch(pr, nodes[order], 0.5)
+    assert np.array_equal(got[order].view(np.int64), ref.view(np.int64))
 
 
 def test_separable_quadratic_2d_tensor_path():
@@ -696,6 +720,34 @@ def test_general_potential_n2_trace_velocity_and_density(monkeypatch):
     assert fs.velocity(pr, x, t) == pytest.approx(x / (1 + t), abs=1e-10)
     rho = rho0(x / (1 + t)) / (1 + t) ** 2
     assert fs.density(pr, x, t) == pytest.approx(rho, abs=1e-10)
+
+
+def _jump_down_problem():
+    # q0 = x on [0, 1), 0 on [1, 2]: sup|q0| = 1 is the left limit at the jump
+    q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 1.0], [0.0]])
+    return fs.FreespaceProblem(n=1, epsilon=0.003, q0=q0, rho0=smooth_bump_rho(),
+                               rho0_support=2.0)
+
+
+def test_velocity_past_a_jump_down_meets_the_bound():
+    # the window t sup|q0| reaches the ramp's feet: both kernels agree, and
+    # the CLI's velocity-bound check passes
+    pr, t = _jump_down_problem(), 2.0
+    rr = np.array([1.2, 1.5, 1.7])
+    qs = np.array([fs.radial_velocity(pr, float(r), t) for r in rr])
+    qb, _ = fs._radial_velocity_batch(pr, rr, t)
+    assert np.abs(qb - qs).max() <= 1e-10
+    assert qs[:2] == pytest.approx(rr[:2] / (1.0 + t), abs=1e-10)
+    assert max(0.0, float(np.abs(qs).max()) - pr.q0.sup_abs()) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.014, 0.017, 0.02])
+def test_general_velocity_on_a_flat_part_of_phi0(s):
+    # phi0 = C0(|y|) is constant for |y| >= 2: at x = 2.598 the weight sits
+    # where grad phi0 vanishes, and the level test keeps a positive scale
+    radial = compact_problem(1, 0.4)
+    u = fs.velocity(_as_potential(radial), 2.598, s)
+    assert u == pytest.approx(fs.radial_velocity(radial, 2.598, s), abs=1e-12)
 
 
 def _as_potential(problem):

@@ -289,7 +289,7 @@ def _c09_problems():
 
 def _dense_tables(problem, t_max):
     """The boundary tables from one dense (t1, r0) cost matrix."""
-    r0g = np.linspace(0.0, t_max * problem._sup_q0 * 2.0 + 1.0, 2048)
+    r0g = np.linspace(0.0, t_max * problem.q0.sup_abs() * 2.0 + 1.0, 2048)
     c0 = problem.q0.cumulative(r0g)
     t1 = np.concatenate([[0.0], np.geomspace(t_max * 1e-7, t_max, 2048)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -320,12 +320,11 @@ def _assert_tables_equal(tables, ref):
 
 
 def test_boundary_tables_reach_past_a_jump_down(monkeypatch):
-    # sup_abs() reads each breakpoint on the piece to its right, so it
-    # misses the left limit at a jump down; the tables' r0 range
-    # 2 t_max sup|q0| + 1 takes sup|q0| with that limit
+    # sup_abs() reads the left limit at a jump down, and the tables' r0
+    # range 2 t_max sup|q0| + 1 takes sup|q0| with that limit
     ramp = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 1.0, 2.0],
                                                            [[0.0, 1.0], [0.0]]), P0, ONE, ONE)
-    assert ramp.q0.sup_abs() == 0.0 and ramp._sup_q0 == 1.0
+    assert ramp.q0.sup_abs() == 1.0
     read = []   # the largest r0 of each C0 evaluation
     cumulative = ScalarProfile.cumulative
 
@@ -346,7 +345,7 @@ def test_boundary_tables_reach_past_a_jump_down(monkeypatch):
     # beyond a range of 1
     drop = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 3.0, 4.0],
                                                            [[0.0, -1.0], [0.0]]), P0, ONE, ONE)
-    assert drop.q0.sup_abs() == 0.0 and drop._sup_q0 == 3.0
+    assert drop.q0.sup_abs() == 3.0
     tb = iv._BoundaryTables(drop, t_max)
     step = (2 * t_max * 3.0 + 1) / 2047
     assert abs(tb.g_r0[-1] - 3.0) < step
@@ -355,8 +354,8 @@ def test_boundary_tables_reach_past_a_jump_down(monkeypatch):
 
 def test_boundary_tables_match_dense_formula_byte_for_byte():
     # each block of rows scans only the band of its largest t1; q0 = -x on
-    # [0, 1), then 0 has sup_abs() = 0, so its band rests on the left limit
-    # -1, and for t1 > 1 its row argmin sits at r0 near 1
+    # [0, 1), then 0 has sup_abs() = 1, the left limit -1 at the jump, and
+    # for t1 > 1 its row argmin sits at r0 near 1
     jump_up = iv.InviscidProblem(1, ScalarProfile.from_pieces([0.0, 1.0, 2.0],
                                                               [[0.0, -1.0], [0.0]]),
                                  P0, ONE, ONE)
@@ -500,7 +499,7 @@ def _full_scan_interior(prob, r, t, sup_v):
     """The interior branch as a scan of all 2,048 nodes, with cumulative
     itself in the line search: its argmin k and the (r0, value) result."""
     q0 = prob.q0
-    r0g = np.linspace(0.0, r + t * (prob._sup_q0 + sup_v) + 1.0, 2048)
+    r0g = np.linspace(0.0, r + t * (q0.sup_abs() + sup_v) + 1.0, 2048)
     vals = (r - r0g) ** 2 / (2.0 * t) + q0.cumulative(r0g)
     k = int(np.argmin(vals))
     lo, hi = r0g[max(k - 1, 0)], r0g[min(k + 1, 2047)]
@@ -545,7 +544,7 @@ def _band_case(draw):
 @given(case=_band_case())
 @example(case=(ScalarProfile.constant(-1.0), 1.0, 2.0, 0.0))
 @example(case=(ScalarProfile.constant(0.5), 4000.0, 4.0, 0.0))
-# q0 = x on [0, 1), then 0: sup_abs() is 0, the left limit at 1 is 1
+# q0 = x on [0, 1), then 0: sup_abs() is 1, the left limit at the jump
 @example(case=(ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 1.0], [0.0]]), 1.2, 2.0, 0.0))
 def test_interior_band_holds_the_full_scan_argmin(case):
     # the band scan must find the full scan's first argmin, and _interior
@@ -553,9 +552,9 @@ def test_interior_band_holds_the_full_scan_argmin(case):
     q0, r, t, sup_v = case
     prob = iv.InviscidProblem(1, q0, P0, ScalarProfile.constant(1.0), ONE)
     k, want = _full_scan_interior(prob, r, t, sup_v)
-    r0_hi = r + t * (prob._sup_q0 + sup_v) + 1.0
+    r0_hi = r + t * (q0.sup_abs() + sup_v) + 1.0
     r0g = np.linspace(0.0, r0_hi, 2048)
-    i0, i1 = iv._interior_band(r, t, prob._sup_q0, r0_hi / 2047)
+    i0, i1 = iv._interior_band(r, t, q0.sup_abs(), r0_hi / 2047)
     band = r0g[i0:i1]
     assert i0 <= k < i1
     assert i0 + int(np.argmin((r - band) ** 2 / (2.0 * t) + q0.cumulative(band))) == k

@@ -138,6 +138,15 @@ def test_sup_abs_quadratic_interior_extremum():
     assert p.sup_abs() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sup_abs_reads_the_left_limit_at_a_jump():
+    # f = x on [0, 1), 0 on [1, 2]: the sup 1 is the left limit at 1, which
+    # belongs to [lo, hi] only when lo < 1 <= hi
+    p = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 1.0], [0.0]])
+    assert p.sup_abs() == 1.0
+    assert p.sup_abs(0.5, 1.5) == 1.0
+    assert p.sup_abs(1.0, 2.0) == 0.0
+
+
 def test_times_monomial():
     p = ScalarProfile.piecewise_linear([0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
     q = p.times_monomial(2)
