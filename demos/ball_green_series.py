@@ -50,8 +50,7 @@ def main():
     grid_r = np.linspace(0.05, 0.95, 19)
     grid_t = np.linspace(0.1, 1.2, 7)
     q = np.array([state.velocity(grid_r, float(t)) for t in grid_t])
-    p = np.array([bg.density_batch(state, grid_r, float(t)) for t in grid_t]) \
-        * grid_r[None, :] ** 2
+    p = bg.density_batch(state, grid_r, grid_t) * grid_r[None, :] ** 2
     write_radial_csv(RadialField(3, eps, grid_r, grid_t, q, p),
                      OUT / "ball3d_field.csv")
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .freespace import TimeDomainError, _check_times
 from .profiles import ScalarProfile
 from .radial_core import gauss_panels, write_csv
 from .specfun import (DomainCase, EigenProblem, EigenvalueList, bessel_all,
@@ -176,43 +177,56 @@ class GreenEvaluator:
         self._expo_ref = -0.5 * self.problem.epsilon * (self._lam2 - self._lam2_min)
         self._expo_abs = -0.5 * self.problem.epsilon * self._lam2
         # phi's frequency row (1 in a zero-rate column) and the rows it
-        # scales; phi slices the first k columns of each
-        self._lam_row = np.where(self.rates == 0.0, 1.0, self.rates)[None, :]
+        # scales; phi takes the first k entries of each, or one entry per
+        # cell
+        self._lam_row = np.where(self.rates == 0.0, 1.0, self.rates)
         if self.problem.case == DomainCase.ANNULUS_2D:
-            self._ca_row, self._cb_row = self.ca[None, :], self.cb[None, :]
+            self._ca_row, self._cb_row = self.ca, self.cb
         elif self.problem.case == DomainCase.ANNULUS_3D:
             self._b1 = self.problem.eigen.b1
             self._r1_lam_row = self.problem.r_inner * self._lam_row
 
-    def active_modes(self, t: float) -> int:
+    def active_modes(self, t):
         """Modes whose decay factor at time t still exceeds 1e-18 relative
-        to the slowest mode; later modes cannot move the sums."""
-        if t <= 0.0:
+        to the slowest mode; later modes cannot move the sums.  t may also
+        be an array of positive times, with one count per time."""
+        if np.ndim(t) == 0 and t <= 0.0:
             return self.rates.size
         lam2_cut = self._lam2_min + _TWO_LOG_1E18 / (self.problem.epsilon * t)
-        return int(self._lam2.searchsorted(lam2_cut)) + 1
+        k = self._lam2.searchsorted(lam2_cut) + 1
+        return int(k) if np.ndim(k) == 0 else k
 
-    def phi(self, r, k: int | None = None):
+    def phi(self, r, k=None):
         """(phi, dphi/dr): (len(r), k) matrices of eigenfunction values and
         radial derivatives for the first k modes (all by default), from one
         evaluation.  A zero-rate column, when present, is the constant
-        eigenfunction."""
+        eigenfunction.
+
+        With k an array of one mode count per radius the cells are the
+        first k[j] modes of each radius j, returned flat, radius after
+        radius: a run of radii that share a count is then a C-ordered
+        (radii, count) block, with the bits of its own matrix call."""
         r = _radii(r)
-        cols = slice(None, k)
-        lam = self._lam_row[:, cols]
-        z = r[:, None] * lam
+        if np.ndim(k) == 0:
+            cols, rr, first = slice(None, k), r[:, None], np.s_[:, :1]
+        else:   # the column of every cell, and its radius
+            k = np.asarray(k)
+            ends = np.cumsum(k)
+            cols = np.arange(ends[-1] if k.size else 0) - np.repeat(ends - k, k)
+            rr, first = np.repeat(r, k), cols == 0
+        lam = self._lam_row[cols]
+        z = rr * lam
         case = self.problem.case
         if case == DomainCase.BALL_2D:
             j0, j1 = (v.reshape(z.shape) for v in bessel_j01(z.ravel()))
             out, dout = j0, -lam * j1
         elif case == DomainCase.BALL_3D:
-            rr = r[:, None]
             sz = np.sin(z)
             out = sz / rr
             dout = lam * np.cos(z) / rr - sz / rr ** 2
         elif case == DomainCase.ANNULUS_2D:
-            ca = self._ca_row[:, cols]
-            cb = self._cb_row[:, cols]
+            ca = self._ca_row[cols]
+            cb = self._cb_row[cols]
             j0, j1, y0, y1 = (v.reshape(z.shape) for v in bessel_all(z.ravel()))
             out = ca * j0 - cb * y0
             dout = -lam * (ca * j1 - cb * y1)
@@ -221,8 +235,7 @@ class GreenEvaluator:
             # set-up call takes every mode at thousands of Gauss nodes, where
             # each temporary matrix is about a megabyte
             b1 = self._b1
-            r1_lam = self._r1_lam_row[:, cols]
-            rr = r[:, None]
+            r1_lam = self._r1_lam_row[cols]
             u = lam * (rr - self.problem.r_inner)
             su = np.sin(u)
             cu = np.cos(u, out=u)
@@ -234,15 +247,16 @@ class GreenEvaluator:
             dout /= rr
             dout -= out / rr ** 2
             out /= rr
-        if self.include_zero and out.shape[1]:
-            out[:, 0] = 1.0
-            dout[:, 0] = 0.0
+        if self.include_zero:
+            out[first] = 1.0
+            dout[first] = 0.0
         return out, dout
 
-    def decay(self, t: float, reference: bool = True,
+    def decay(self, t, reference: bool = True,
               k: int | None = None) -> np.ndarray:
         """exp(-eps rate^2 t / 2), optionally relative to the slowest mode
-        (the reference form keeps velocity ratios finite at large t)."""
+        (the reference form keeps velocity ratios finite at large t); a
+        column of times gives one row per time."""
         expo = self._expo_ref if reference else self._expo_abs
         return np.exp(expo[:k] * t)
 
@@ -400,40 +414,79 @@ class BoundedHopfCole:
         k, c = self._weights(t, reference=False)
         return self.ev.phi(r, k=k)[0] @ c
 
-    def velocity(self, r, t: float):
-        """q = -eps a_r / a, the q of velocity_and_derivative; only defined
-        at and above the series floor."""
-        if t < self.ev.t_floor:
+    def velocity(self, r, t):
+        """q = -eps a_r / a, the q of velocity_and_derivative, for r and t
+        as it takes them; only defined at and above the series floor."""
+        times = _check_times(t)
+        if (times < self.ev.t_floor).any():
             raise TruncationError(
-                f"t={t:g} below the series floor {self.ev.t_floor:g}")
+                f"t={times.min():g} below the series floor {self.ev.t_floor:g}")
         out = self.velocity_and_derivative(r, t)[0]
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
-    def velocity_and_derivative(self, r, t: float):
-        """(q, dq/dr) from one eigenfunction evaluation: the second radial
-        derivative comes for free from phi'' = -rate^2 phi - (n-1)/r phi',
-        so a_rr needs only an extra weighted sum of the same phi matrix.
-        Below the series floor the initial-data Taylor limit stands in
-        (characteristic tracing must reach t = 0)."""
-        rr = _radii(r)
-        nm1 = self._nm1
-        if t < self.ev.t_floor:
-            q0, dq0, d2q0 = self.ev.problem.q0.with_derivatives(rr, 2)
-            qdot = (-q0 * dq0 + self._half_eps *
-                    (d2q0 + nm1 / rr * dq0 - nm1 / rr ** 2 * q0))
-            q = q0 + t * qdot
-            dq = dq0   # O(t) correction dropped; only used below the floor
-            return q, dq
-        k, c = self._weights(t, reference=True)
-        phi0, phi1 = self.ev.phi(rr, k=k)
-        a = phi0 @ c
-        a_r = phi1 @ c
+    def velocity_and_derivative(self, r, t):
+        """(q, dq/dr) at radii r and one time t, or at a 2-D r with one row
+        of radii per entry of a 1-D t; every row has the bits of its own
+        one-time call.
+
+        The eigenfunctions are evaluated once, each row over its own active
+        modes, and each row then takes its own matrix-vector products on
+        its block.  The second radial derivative comes for free from
+        phi'' = -rate^2 phi - (n-1)/r phi', so a_rr needs only an extra
+        weighted sum of the same phi matrix.  Below the series floor the
+        initial-data Taylor limit stands in (characteristic tracing must
+        reach t = 0)."""
+        if np.ndim(t) == 0:
+            q, dq = self.velocity_and_derivative(_radii(r)[None], np.array([t]))
+            return q[0], dq[0]
+        rr, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        floor = self.ev.t_floor
+        times = t.tolist()
+        if max(times) < floor:
+            return self._taylor(rr, t[:, None])
+        if min(times) >= floor:
+            return self._series(rr, t)
+        low = t < floor
+        q, dq = np.empty(rr.shape), np.empty(rr.shape)
+        q[low], dq[low] = self._taylor(rr[low], t[low, None])
+        q[~low], dq[~low] = self._series(rr[~low], t[~low])
+        return q, dq
+
+    def _series(self, rr, t):
+        """(q, dq/dr) of the series, row i of the radii rr at time t[i]."""
+        ev = self.ev
+        n_rows, m = rr.shape
+        ks = [min(k, self.coef.size) for k in ev.active_modes(t).tolist()]
+        c = self.coef * ev.decay(t[:, None])
+        c_lam = c * ev._lam2
+        if ks.count(ks[0]) == n_rows:   # one mode count: the blocks tile a matrix
+            phi0, phi1 = (v.ravel() for v in ev.phi(rr.ravel(), ks[0]))
+        else:
+            phi0, phi1 = ev.phi(rr.ravel(), np.repeat(ks, m))
+        a, a_r, a_l = np.empty((3, n_rows, m))
+        start = 0
+        for i, k in enumerate(ks):
+            stop = start + m * k
+            p0 = phi0[start:stop].reshape(m, k)
+            np.matmul(p0, c[i, :k], out=a[i])
+            np.matmul(phi1[start:stop].reshape(m, k), c[i, :k], out=a_r[i])
+            np.matmul(p0, c_lam[i, :k], out=a_l[i])
+            start = stop
         if np.any(np.abs(a) < 1e-300):
             raise TruncationError("series denominator underflow")
-        a_rr = -(phi0 @ (c * self.ev._lam2[:k])) - nm1 / rr * a_r
+        a_rr = -a_l - self._nm1 / rr * a_r
         q = -self._eps * a_r / a
-        dq = -self._eps * a_rr / a + q * q / self._eps
-        return q, dq
+        return q, -self._eps * a_rr / a + q * q / self._eps
+
+    def _taylor(self, rr, t):
+        """(q0 + t qdot, q0') from q_t = -q q_r + eps/2 (q_rr + (n-1)/r q_r -
+        (n-1)/r^2 q): the series' stand-in below its floor (the O(t) term
+        of q_r is dropped)."""
+        nm1 = self._nm1
+        q0, dq0, d2q0 = self.ev.problem.q0.with_derivatives(rr, 2)
+        qdot = (-q0 * dq0 + self._half_eps *
+                (d2q0 + nm1 / rr * dq0 - nm1 / rr ** 2 * q0))
+        return q0 + t * qdot, dq0
 
     def robin_residual(self, t: float) -> float:
         """Boundary-condition residual of the series, relative to sup|a|."""
@@ -468,8 +521,14 @@ def large_time_velocity(ev: GreenEvaluator, r):
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
-def density_batch(state: BoundedHopfCole, radii, t: float) -> np.ndarray:
-    """rho(r, t) at many radii, one backward trace for the whole batch.
+def density_batch(state: BoundedHopfCole, radii, t) -> np.ndarray:
+    """rho(r, t) at many radii, one backward trace per time.
+
+    t is one time or a 1-D array of times, each finite and >= 0; radii is
+    1-D, the same radii at every time, or 2-D with one row per time.  The
+    result is 1-D for one time and has one row per time otherwise.  The
+    traces of all times run in lockstep, and each row has the bits of its
+    own one-time call.
 
     Each characteristic of p_t + (qp)_r = 0 is traced back to the parabolic
     boundary: to its foot on the initial data or, through an inflow wall,
@@ -477,10 +536,12 @@ def density_batch(state: BoundedHopfCole, radii, t: float) -> np.ndarray:
     is amplified by exp(-int q_r ds) and divided by r^(n-1)."""
     from .freespace import _rk4_doubling  # shared adaptive RK pair
 
+    times = _check_times(t)
     pr = state.ev.problem
     radii = np.asarray(radii, dtype=float)
+    rows = np.broadcast_to(radii, np.shape(np.atleast_1d(times)) + radii.shape[-1:])
     a, b = pr.domain
-    m = radii.size
+    m = rows.shape[1]
     # backward characteristics can only leave through inflow walls
     exits = [w for w in pr.walls if w.inflow]
     lo = next((w.r for w in exits if w.sign < 0.0), -math.inf)
@@ -488,68 +549,79 @@ def density_batch(state: BoundedHopfCole, radii, t: float) -> np.ndarray:
 
     lo_clip, hi_clip = a + 1e-13 * (b - a), b - 1e-13 * (b - a)
 
-    def rhs(sigma, y):
-        s = t - sigma
+    def rhs(u, y):
         # np.clip's values at well under its per-call cost on small arrays
-        beta = np.minimum(np.maximum(y[:m], lo_clip), hi_clip)
-        q, dq = state.velocity_and_derivative(beta, max(s, 0.0))
-        return -np.concatenate((q, dq))
+        beta = np.minimum(np.maximum(y[:, :m], lo_clip), hi_clip)
+        q, dq = state.velocity_and_derivative(beta, np.maximum(u, 0.0))
+        return -np.concatenate((q, dq), axis=1)
 
-    # state: feet and the accumulated d(log p)/ds integral
-    y, s_exit = _rk4_doubling(rhs, np.concatenate([radii, np.zeros(m)]), 0.0, t,
-                              walls=(lo, hi))
-    feet = np.clip(y[:m], lo_clip, hi_clip)
-    integral_qr = y[m:]   # = -int_{t0}^{t} q_r ds
+    # state per time: feet and the accumulated d(log p)/ds integral
+    y, t_exit = _rk4_doubling(rhs, np.concatenate([rows, np.zeros(rows.shape)], axis=1),
+                              times, walls=(lo, hi))
+    feet = np.clip(y[:, :m], lo_clip, hi_clip)
+    integral_qr = y[:, m:]   # = -int_{t0}^{t} q_r ds
     p_gamma = pr.p0_profile()(feet)
-    for i in np.flatnonzero(~np.isnan(s_exit)):
-        t0 = t - s_exit[i]
-        w = next(w for w in exits if w.r == y[i])
+    for i, j in zip(*np.nonzero(~np.isnan(t_exit))):
+        w = next(w for w in exits if w.r == y[i, j])
         if w.p is None:
             raise DataInsufficiencyError(
-                f"characteristic reached the {w.name} wall at t={t0:g} but no "
+                f"characteristic reached the {w.name} wall at t={t_exit[i, j]:g} but no "
                 "boundary density was supplied (inflow sign conditions violated)")
-        p_gamma[i] = w.p(t0)
-    return p_gamma * np.exp(integral_qr) / radii ** (pr.n - 1)
+        p_gamma[i, j] = w.p(t_exit[i, j])
+    dens = p_gamma * np.exp(integral_qr) / rows ** (pr.n - 1)
+    return dens[0] if times.ndim == 0 else dens
 
 
-def radial_mass(state: BoundedHopfCole, t: float) -> float:
+def radial_mass(state: BoundedHopfCole, t):
     """m(t) = integral of p = r^(n-1) rho over the domain width, on 16
-    Gauss panels of 6 points."""
+    Gauss panels of 6 points; one time, or an array of one mass per time
+    (all traced in lockstep)."""
     pr = state.ev.problem
     a, b = pr.domain
     lo = a + 1e-4 * (b - a) if not pr.is_annulus else a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
     nodes, wts = gauss_panels(np.linspace(lo, hi, 16 + 1), 6)
     dens = density_batch(state, nodes, t)
-    total = float((dens * nodes ** (pr.n - 1)) @ wts)
-    if not pr.is_annulus:
-        # the skipped sliver [a, lo) carries p ~ p(lo) (r/lo)^(n-1)
-        p_lo = float(dens[0] * nodes[0] ** (pr.n - 1))
-        total += p_lo * lo / pr.n
-    return total
+    masses = []
+    for row in np.atleast_2d(dens):
+        total = float((row * nodes ** (pr.n - 1)) @ wts)
+        if not pr.is_annulus:
+            # the skipped sliver [a, lo) carries p ~ p(lo) (r/lo)^(n-1)
+            p_lo = float(row[0] * nodes[0] ** (pr.n - 1))
+            total += p_lo * lo / pr.n
+        masses.append(total)
+    return masses[0] if dens.ndim == 1 else np.array(masses)
 
 
 def mass_flux_report(state: BoundedHopfCole, times):
     """Check dm/dt against the wall fluxes -[q p] by centred differences of
-    half-width _FLUX_DT.
+    half-width _FLUX_DT, so every time must be at least _FLUX_DT.
 
     Returns rows (t, dm_dt, flux, residual).  The identity is stated for
     the radial mass integral of p; the full mass is omega_{n-1} times it.
+    The masses of all times run in one lockstep and the wall densities in
+    another.
     """
+    ts = _check_times(times)
+    if (ts < _FLUX_DT).any():
+        raise TimeDomainError(f"mass_flux_report needs t >= {_FLUX_DT}, got {times!r}")
     pr = state.ev.problem
     a, b = pr.domain
+    masses = radial_mass(state, np.concatenate([ts - _FLUX_DT, ts + _FLUX_DT]))
+    # the flux -sign q p of each wall, read 1e-7 widths inside it and
+    # summed outer wall first
+    walls = tuple(reversed(pr.walls))
+    radii = [w.r - w.sign * (1e-7 * (b - a)) for w in walls]
+    inside = np.array(radii * ts.size)[:, None]   # one row per (time, wall)
+    at = np.repeat(ts, len(walls))
+    p_wall = density_batch(state, inside, at).reshape(ts.size, len(walls)).tolist()
+    q_wall = state.velocity(inside, at).reshape(ts.size, len(walls)).tolist()
     rows = []
-    for t in times:
-        m_lo = radial_mass(state, t - _FLUX_DT)
-        m_hi = radial_mass(state, t + _FLUX_DT)
+    for t, m_lo, m_hi, ps, qs in zip(times, masses[:ts.size].tolist(),
+                                     masses[ts.size:].tolist(), p_wall, q_wall):
         dm_dt = (m_hi - m_lo) / (2.0 * _FLUX_DT)
-        # the flux -sign q p of each wall, read 1e-7 widths inside it and
-        # summed outer wall first
-        terms = []
-        for w in reversed(pr.walls):
-            r = w.r - w.sign * (1e-7 * (b - a))
-            p = float(density_batch(state, np.array([r]), t)[0]) * r ** (pr.n - 1)
-            terms.append(-w.sign * state.velocity(r, t) * p)
+        terms = [-w.sign * q * (p * r ** (pr.n - 1))
+                 for w, r, p, q in zip(walls, radii, ps, qs)]
         flux = sum(terms[1:], terms[0])
         rows.append((t, dm_dt, flux, dm_dt - flux))
     return rows

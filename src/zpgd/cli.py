@@ -252,8 +252,7 @@ def run_bounded(cfg: dict, problem: bg.BoundedProblem, ctx: RunContext) -> None:
     ctx.params.append(f"consistency gap={problem.consistency_gap():.3g}")
 
     q = np.array([state.velocity(grid_r, float(t)) for t in grid_t])
-    p = np.array([bg.density_batch(state, grid_r, float(t)) for t in grid_t]) \
-        * grid_r ** (problem.n - 1)
+    p = bg.density_batch(state, grid_r, grid_t) * grid_r ** (problem.n - 1)
     field = RadialField(problem.n, problem.epsilon, grid_r, grid_t, q, p)
     write_radial_csv(field, ctx.path("field.csv"))
     bg.write_eigenvalue_csv(state.ev.eigs, ctx.path("eigenvalues.csv"))

@@ -47,7 +47,19 @@ class ConfinementError(RuntimeError):
 
 
 class TimeDomainError(ValueError):
-    pass
+    """A time outside the domain of the solution: NaN, infinite, negative,
+    or zero where the formula needs t > 0."""
+
+
+def _check_times(t, positive=False) -> np.ndarray:
+    """t as a float array after checking every entry: finite and >= 0, or
+    > 0 with positive; TimeDomainError otherwise."""
+    times = np.asarray(t, dtype=float)
+    ok = (times > 0.0) if positive else (times >= 0.0)
+    if not (ok & (times < math.inf)).all():
+        raise TimeDomainError(
+            f"t must be finite and {'positive' if positive else 'non-negative'}, got {t!r}")
+    return times
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -259,8 +271,7 @@ def _radial_integrand(problem, r, t, shift):
 
 def radial_velocity(problem: FreespaceProblem, r: float, t: float) -> float:
     """Radial velocity component q(r, t) by adaptive quadrature."""
-    if t <= 0:
-        raise TimeDomainError("t must be positive")
+    _check_times(t, positive=True)
     if not problem.is_radial:
         raise ValueError("radial_velocity needs a radial problem")
     if r == 0.0:
@@ -529,8 +540,7 @@ def velocity(problem: FreespaceProblem, x, t: float):
     a float); any other shape raises ValueError.  Potentials given as
     callables go through _general_velocity, which meets its tolerance or
     raises."""
-    if t <= 0:
-        raise TimeDomainError("t must be positive")
+    _check_times(t, positive=True)
     xv = _point(problem, x)
     if problem.is_radial:
         r = float(abs(xv[0]) if problem.n == 1 else np.linalg.norm(xv))
@@ -540,83 +550,138 @@ def velocity(problem: FreespaceProblem, x, t: float):
     return float(u[0]) if problem.n == 1 else u
 
 
-def _rk4_doubling(rhs, y0, s0, s1, walls=None):
+def _rk4_doubling(rhs, y0, t, walls=None):
     """Step-doubled classic RK4 with Richardson extrapolation (an embedded
-    4th/5th-order pair); vectorized over the state, with tolerances 1e-10
-    absolute and _RK_RTOL relative.  A step-size floor of 1/1500 of the
-    span keeps quadrature noise in the right side from stalling the
-    controller.
+    4th/5th-order pair) for a batch of backward traces run in lockstep,
+    with tolerances 1e-10 absolute and _RK_RTOL relative.
 
-    With walls=(lo, hi) the state is two rows of m entries, the positions
-    of m traces and then one quantity carried along each, and the result
-    is (y, s_exit).  A trace whose position leaves [lo, hi] on an accepted
-    step is frozen where the step's cubic Hermite interpolant meets the
-    wall, and s_exit holds that crossing (NaN for traces that stay inside).
-    A batch in which no trace leaves takes the same steps as without walls.
+    Row i of y0 is one trace, y0[i] at time t[i] >= 0 (t a scalar or one
+    time per row), carried back to time 0: dy/dsigma = rhs(u, y) at
+    u = t[i] - sigma for sigma from 0 to t[i].  rhs(u, y) takes one time
+    per row and the rows y of any traces and stages, and returns their
+    slopes row by row; no row's slope may depend on the other rows of the
+    call.
+
+    Rows are independent.  Each trace has its own span, step size, accept
+    or reject decision, first stage (kept through a rejection), wall exits
+    and step-size floor of 1/1500 of its span (the floor keeps quadrature
+    noise in the right side from stalling the controller), so it takes
+    exactly the steps it takes alone.  The step-size factors are Python
+    scalars per trace: numpy's array ** rounds differently from the scalar
+    pow in some cases, which would make a trace's steps depend on its
+    batch.  Each round hands rhs every ready (trace, stage) row in one call
+    -- the full step's and the first half step's stages together -- so an
+    attempt costs 8 calls, 7 after a rejection.
+
+    With walls=(lo, hi) each row holds two runs of m entries, the
+    positions of m characteristics and then one quantity carried along
+    each, and the result is (y, t_exit).  A characteristic whose position
+    leaves [lo, hi] on an accepted step is frozen where the step's cubic
+    Hermite interpolant meets the wall, and t_exit holds the time u of
+    that crossing (NaN where it stays inside).  A trace in which none
+    leaves takes the same steps as without walls.
     """
-    y = np.asarray(y0, dtype=float).copy()
-    s = s0
-    span = s1 - s0
-    h = span / 16.0
-    h_min = abs(span) * (1.0 / 1500.0)
-    f = rhs
+    y = np.array(y0, dtype=float)
+    n_tr = y.shape[0]
+    spans = np.broadcast_to(np.asarray(t, dtype=float), (n_tr,)).tolist()
+    s = [0.0] * n_tr
+    h = [span / 16.0 for span in spans]
+    h_min = [abs(span) * (1.0 / 1500.0) for span in spans]
+    tries = [0] * n_tr
+    t_end = np.array(spans)
+    k1 = np.empty_like(y)
+    fresh = [False] * n_tr   # k1[i] = f(s[i], y[i]); a rejection leaves both as they were
+    live = None   # with walls: the entries still moving
     if walls is not None:
-        m = y.size // 2
-        s_exit = np.full(m, np.nan)
-        live = np.ones(y.size, dtype=bool)
+        lo, hi = walls
+        m = y.shape[1] // 2
+        t_exit = np.full((n_tr, m), np.nan)
+        live = np.ones(y.shape, dtype=bool)
 
-        def frozen_rhs(s, y):   # the right side once some trace is frozen
-            return np.where(live, rhs(s, y), 0.0)
+    def rows(idx):   # the start times and moving entries of the traces idx
+        return t_end[idx], None if live is None else live[idx]
 
-    def step(y, s, h, k1):
-        k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(s + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def f(at, sigma, ys):   # slopes of rows at sigma; frozen entries get 0
+        out = rhs(at[0] - sigma, ys)
+        return out if at[1] is None else np.where(at[1], out, 0.0)
 
-    guard = 0
-    k1 = None   # f(s, y); a rejected attempt leaves s, y and f as they were
-    while (s1 - s) * np.sign(span) > 1e-14 * abs(span):
-        guard += 1
-        if guard > 100000:
-            raise CharacteristicError("step underflow in characteristic integration "
-                                      f"at s={s!r}")
-        if (s + h - s1) * np.sign(span) > 0:
-            h = s1 - s
-        # the full step and the first half step share their first stage
-        if k1 is None:
-            k1 = f(s, y)
-        y_full = step(y, s, h, k1)
-        y_mid = step(y, s, 0.5 * h, k1)
-        y_half = step(y_mid, s + 0.5 * h, 0.5 * h, f(s + 0.5 * h, y_mid))
-        err = np.max(np.abs(y_half - y_full)
-                     / (1e-10 + _RK_RTOL * np.maximum(np.abs(y_half), 1.0)))
-        if err <= 15.0 or abs(h) <= h_min:
-            y_next = y_half + (y_half - y_full) / 15.0
-            if walls is not None:
-                pos = y_next[:m]
-                out = np.flatnonzero(live[:m] & ((pos < walls[0]) | (pos > walls[1])))
-                if out.size:
+    def stages(at, s, y, h, k1):   # one RK4 step of length h[j] per row j
+        half = 0.5 * h
+        s_half = s + half
+        k2 = f(at, s_half, y + half[:, None] * k1)
+        k3 = f(at, s_half, y + half[:, None] * k2)
+        k4 = f(at, s + h, y + h[:, None] * k3)
+        return y + (h / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    while True:
+        act = [i for i in range(n_tr) if spans[i] - s[i] > 1e-14 * spans[i]]
+        if not act:
+            break
+        for i in act:
+            tries[i] += 1
+            if tries[i] > 100000:
+                raise CharacteristicError("step underflow in characteristic integration "
+                                          f"at s={s[i]!r}")
+            if s[i] + h[i] > spans[i]:
+                h[i] = spans[i] - s[i]
+        need = [i for i in act if not fresh[i]]
+        if need:
+            k1[need] = f(rows(need), np.array([s[i] for i in need]), y[need])
+            for i in need:
+                fresh[i] = True
+        # the full step and the first half step share their first stage and
+        # run side by side, full steps first
+        n_act = len(act)
+        sa = [s[i] for i in act]
+        ha = [h[i] for i in act]
+        h2 = np.array(ha + [0.5 * v for v in ha])
+        at2 = rows(act + act)
+        both = stages(at2, np.array(sa + sa), y[act + act], h2, k1[act + act])
+        y_full, y_mid = both[:n_act], both[n_act:]
+        at = (at2[0][:n_act], None if at2[1] is None else at2[1][:n_act])
+        s_mid = np.array([v + 0.5 * w for v, w in zip(sa, ha)])
+        y_half = stages(at, s_mid, y_mid, h2[n_act:], f(at, s_mid, y_mid))
+        errs = np.max(np.abs(y_half - y_full)
+                      / (1e-10 + _RK_RTOL * np.maximum(np.abs(y_half), 1.0)), axis=1)
+        y_next = y_half + (y_half - y_full) / 15.0
+        done = []
+        for j, i in enumerate(act):
+            if errs[j] <= 15.0 or abs(h[i]) <= h_min[i]:
+                done.append(j)
+            else:
+                h[i] *= max(0.3, 0.9 * (15.0 / errs[j]) ** 0.2)
+        if walls is not None:
+            hits = []
+            for j in done:
+                pos = y_next[j, :m]
+                out = live[act[j], :m] & ((pos < lo) | (pos > hi))
+                if out.any():
+                    hits.append((j, np.flatnonzero(out)))
+            if hits:
+                idx = [act[j] for j, _ in hits]
+                k_end = f(rows(idx), np.array([s[i] + h[i] for i in idx]),
+                          y_next[[j for j, _ in hits]])
+                for (j, out), i, k4 in zip(hits, idx, k_end):
                     cols = np.stack([out, out + m])
-                    ends = (y[cols], h * k1[cols], y_next[cols], h * f(s + h, y_next)[cols])
-                    wall = np.where(pos[out] < walls[0], walls[0], walls[1])
+                    ends = (y[i][cols], h[i] * k1[i][cols], y_next[j][cols], h[i] * k4[cols])
+                    pos = y_next[j, out]
+                    wall = np.where(pos < lo, lo, hi)
                     theta = np.zeros(out.size)   # bisection for the fraction spent inside
                     for k in range(1, 54):
                         trial = theta + 0.5 ** k
-                        inside = (_hermite(trial, *ends)[0] - wall) * (pos[out] - wall) < 0.0
+                        inside = (_hermite(trial, *ends)[0] - wall) * (pos - wall) < 0.0
                         theta = np.where(inside, trial, theta)
-                    y_next[out + m] = _hermite(theta, *ends)[1]
-                    y_next[out] = wall
-                    s_exit[out] = s + theta * h
-                    live[cols] = False
-                    f = frozen_rhs
-            y = y_next
-            s = s + h
-            k1 = None
-            h = h * min(3.0, max(0.3, 0.9 * (15.0 / max(err, 1e-14)) ** 0.2))
-        else:
-            h *= max(0.3, 0.9 * (15.0 / err) ** 0.2)
-    return y if walls is None else (y, s_exit)
+                    y_next[j, out + m] = _hermite(theta, *ends)[1]
+                    y_next[j, out] = wall
+                    t_exit[i, out] = spans[i] - (s[i] + theta * h[i])
+                    live[i][cols] = False
+        for j in done:
+            i = act[j]
+            y[i] = y_next[j]
+            s[i] = s[i] + h[i]
+            fresh[i] = False
+            h[i] = h[i] * min(3.0, max(0.3, 0.9 * (15.0 / max(errs[j], 1e-14)) ** 0.2))
+    return y if walls is None else (y, t_exit)
 
 
 def _hermite(theta, y0, dy0, y1, dy1):
@@ -637,13 +702,15 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
     m = radii.size
     order = np.argsort(radii, kind="stable")
 
-    def rhs(sigma, state):
-        s = t - sigma
-        beta, w = state[:m], state[m:]
-        q, dq = _radial_velocity_batch(problem, np.maximum(beta, 0.0), s)
-        return np.concatenate([-q, -dq * w])
+    def rhs(u, y):   # per row: the feet, then d(foot)/dr
+        out = np.empty_like(y)
+        for s, row, slope in zip(u.tolist(), y, out):
+            q, dq = _radial_velocity_batch(problem, np.maximum(row[:m], 0.0), s)
+            slope[:m] = -q
+            slope[m:] = -dq * row[m:]
+        return out
 
-    state = _rk4_doubling(rhs, np.concatenate([radii[order], np.ones(m)]), 0.0, t)
+    state = _rk4_doubling(rhs, np.concatenate([radii[order], np.ones(m)])[None], t)[0]
     feet, dr0 = np.empty(m), np.empty(m)
     feet[order], dr0[order] = state[:m], state[m:]
     return feet, dr0
@@ -656,8 +723,7 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float):
     du/dx from the velocity's own quadrature: the radial batch kernel's dq,
     or one `_general_velocity` call per right side at times >= 1e-12.
     """
-    if t <= 0:
-        raise TimeDomainError("t must be positive")
+    _check_times(t, positive=True)
     xv, n = _point(problem, x), problem.n
     if problem.is_radial:
         r = float(np.linalg.norm(xv))
@@ -667,11 +733,15 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float):
         foot = (xv / r) * feet[0]
         jac = float((max(feet[0], 1e-300) / r) ** (n - 1) * dr0[0])
     else:
-        def rhs(sigma, state):   # the foot X, then J = dX/dx row by row
-            u, du = _general_velocity(problem, state[:n], max(t - sigma, 1e-12))
-            return -np.concatenate([u, (du @ state[n:].reshape(n, n)).ravel()])
+        def rhs(u, y):   # per row: the foot X, then J = dX/dx row by row
+            out = np.empty_like(y)
+            for s, row, slope in zip(u.tolist(), y, out):
+                v, dv = _general_velocity(problem, row[:n], max(s, 1e-12))
+                slope[:n] = -v
+                slope[n:] = -(dv @ row[n:].reshape(n, n)).ravel()
+            return out
 
-        state = _rk4_doubling(rhs, np.concatenate([xv, np.eye(n).ravel()]), 0.0, t)
+        state = _rk4_doubling(rhs, np.concatenate([xv, np.eye(n).ravel()])[None], t)[0]
         foot, jac = state[:n], float(np.linalg.det(state[n:].reshape(n, n)))
     return (foot if n > 1 else float(foot[0])), jac
 
@@ -711,7 +781,9 @@ def _support_image_radius(problem, t):
 
 
 def _density_radial_batch(problem, radii, t):
-    """rho at many radii, one time; one backward trace for the whole batch."""
+    """rho at many radii, one time t >= 0; one backward trace for the whole
+    batch."""
+    _check_times(t)
     rr = np.maximum(np.abs(np.asarray(radii, dtype=float)), 1e-12)
     feet, dr0 = _trace_radial_batch(problem, rr, t)
     jac = (np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0
@@ -730,6 +802,7 @@ def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None)
     doubled.  Raises MassConcentrationError when rho0 carries mass but the
     density at t is zero at every node, rather than report a total loss as
     (0, 0), and ValueError for a potential phi0 at t > 0 without a radius."""
+    _check_times(t)
     if radius is None:
         radius = _support_image_radius(problem, t)
     fold = problem.n == 1 and problem.is_radial

@@ -374,28 +374,34 @@ def test_inflow_exit_matches_solve_ivp_reference(monkeypatch):
 
 
 def test_wall_trace_evaluates_no_point_twice(monkeypatch):
-    # rejected steps and wall exits: every (s, y) the shared integrator
-    # asks for is new, also after it switches to the frozen right side
+    # rejected steps and wall exits: every (time, row) the shared
+    # integrator asks for is new, also once some entries are frozen, in
+    # the lockstep of two times as in the trace of one
     from zpgd import freespace as fs
 
     st = bg.hopf_cole_boundary_state(_inflow_annulus(ScalarProfile.constant(0.7)))
     rr = np.array([1.01, 1.05, 1.2, 1.5, 1.95])
-    ref = bg.density_batch(st, rr, 1.5)
-    seen = set()
+    times = np.array([0.8, 1.5])
+    ref = bg.density_batch(st, rr, times)
+    seen = []   # one set per integration
 
     def checked(rhs):
-        def wrapped(s, y):
-            key = (s, y.tobytes())
-            assert key not in seen, f"rhs evaluated twice at s={s!r}"
-            seen.add(key)
-            return rhs(s, y)
+        seen.append(set())
+
+        def wrapped(u, y):
+            for s, row in zip(u, y):
+                key = (s, row.tobytes())
+                assert key not in seen[-1], f"rhs evaluated twice at u={s!r}"
+                seen[-1].add(key)
+            return rhs(u, y)
         return wrapped
 
     plain = fs._rk4_doubling
     monkeypatch.setattr(fs, "_rk4_doubling",
                         lambda rhs, *args, **kw: plain(checked(rhs), *args, **kw))
-    assert np.array_equal(bg.density_batch(st, rr, 1.5), ref)
-    assert seen
+    assert np.array_equal(bg.density_batch(st, rr, times), ref)
+    assert np.array_equal(bg.density_batch(st, rr, 1.5), ref[1])
+    assert len(seen) == 2 and all(seen)
 
 
 def test_mass_flux_identity_inflow_wall():
@@ -626,3 +632,102 @@ def test_eigenvalue_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,value,residual"
     assert len(lines) == 6
+
+
+# the lockstep's times: 0.0 traces nothing, 0.8 repeats, and 1e-3 lies
+# below the series floor (3.3e-3 to 6.8e-3) of every problem below, so its
+# trace runs on the Taylor limit alone while the others cross the floor
+_LOCKSTEP_TIMES = np.array([0.8, 0.0, 1.5, 0.05, 0.8, 1e-3, 0.3])
+
+
+@pytest.mark.parametrize("make", [lambda c=c: no_inflow_problem(c) for c in CASES]
+                         + [_neumann_ball, lambda: _inflow_annulus(ScalarProfile.constant(0.7))],
+                         ids=[c.value for c in CASES] + ["neumann-ball2d", "inflow-annulus"])
+def test_density_batch_lockstep_keeps_each_times_bits(make):
+    pr = make()
+    st = bg.hopf_cole_boundary_state(pr)
+    a, b = pr.domain
+    rr = (np.array([1.01, 1.05, 1.2, 1.5, 1.95]) if pr.is_annulus and pr.rho_inner
+          else np.linspace(a + 0.01 * (b - a), b - 0.01 * (b - a), 9))
+    batch = bg.density_batch(st, rr, _LOCKSTEP_TIMES)
+    assert batch.shape == (_LOCKSTEP_TIMES.size, rr.size)
+    for t, row in zip(_LOCKSTEP_TIMES, batch):
+        assert _same_bits(row, bg.density_batch(st, rr, float(t)))
+    assert _same_bits(batch[1], pr.p0_profile()(rr) / rr ** (pr.n - 1))
+    # one row of radii per time
+    rows = rr[None, :] * np.linspace(0.97, 1.0, _LOCKSTEP_TIMES.size)[:, None]
+    per_row = bg.density_batch(st, rows, _LOCKSTEP_TIMES)
+    for t, r, row in zip(_LOCKSTEP_TIMES, rows, per_row):
+        assert _same_bits(row, bg.density_batch(st, r, float(t)))
+
+
+def test_density_batch_lockstep_mixes_wall_exits(monkeypatch):
+    # 1.01 and 1.05 leave through the inner wall at 0.8 and 1.5, 1.2 only
+    # at 1.5; at 0.05 and 0.0 no trace leaves
+    from zpgd import freespace as fs
+
+    st = bg.hopf_cole_boundary_state(_inflow_annulus(ScalarProfile.constant(0.7)))
+    rr = np.array([1.01, 1.05, 1.2, 1.5, 1.95])
+    exits = []
+    plain = fs._rk4_doubling
+
+    def recorded(*args, **kw):
+        out = plain(*args, **kw)
+        exits.append(~np.isnan(out[1]))
+        return out
+
+    monkeypatch.setattr(fs, "_rk4_doubling", recorded)
+    batch = bg.density_batch(st, rr, [0.8, 0.05, 1.5, 0.0])
+    assert exits[0].tolist() == [[True, True, False, False, False],
+                                 [False] * 5,
+                                 [True, True, True, False, False],
+                                 [False] * 5]
+    for t, row in zip([0.8, 0.05, 1.5, 0.0], batch):
+        assert _same_bits(row, bg.density_batch(st, rr, t))
+
+
+@pytest.mark.parametrize("make", [ball3d_problem,
+                                  lambda: _inflow_annulus(ScalarProfile.constant(1.0))],
+                         ids=["ball3d", "inflow-annulus"])
+def test_mass_flux_report_keeps_the_bits_of_one_time_traces(make):
+    st = bg.hopf_cole_boundary_state(make())
+    pr = st.ev.problem
+    a, b = pr.domain
+    times = [0.8, 0.5, 0.8]
+    rows = bg.mass_flux_report(st, times)
+    for t, row in zip(times, rows):
+        dm_dt = (bg.radial_mass(st, t + bg._FLUX_DT)
+                 - bg.radial_mass(st, t - bg._FLUX_DT)) / (2.0 * bg._FLUX_DT)
+        terms = []
+        for w in reversed(pr.walls):
+            r = w.r - w.sign * (1e-7 * (b - a))
+            p = float(bg.density_batch(st, np.array([r]), t)[0]) * r ** (pr.n - 1)
+            terms.append(-w.sign * st.velocity(r, t) * p)
+        flux = sum(terms[1:], terms[0])
+        assert _same_bits(row, (t, dm_dt, flux, dm_dt - flux))
+    masses = bg.radial_mass(st, np.array([0.3, 0.0, 0.3]))
+    assert _same_bits(masses, [bg.radial_mass(st, t) for t in (0.3, 0.0, 0.3)])
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, [0.3, math.nan], [0.3, -1e-9]],
+                         ids=["negative", "nan", "inf", "nan-in-batch", "negative-in-batch"])
+def test_bounded_entry_points_reject_bad_times(t):
+    from zpgd.freespace import TimeDomainError
+
+    st = bg.hopf_cole_boundary_state(ball3d_problem())
+    with pytest.raises(TimeDomainError):
+        bg.density_batch(st, [0.3, 0.6], t)
+    with pytest.raises(TimeDomainError):
+        bg.radial_mass(st, t)
+    with pytest.raises(TimeDomainError):
+        bg.mass_flux_report(st, np.atleast_1d(t).tolist())
+    with pytest.raises(TimeDomainError):
+        st.velocity([0.3], t if np.ndim(t) == 0 else np.array(t))
+
+
+def test_mass_flux_report_rejects_a_time_inside_its_difference():
+    from zpgd.freespace import TimeDomainError
+
+    st = bg.hopf_cole_boundary_state(ball3d_problem())
+    with pytest.raises(TimeDomainError, match="t >= 0.02"):
+        bg.mass_flux_report(st, [0.8, 0.01])

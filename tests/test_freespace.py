@@ -377,22 +377,79 @@ def test_total_mass_non_radial_needs_radius_at_positive_t(monkeypatch):
     assert m == pytest.approx(2.0 * integral(bump, 0.0, 2.0), rel=1e-4)
 
 
+def _decay_rhs(seen, calls=None):
+    """y' = -rate y on rows (y, rate); seen collects every (time, row) a
+    trace of the given rate is asked for, and a repeat fails."""
+    def rhs(u, y):
+        for s, row in zip(u, y):
+            key = (s, row.tobytes())
+            assert key not in seen.setdefault(row[1], set()), \
+                f"rhs evaluated twice at u={s!r}"
+            seen[row[1]].add(key)
+        if calls is not None:
+            calls.append(len(u))
+        out = np.zeros_like(y)
+        out[:, 0] = -y[:, 1] * y[:, 0]
+        return out
+    return rhs
+
+
 def test_rk4_doubling_reuses_first_stage():
     # y' = -rate y.  At rate 100 RK4 is unstable at the first step, span/16,
     # so that attempt is rejected and the retry must reuse f(s0, y0).
     for rate in (1.0, 100.0):
-        seen = set()
-
-        def rhs(s, y):
-            key = (s, y.tobytes())
-            assert key not in seen, f"rhs evaluated twice at s={s!r}"
-            seen.add(key)
-            return -rate * y
-
-        y = fs._rk4_doubling(rhs, np.array([1.0]), 0.0, 1.0)
-        assert abs(y[0] - math.exp(-rate)) < 1e-8
+        seen = {}
+        y = fs._rk4_doubling(_decay_rhs(seen), np.array([[1.0, rate]]), 1.0)
+        assert abs(y[0, 0] - math.exp(-rate)) < 1e-8
+        assert y[0, 1] == rate
     # an accepted first attempt would evaluate nothing below span/64
-    assert min(s for s, _ in seen if s > 0.0) < 1.0 / 64.0
+    assert min(1.0 - u for u, _ in seen[100.0] if u < 1.0) < 1.0 / 64.0
+
+
+def test_rk4_doubling_lockstep_keeps_each_traces_bits():
+    # traces of rates 1 and 100 over different spans, and one of span 0:
+    # each row takes its own steps, with the bits of its one-row run
+    y0 = np.array([[1.0, 1.0], [1.0, 100.0], [2.0, 3.0]])
+    spans = np.array([1.0, 0.7, 0.0])
+    seen, calls = {}, []
+    batch = fs._rk4_doubling(_decay_rhs(seen, calls), y0, spans)
+    alone_calls = []
+    for row, span, got in zip(y0, spans, batch):
+        one = []
+        alone = fs._rk4_doubling(_decay_rhs({}, one), row[None], span)
+        assert np.array_equal(got.view(np.int64), alone[0].view(np.int64))
+        alone_calls.append(len(one))
+    assert np.array_equal(batch[2], y0[2]) and 3.0 not in seen and alone_calls[2] == 0
+    # the stiff trace keeps its first stage through its rejected first
+    # attempt: f(0.7, y0) once, and a retry below span/64
+    assert sum(u == 0.7 for u, _ in seen[100.0]) == 1
+    assert min(0.7 - u for u, _ in seen[100.0] if u < 0.7) < 0.7 / 64.0
+    # the full and the first half step share each round: 8 calls per
+    # attempt (7 after a rejection), the rows of both traces in one call
+    assert len(calls) < sum(alone_calls)
+    assert max(calls) == 4 and sum(calls) == sum(len(v) for v in seen.values())
+
+
+def test_freespace_entry_points_reject_bad_times():
+    pr = compact_problem(n=3)
+    x = np.array([0.3, 0.2, 0.1])
+    for t in (math.nan, math.inf, -0.5, 0.0):
+        for call in (lambda: fs.radial_velocity(pr, 0.5, t),
+                     lambda: fs.velocity(pr, x, t),
+                     lambda: fs.trace_characteristic(pr, x, t),
+                     lambda: fs.density(pr, x, t)):
+            with pytest.raises(fs.TimeDomainError):
+                call()
+    # the mass and the batch density also take t = 0
+    for t in (math.nan, math.inf, -0.5):
+        with pytest.raises(fs.TimeDomainError):
+            fs.total_mass(pr, t)
+        with pytest.raises(fs.TimeDomainError):
+            fs._density_radial_batch(pr, np.linspace(0.1, 1.0, 5), t)
+    m0, _ = fs.total_mass(pr, 0.0)
+    assert np.array_equal(fs._density_radial_batch(pr, np.array([0.5, 1.0]), 0.0),
+                          pr.rho0(np.array([0.5, 1.0])))
+    assert m0 > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 3])
