@@ -180,9 +180,7 @@ class GreenEvaluator:
         # scales; phi takes the first k entries of each, or one entry per
         # cell
         self._lam_row = np.where(self.rates == 0.0, 1.0, self.rates)
-        if self.problem.case == DomainCase.ANNULUS_2D:
-            self._ca_row, self._cb_row = self.ca, self.cb
-        elif self.problem.case == DomainCase.ANNULUS_3D:
+        if self.problem.case == DomainCase.ANNULUS_3D:
             self._b1 = self.problem.eigen.b1
             self._r1_lam_row = self.problem.r_inner * self._lam_row
 
@@ -225,8 +223,8 @@ class GreenEvaluator:
             out = sz / rr
             dout = lam * np.cos(z) / rr - sz / rr ** 2
         elif case == DomainCase.ANNULUS_2D:
-            ca = self._ca_row[cols]
-            cb = self._cb_row[cols]
+            ca = self.ca[cols]
+            cb = self.cb[cols]
             j0, j1, y0, y1 = (v.reshape(z.shape) for v in bessel_all(z.ravel()))
             out = ca * j0 - cb * y0
             dout = -lam * (ca * j1 - cb * y1)
@@ -299,7 +297,7 @@ def build_green_evaluator(problem: BoundedProblem) -> GreenEvaluator:
     walls = (None, None)
     if problem.case == DomainCase.ANNULUS_2D:
         walls = _wall_coefficients(problem, rates)
-    inv_norms = 1.0 / _eigen_norms(problem, eigs.values, rates, walls)
+    inv_norms = 1.0 / _eigen_norms(problem, eigs.values, rates)
     include_zero = problem.eigen.has_zero_mode
     if include_zero:
         rates = np.concatenate([[0.0], rates])
@@ -324,11 +322,9 @@ def _wall_coefficients(problem: BoundedProblem, rates: np.ndarray):
     return -a1 * y0i + rates * y1i, -a1 * j0i + rates * j1i
 
 
-def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray,
-                 walls=(None, None)):
+def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray):
     """Closed-form squared norms of the radial eigenfunctions with weight
-    r^(n-1); valid for any frequency, no eigenvalue identities needed.
-    walls are the planar annulus's (ca, cb), computed here when absent."""
+    r^(n-1); valid for any frequency, no eigenvalue identities needed."""
     case = problem.case
     if case == DomainCase.BALL_2D:
         j0, j1 = bessel_j01(mu)
@@ -339,7 +335,7 @@ def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray,
         a1 = problem.q_inner / problem.epsilon
         a2 = problem.q_outer / problem.epsilon
         r1, r2 = problem.r_inner, problem.r_outer
-        ca, cb = walls if walls[0] is not None else _wall_coefficients(problem, rates)
+        ca, cb = _wall_coefficients(problem, rates)
         j0o, j1o, y0o, y1o = bessel_all(rates * r2)
         h2 = ca * j0o - cb * y0o
         # H(R1) = -2/(pi R1) exactly (Wronskian), independent of the data
@@ -357,9 +353,9 @@ def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray,
 
 
 def green(ev: GreenEvaluator, r: float, xi: float, t: float) -> float:
-    """Heat kernel G(r, xi, t) (the series diverges pointwise at t <= 0)."""
-    if t <= 0:
-        raise ValueError("the series only converges for t > 0")
+    """Heat kernel G(r, xi, t); TimeDomainError unless t is finite and
+    positive (the series diverges pointwise at t <= 0)."""
+    _check_times(t, positive=True)
     return float(ev._terms(r, xi, t).sum())
 
 
@@ -410,7 +406,9 @@ class BoundedHopfCole:
         return k, self.coef[:k] * self.ev.decay(t, reference=reference, k=k)
 
     def evaluate(self, r, t: float) -> np.ndarray:
-        """a(r, t) (up to the fixed positive normalization exp(shift))."""
+        """a(r, t) (up to the fixed positive normalization exp(shift)) at
+        one finite t >= 0."""
+        _check_times(t)
         k, c = self._weights(t, reference=False)
         return self.ev.phi(r, k=k)[0] @ c
 
@@ -489,7 +487,9 @@ class BoundedHopfCole:
         return q0 + t * qdot, dq0
 
     def robin_residual(self, t: float) -> float:
-        """Boundary-condition residual of the series, relative to sup|a|."""
+        """Boundary-condition residual of the series, relative to sup|a|, at
+        one finite t >= 0."""
+        _check_times(t)
         pr = self.ev.problem
         a, b = pr.domain
         probe = np.linspace(a + 1e-6 * (b - a), b, 101)

@@ -1,6 +1,6 @@
 """Batch front-end: scenario configs in, CSV artifacts and a run report out.
 
-Subcommands: run, list-scenarios, eigen, verify.  A scenario is a small
+Subcommands: run, list-scenarios, eigen.  A scenario is a small
 INI-style file (sections in brackets, dotted nesting, key = value) with
 profiles given as breakpoint tables.  Its mode picks a row of MODES: the
 handler, the problem class whose fields the [problem] section gives, and
@@ -487,12 +487,10 @@ def main(argv=None) -> int:
                                      description="zero-pressure gas dynamics solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("run", "run a scenario config"),
-                            ("verify", "alias of run: same checks, same artifacts")):
-        p_run = sub.add_parser(name, help=help_text)
-        p_run.add_argument("--config", required=True)
-        p_run.add_argument("--out", default="zpgd_out")
-        p_run.add_argument("--tolerance-scale", type=float, default=1.0)
+    p_run = sub.add_parser("run", help="run a scenario config")
+    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--out", default="zpgd_out")
+    p_run.add_argument("--tolerance-scale", type=float, default=1.0)
 
     sub.add_parser("list-scenarios", help="print the bundled scenario gallery")
 

@@ -693,14 +693,14 @@ def _hermite(theta, y0, dy0, y1, dy1):
 
 
 def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
-    """Backward feet for a batch of radii at a common time and d(foot)/dr
-    via the variational equation integrated alongside.  The radii are
-    stable-sorted once: backward characteristics never cross, so the feet
-    stay in the order the batch kernel takes.  Feet and d(foot)/dr come
-    back in the caller's order."""
-    radii = np.asarray(radii, dtype=float)
-    m = radii.size
-    order = np.argsort(radii, kind="stable")
+    """Backward feet of radii |r|, clamped at 1e-12, at a common time and
+    the Jacobian (foot/r)^(n-1) d(foot)/dr of x -> X0, d(foot)/dr from the
+    variational equation integrated alongside.  The radii are stable-sorted
+    once: backward characteristics never cross, so the feet stay in the
+    order the batch kernel takes.  Both come back in the caller's order."""
+    rr = np.maximum(np.abs(np.asarray(radii, dtype=float)), 1e-12)
+    m = rr.size
+    order = np.argsort(rr, kind="stable")
 
     def rhs(u, y):   # per row: the feet, then d(foot)/dr
         out = np.empty_like(y)
@@ -710,28 +710,32 @@ def _trace_radial_batch(problem: FreespaceProblem, radii: np.ndarray, t: float):
             slope[m:] = -dq * row[m:]
         return out
 
-    state = _rk4_doubling(rhs, np.concatenate([radii[order], np.ones(m)])[None], t)[0]
+    state = _rk4_doubling(rhs, np.concatenate([rr[order], np.ones(m)])[None], t)[0]
     feet, dr0 = np.empty(m), np.empty(m)
     feet[order], dr0[order] = state[:m], state[m:]
-    return feet, dr0
+    return feet, _checked_jacobian((np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0)
+
+
+def _checked_jacobian(jac):
+    """jac once every entry is positive; CharacteristicError otherwise."""
+    if np.any(jac <= 0):
+        raise CharacteristicError("non-positive characteristic Jacobian")
+    return jac
 
 
 def trace_characteristic(problem: FreespaceProblem, x, t: float):
     """Backward characteristic foot X0 = X(x,t,0) and the Jacobian
     determinant of x -> X0, for x as `velocity` takes it (a float foot for
-    n = 1).  Both kinds integrate dJ/dsigma = -du/dx J along the one trace,
-    du/dx from the velocity's own quadrature: the radial batch kernel's dq,
-    or one `_general_velocity` call per right side at times >= 1e-12.
-    """
+    n = 1); CharacteristicError if it is not positive.  Both kinds integrate
+    dJ/dsigma = -du/dx J along the one trace, du/dx from the velocity's own
+    quadrature: _trace_radial_batch's, as for the batch densities, or one
+    `_general_velocity` call per right side at times >= 1e-12."""
     _check_times(t, positive=True)
     xv, n = _point(problem, x), problem.n
     if problem.is_radial:
         r = float(np.linalg.norm(xv))
-        if r == 0.0:
-            return (xv * 0.0, 1.0) if n > 1 else (0.0, 1.0)
-        feet, dr0 = _trace_radial_batch(problem, np.array([r]), t)
-        foot = (xv / r) * feet[0]
-        jac = float((max(feet[0], 1e-300) / r) ** (n - 1) * dr0[0])
+        (foot,), (jac,) = _trace_radial_batch(problem, np.array([r]), t)
+        foot = (xv / r) * foot if r else xv * 0.0
     else:
         def rhs(u, y):   # per row: the foot X, then J = dX/dx row by row
             out = np.empty_like(y)
@@ -742,24 +746,25 @@ def trace_characteristic(problem: FreespaceProblem, x, t: float):
             return out
 
         state = _rk4_doubling(rhs, np.concatenate([xv, np.eye(n).ravel()])[None], t)[0]
-        foot, jac = state[:n], float(np.linalg.det(state[n:].reshape(n, n)))
-    return (foot if n > 1 else float(foot[0])), jac
+        foot, jac = state[:n], _checked_jacobian(np.linalg.det(state[n:].reshape(n, n)))
+    return (foot if n > 1 else float(foot[0])), float(jac)
+
+
+def _rho0(problem: FreespaceProblem):
+    if problem.rho0 is None:
+        raise ValueError("problem has no initial density")
+    return problem.rho0
 
 
 def _rho0_value(problem: FreespaceProblem, pt):
-    if isinstance(problem.rho0, ScalarProfile):
-        r = float(np.linalg.norm(np.atleast_1d(pt)))
-        return float(problem.rho0(r))
-    if callable(problem.rho0):
-        return float(problem.rho0(pt))
-    raise ValueError("problem has no initial density")
+    if problem.is_radial:
+        pt = float(np.linalg.norm(np.atleast_1d(pt)))
+    return float(_rho0(problem)(pt))
 
 
 def density(problem: FreespaceProblem, x, t: float) -> float:
     """rho(x,t) = rho0(X0) * J(X0) along the backward characteristic."""
     foot, jac = trace_characteristic(problem, x, t)
-    if jac <= 0:
-        raise CharacteristicError("non-positive characteristic Jacobian")
     return _rho0_value(problem, foot) * jac
 
 
@@ -781,15 +786,11 @@ def _support_image_radius(problem, t):
 
 
 def _density_radial_batch(problem, radii, t):
-    """rho at many radii, one time t >= 0; one backward trace for the whole
-    batch."""
+    """rho at many radii, one time t >= 0, from one backward trace."""
     _check_times(t)
-    rr = np.maximum(np.abs(np.asarray(radii, dtype=float)), 1e-12)
-    feet, dr0 = _trace_radial_batch(problem, rr, t)
-    jac = (np.maximum(feet, 1e-300) / rr) ** (problem.n - 1) * dr0
-    if np.any(jac <= 0):
-        raise CharacteristicError("non-positive characteristic Jacobian in mass grid")
-    return problem.rho0(feet) * jac
+    rho0 = _rho0(problem)
+    feet, jac = _trace_radial_batch(problem, radii, t)
+    return rho0(feet) * jac
 
 
 def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None):
@@ -814,12 +815,10 @@ def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None)
     n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), _MASS_POINTS)
     n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), _MASS_POINTS)
     nodes = np.concatenate([n1, n2])
-    if t == 0.0 and isinstance(problem.rho0, ScalarProfile):
-        vals = problem.rho0(nodes)   # radial: the nodes are radii
+    if problem.is_radial:
+        vals = _density_radial_batch(problem, nodes, t)
     elif t == 0.0:
         vals = np.array([_rho0_value(problem, r) for r in nodes])
-    elif problem.is_radial:
-        vals = _density_radial_batch(problem, nodes, t)
     elif problem.n == 1:
         vals = np.array([density(problem, r, t) for r in nodes])
     else:

@@ -280,19 +280,17 @@ def default_scan_step(problem: EigenProblem) -> float:
 
 
 def find_eigenvalues(problem: EigenProblem, count: int,
-                     scan_step: float | None = None,
-                     scan_limit: float | None = None) -> EigenvalueList:
-    """First `count` positive roots of the characteristic equation."""
+                     scan_step: float | None = None) -> EigenvalueList:
+    """First `count` positive roots of the characteristic equation, found
+    as sign changes of _scan_function on a grid of scan_step up to
+    2 (count + 8) pi / width + 16 steps, width the annulus width (1 for a
+    ball); InsufficientScanRangeError if fewer lie below that limit."""
     if count < 1:
         raise ValueError("count must be >= 1")
     step = default_scan_step(problem) if scan_step is None else float(scan_step)
     g = _scan_function(problem)
-    if scan_limit is None:
-        if problem.case.is_annulus:
-            d = problem.r_outer - problem.r_inner
-            scan_limit = (count + 8) * math.pi / d * 2.0 + 16.0 * step
-        else:
-            scan_limit = (count + 8) * math.pi * 2.0 + 16.0 * step
+    width = problem.r_outer - problem.r_inner if problem.case.is_annulus else 1.0
+    scan_limit = (count + 8) * math.pi / width * 2.0 + 16.0 * step
 
     lo_all, hi_all = [], []
     left = step * 1e-6
@@ -305,9 +303,6 @@ def find_eigenvalues(problem: EigenProblem, count: int,
         n_chunk = 2048
         grid = x + step * np.arange(1, n_chunk + 1)
         grid = grid[grid <= scan_limit + step]
-        if grid.size == 0:
-            raise InsufficientScanRangeError(
-                f"found {len(lo_all)} of {count} roots below scan limit {scan_limit:g}")
         vals = g(grid)
         prev = np.concatenate([[gl], vals[:-1]])
         flips = np.nonzero(np.sign(prev) * np.sign(vals) < 0)[0]

@@ -1,7 +1,7 @@
 """Checks on package objects that only the tests make: a series' truncation
 ratio, a path minimum's cost re-evaluated from its path actions, the binned
-field of a sticky gas snapshot, and a profile's integral and derivative
-profile."""
+field of a sticky gas snapshot, a profile's integral and derivative
+profile, and an integrator stand-in that spoils the radial Jacobian."""
 
 from __future__ import annotations
 
@@ -55,6 +55,14 @@ def binned_field(traj, k: int, edges):
         q = np.where(p > 0, mom / np.maximum(p, 1e-300), 0.0)
     p /= np.diff(edges)
     return q, p
+
+
+def negative_slope_trace(rhs, y0, t, walls=None):
+    """A stand-in for freespace._rk4_doubling that leaves the radial feet
+    where they start and returns every d(foot)/dr negated."""
+    y = np.array(y0, dtype=float)
+    y[:, y.shape[1] // 2:] *= -1.0
+    return y
 
 
 def integral(prof: ScalarProfile, a: float, b: float) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import negative_slope_trace
 from zpgd import cli
 
 
@@ -167,8 +168,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_characteristic_failure_exit_code(tmp_path, monkeypatch, capsys):
     # a backward trace with a negative Jacobian is a numerical failure (4)
-    monkeypatch.setattr(cli.fs, "_trace_radial_batch",
-                        lambda problem, radii, t: (radii, -np.ones_like(radii)))
+    monkeypatch.setattr(cli.fs, "_rk4_doubling", negative_slope_trace)
     code = run_cli(["run", "--config", "freespace_closed_form", "--out", str(tmp_path)])
     assert code == 4
     assert "numerical failure: CharacteristicError" in capsys.readouterr().err
@@ -212,10 +212,6 @@ def test_determinism_byte_identical(tmp_path):
     f1 = (out1 / "eigen_annulus3d_eigenvalues.csv").read_bytes()
     f2 = (out2 / "eigen_annulus3d_eigenvalues.csv").read_bytes()
     assert f1 == f2
-
-
-def test_verify_subcommand(tmp_path):
-    assert run_cli(["verify", "--config", "eigen_ball3d", "--out", str(tmp_path)]) == 0
 
 
 def test_missing_config_resolution(tmp_path):

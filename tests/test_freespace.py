@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from helpers import integral
+from helpers import integral, negative_slope_trace
 from zpgd import freespace as fs
 from zpgd.profiles import ScalarProfile
 from zpgd.radial_core import gauss_panels
@@ -149,10 +149,51 @@ def test_adaptive_calls_fn_once_per_level(monkeypatch):
 
 
 def test_negative_jacobian_raises_characteristic_error(monkeypatch):
-    monkeypatch.setattr(fs, "_trace_radial_batch",
-                        lambda problem, radii, t: (radii, -np.ones_like(radii)))
+    # the check sits in the one radial trace, so every radial entry point
+    # raises: the batch density, the mass and the pointwise trace
+    monkeypatch.setattr(fs, "_rk4_doubling", negative_slope_trace)
+    pr = compact_problem(3)
     with pytest.raises(fs.CharacteristicError, match="non-positive"):
-        fs._density_radial_batch(compact_problem(), np.linspace(0.1, 1.0, 5), 0.5)
+        fs._density_radial_batch(pr, np.linspace(0.1, 1.0, 5), 0.5)
+    with pytest.raises(fs.CharacteristicError, match="non-positive"):
+        fs.total_mass(pr, 0.5)
+    for x in (np.zeros(3), np.array([0.3, 0.2, 0.1])):
+        with pytest.raises(fs.CharacteristicError, match="non-positive"):
+            fs.trace_characteristic(pr, x, 0.5)
+        with pytest.raises(fs.CharacteristicError, match="non-positive"):
+            fs.density(pr, x, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_origin_trace_and_density_match_the_closed_form(n):
+    # q0 = r: the foot of the origin is the origin and x -> X0 = x/(1+t)
+    # has Jacobian (1+t)^-n there as everywhere
+    pr = fs.FreespaceProblem(n=n, epsilon=0.7, q0=quadratic_potential().q0,
+                             rho0=smooth_bump_rho(), rho0_support=2.0)
+    origin = 0.0 if n == 1 else np.zeros(n)
+    for t in (0.5, 1.0, 2.0):
+        foot, jac = fs.trace_characteristic(pr, origin, t)
+        assert np.array_equal(foot, origin) and np.shape(foot) == np.shape(origin)
+        assert jac == pytest.approx((1.0 + t) ** -n, rel=1e-10)
+        rho = fs.density(pr, origin, t)
+        assert rho == pytest.approx(pr.rho0(0.0) / (1.0 + t) ** n, rel=1e-10)
+        assert rho == fs._density_radial_batch(pr, [0.0], t)[0]
+
+
+@pytest.mark.parametrize("x, t", [(0.3, 0.5), (-1.2, 1.0), (2.4, 2.0)])
+def test_pointwise_n1_density_keeps_the_batch_bits(x, t):
+    pr = compact_problem(1, 0.4)
+    assert fs.density(pr, x, t) == fs._density_radial_batch(pr, [abs(x)], t)[0]
+
+
+def test_radial_problem_without_rho0_raises_value_error():
+    pr = fs.FreespaceProblem(n=2, epsilon=0.4, q0=smooth_bump_q0())
+    for call in (lambda: fs.density(pr, np.array([0.3, 0.1]), 0.5),
+                 lambda: fs.total_mass(pr, 0.0),
+                 lambda: fs.total_mass(pr, 0.5),
+                 lambda: fs._density_radial_batch(pr, [0.2, 0.4], 0.5)):
+        with pytest.raises(ValueError, match="problem has no initial density"):
+            call()
 
 
 def test_time_domain_error():

@@ -196,9 +196,11 @@ def test_eigenvalues_against_shooting_oracle():
             assert v == pytest.approx(ref, abs=5e-12)
 
 
-def test_scan_range_error():
-    with pytest.raises(InsufficientScanRangeError):
-        find_eigenvalues(_ball2d(0.0), 5, scan_limit=4.0)
+def test_scan_range_error(monkeypatch):
+    # a scan function with no sign change finds no root below the limit
+    monkeypatch.setattr("zpgd.specfun._scan_function", lambda problem: np.ones_like)
+    with pytest.raises(InsufficientScanRangeError, match="found 0 of 5 roots"):
+        find_eigenvalues(_ball2d(0.0), 5)
 
 
 def test_count_validation():
