@@ -51,7 +51,7 @@ def main():
     m0, _ = fs.total_mass(problem, 0.0, radius=6.5)
     m2, err = fs.total_mass(problem, 2.0, radius=6.5)
     print(f"mass: {m0:.12f} -> {m2:.12f} at t=2 "
-          f"(drift {(m2 - m0) / m0:.2e}, quadrature est {err:.1e})")
+          f"(drift {(m2 - m0) / m0:.2e}, Lagrangian gap {err:.1e})")
 
 
 if __name__ == "__main__":

@@ -768,7 +768,7 @@ def density(problem: FreespaceProblem, x, t: float) -> float:
     return _rho0_value(problem, foot) * jac
 
 
-_MASS_PANELS = 32    # panels of total_mass's fine grid (the coarse one has half)
+_MASS_PANELS = 32    # panels of total_mass's rule (its Lagrangian rule has half)
 _MASS_POINTS = 10    # Gauss points per mass panel
 
 
@@ -794,40 +794,50 @@ def _density_radial_batch(problem, radii, t):
 
 
 def total_mass(problem: FreespaceProblem, t: float, radius: float | None = None):
-    """Mass of rho(., t) over the ball of the given radius, by default one
-    containing the image of the initial support, on _MASS_PANELS Gauss
-    panels of _MASS_POINTS points.  Returns (mass, error estimate) where
-    the estimate compares against half the panel count (the two node sets
-    share one backward trace).  A radial n = 1 density is even, so its line
-    integral is folded onto [0, R] with half the panels of each grid and
-    doubled.  Raises MassConcentrationError when rho0 carries mass but the
-    density at t is zero at every node, rather than report a total loss as
-    (0, 0), and ValueError for a potential phi0 at t > 0 without a radius."""
+    """Mass m of rho(., t) over the ball of the given radius R, by default
+    one containing the image of the initial support, on _MASS_PANELS Gauss
+    panels of _MASS_POINTS points.  Returns (m, |m - m_L|), where m_L is
+    the Lagrangian mass: the flow map is monotone, so the mass inside R at
+    t is rho0's mass on the foot interval, [0, X0(R)] for a radial problem
+    and [X0(-R), X0(R)] for a potential in n = 1, and m_L takes it with
+    half the panels.  R is traced with the nodes, so m_L costs one foot
+    and counts mass no node sees, such as a point mass at the origin; at
+    t = 0 the foot interval is the interval itself.  A radial n = 1
+    density is even, so both of its integrals are folded onto the half
+    line with half the panels and doubled.  Raises MassConcentrationError
+    when rho0 carries mass but the density at t is zero at every node,
+    rather than report a total loss as (0, 0); ValueError for a potential
+    phi0 at t > 0 without a radius; NotImplementedError for a potential in
+    n = 2 or 3, before rho0 is called."""
     _check_times(t)
+    if not (problem.is_radial or problem.n == 1):
+        raise NotImplementedError("mass quadrature is radial or 1-D")
     if radius is None:
         radius = _support_image_radius(problem, t)
-    fold = problem.n == 1 and problem.is_radial
-    half_line = problem.n > 1 or fold
-    fine, coarse = _MASS_PANELS, _MASS_PANELS // 2
-    if fold:
-        fine, coarse = fine // 2, coarse // 2
-    lo = 0.0 if half_line else -radius
-    n1, w1 = gauss_panels(np.linspace(lo, radius, fine + 1), _MASS_POINTS)
-    n2, w2 = gauss_panels(np.linspace(lo, radius, coarse + 1), _MASS_POINTS)
-    nodes = np.concatenate([n1, n2])
+    rho0, n = _rho0(problem), problem.n
+
+    def rho0_at(x):
+        return rho0(x) if problem.is_radial else np.array([_rho0_value(problem, v) for v in x])
+
+    def rule(x, w, vals):   # the panel rule; a radial problem's x are shell radii
+        if problem.is_radial:
+            vals = vals * surface_measure(n) * np.abs(x) ** (n - 1)
+        return float(vals @ w)
+
+    panels = _MASS_PANELS // 2 if n == 1 and problem.is_radial else _MASS_PANELS
+    lo = 0.0 if problem.is_radial else -radius
+    nodes, w = gauss_panels(np.linspace(lo, radius, panels + 1), _MASS_POINTS)
     if problem.is_radial:
-        vals = _density_radial_batch(problem, nodes, t)
+        feet, jac = _trace_radial_batch(problem, np.append(nodes, radius), t)
+        vals, ends = rho0(feet[:-1]) * jac[:-1], (lo, feet[-1])
     elif t == 0.0:
-        vals = np.array([_rho0_value(problem, r) for r in nodes])
-    elif problem.n == 1:
-        vals = np.array([density(problem, r, t) for r in nodes])
+        vals, ends = rho0_at(nodes), (lo, radius)
     else:
-        raise NotImplementedError("mass quadrature is radial or 1-D")
-    if t > 0.0 and not np.any(vals) and any(_rho0_value(problem, r) for r in nodes):
+        vals = np.array([density(problem, x, t) for x in nodes])
+        ends = tuple(trace_characteristic(problem, x, t)[0] for x in (lo, radius))
+    if t > 0.0 and not np.any(vals) and np.any(rho0_at(nodes)):
         raise MassConcentrationError(
             f"density vanishes at every mass node at t = {t:g}, but rho0 does not")
-    if half_line:
-        vals = vals * surface_measure(problem.n) * np.abs(nodes) ** (problem.n - 1)
-    m1 = float(vals[: n1.size] @ w1)
-    m2 = float(vals[n1.size:] @ w2)
-    return m1, abs(m1 - m2)
+    m = rule(nodes, w, vals)
+    feet_nodes, feet_w = gauss_panels(np.linspace(*ends, panels // 2 + 1), _MASS_POINTS)
+    return m, abs(m - rule(feet_nodes, feet_w, rho0_at(feet_nodes)))
