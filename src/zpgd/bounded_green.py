@@ -57,11 +57,6 @@ class TruncationError(RuntimeError):
     """Series truncation insufficient for the requested evaluation."""
 
 
-class DataInsufficiencyError(RuntimeError):
-    """A backward characteristic reached a wall whose density trace was not
-    supplied (the inflow sign conditions are violated)."""
-
-
 class Wall(NamedTuple):
     """A Robin wall: radius, wall velocity, outward sign (-1 inner, +1
     outer) and trace of p = r^(n-1) rho (None where no density is given)."""
@@ -80,32 +75,21 @@ class Wall(NamedTuple):
         return "inner" if self.sign < 0.0 else "outer"
 
 
-@dataclass
-class BoundedProblem:
-    """Radial initial/boundary data on a ball (radius, q_boundary) or an
-    annulus (r_inner/r_outer, q_inner/q_outer).  Boundary densities are
-    needed only on inflow walls: q_boundary < 0 for the ball, q_inner > 0
-    at the inner wall, q_outer < 0 at the outer wall."""
+@dataclass(frozen=True)
+class BoundedProblem(EigenProblem):
+    """The domain's Robin eigenproblem with radial initial data (q0, rho0)
+    and wall densities.  Boundary densities are needed only on inflow
+    walls: q_boundary < 0 for the ball, q_inner > 0 at the inner wall,
+    q_outer < 0 at the outer wall."""
 
-    case: DomainCase
-    epsilon: float
     q0: ScalarProfile
     rho0: ScalarProfile
-    radius: float | None = None
-    r_inner: float | None = None
-    r_outer: float | None = None
-    q_boundary: float = 0.0
-    q_inner: float = 0.0
-    q_outer: float = 0.0
     rho_boundary: ScalarProfile | None = None
     rho_inner: ScalarProfile | None = None
     rho_outer: ScalarProfile | None = None
 
     def __post_init__(self):
-        self.eigen = EigenProblem(
-            self.case, self.epsilon, radius=self.radius, r_inner=self.r_inner,
-            r_outer=self.r_outer, q_boundary=self.q_boundary,
-            q_inner=self.q_inner, q_outer=self.q_outer)
+        super().__post_init__()
         for w in self.walls:
             if w.inflow and w.p is None:
                 raise ValueError(f"inflow at the {w.name} wall needs its boundary density")
@@ -147,6 +131,17 @@ class BoundedProblem:
         return max(abs(float(self.q0(w.r)) - w.q) for w in self.walls)
 
 
+def _check_radii(problem: BoundedProblem, r) -> None:
+    """ValueError unless every radius lies in the domain: a <= r <= b and,
+    at a ball's centre a = 0, r > 0 (NaN lies nowhere)."""
+    a, b = problem.domain
+    r = np.asarray(r, dtype=float)
+    inside = (r > 0.0) & (r >= a) & (r <= b)
+    if not inside.all():
+        raise ValueError(f"radius {r[~inside].flat[0]:g} outside the {problem.case.value} "
+                         f"domain {a:g} {'<=' if a > 0.0 else '<'} r <= {b:g}")
+
+
 def _radii(r) -> np.ndarray:
     """r as a 1-D float array, returned as is when it already is one."""
     if type(r) is np.ndarray and r.ndim == 1 and r.dtype == np.float64:
@@ -181,7 +176,7 @@ class GreenEvaluator:
         # cell
         self._lam_row = np.where(self.rates == 0.0, 1.0, self.rates)
         if self.problem.case == DomainCase.ANNULUS_3D:
-            self._b1 = self.problem.eigen.b1
+            self._b1 = self.problem.b1
             self._r1_lam_row = self.problem.r_inner * self._lam_row
 
     def active_modes(self, t):
@@ -277,19 +272,19 @@ def build_green_evaluator(problem: BoundedProblem) -> GreenEvaluator:
     L the domain width.  TruncationError is raised when the last mode's
     decay at t_floor, relative to the slowest mode and weighted by 1 + its
     rate, exceeds 1e-10."""
-    if problem.eigen.has_robin_zero_mode:
+    if problem.has_robin_zero_mode:
         zero_mode = "A + B ln r" if problem.n == 2 else "A + B/r"
         raise ValueError(
             f"the Robin data have eigenvalue 0 with eigenfunction {zero_mode} (a "
             "singular wall form), a zero mode outside the positive-frequency "
             "series; the expansion would be incomplete")
-    if problem.eigen.has_growing_mode:
+    if problem.has_growing_mode:
         raise ValueError(
             "the Robin data carry a growing mode outside the positive-frequency "
             "series (an inflow wall too strong for the domain); the expansion "
             "would be incomplete")
     t_floor = 1e-3 * 2.0 * problem.length_scale ** 2 / problem.epsilon
-    eigs = find_eigenvalues(problem.eigen, _N_MODES)
+    eigs = find_eigenvalues(problem, _N_MODES)
     if problem.case.is_annulus:
         rates = eigs.values.copy()
     else:
@@ -298,7 +293,7 @@ def build_green_evaluator(problem: BoundedProblem) -> GreenEvaluator:
     if problem.case == DomainCase.ANNULUS_2D:
         walls = _wall_coefficients(problem, rates)
     inv_norms = 1.0 / _eigen_norms(problem, eigs.values, rates)
-    include_zero = problem.eigen.has_zero_mode
+    include_zero = problem.has_zero_mode
     if include_zero:
         rates = np.concatenate([[0.0], rates])
         inv_norms = np.concatenate([[1.0 / _zero_mode_norm(problem)], inv_norms])
@@ -342,7 +337,7 @@ def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray):
         h1_sq = (2.0 / (math.pi * r1)) ** 2
         return ((rates ** 2 + a2 ** 2) * r2 ** 2 * h2 ** 2
                 - (rates ** 2 + a1 ** 2) * r1 ** 2 * h1_sq) / (2.0 * rates ** 2)
-    b1 = problem.eigen.b1
+    b1 = problem.b1
     r1 = problem.r_inner
     d = problem.r_outer - problem.r_inner
     lam = rates
@@ -414,8 +409,10 @@ class BoundedHopfCole:
 
     def velocity(self, r, t):
         """q = -eps a_r / a, the q of velocity_and_derivative, for r and t
-        as it takes them; only defined at and above the series floor."""
+        as it takes them; only defined at and above the series floor and
+        inside the domain (ValueError elsewhere)."""
         times = _check_times(t)
+        _check_radii(self.ev.problem, r)
         if (times < self.ev.t_floor).any():
             raise TruncationError(
                 f"t={times.min():g} below the series floor {self.ev.t_floor:g}")
@@ -525,10 +522,10 @@ def density_batch(state: BoundedHopfCole, radii, t) -> np.ndarray:
     """rho(r, t) at many radii, one backward trace per time.
 
     t is one time or a 1-D array of times, each finite and >= 0; radii is
-    1-D, the same radii at every time, or 2-D with one row per time.  The
-    result is 1-D for one time and has one row per time otherwise.  The
-    traces of all times run in lockstep, and each row has the bits of its
-    own one-time call.
+    1-D, the same radii at every time, or 2-D with one row per time, every
+    one inside the domain (ValueError otherwise).  The result is 1-D for
+    one time and has one row per time otherwise.  The traces of all times
+    run in lockstep, and each row has the bits of its own one-time call.
 
     Each characteristic of p_t + (qp)_r = 0 is traced back to the parabolic
     boundary: to its foot on the initial data or, through an inflow wall,
@@ -539,6 +536,7 @@ def density_batch(state: BoundedHopfCole, radii, t) -> np.ndarray:
     times = _check_times(t)
     pr = state.ev.problem
     radii = np.asarray(radii, dtype=float)
+    _check_radii(pr, radii)
     rows = np.broadcast_to(radii, np.shape(np.atleast_1d(times)) + radii.shape[-1:])
     a, b = pr.domain
     m = rows.shape[1]
@@ -563,10 +561,6 @@ def density_batch(state: BoundedHopfCole, radii, t) -> np.ndarray:
     p_gamma = pr.p0_profile()(feet)
     for i, j in zip(*np.nonzero(~np.isnan(t_exit))):
         w = next(w for w in exits if w.r == y[i, j])
-        if w.p is None:
-            raise DataInsufficiencyError(
-                f"characteristic reached the {w.name} wall at t={t_exit[i, j]:g} but no "
-                "boundary density was supplied (inflow sign conditions violated)")
         p_gamma[i, j] = w.p(t_exit[i, j])
     dens = p_gamma * np.exp(integral_qr) / rows ** (pr.n - 1)
     return dens[0] if times.ndim == 0 else dens

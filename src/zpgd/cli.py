@@ -33,9 +33,8 @@ from .radial_core import FLOAT_FMT, RadialField, write_csv, write_radial_csv
 from .specfun import (DomainCase, EigenProblem, InsufficientScanRangeError,
                       find_eigenvalues)
 
-NUMERICAL_ERRORS = (bg.TruncationError, bg.DataInsufficiencyError, fs.ConfinementError,
-                    fs.QuadratureBudgetError, fs.CharacteristicError,
-                    fs.MassConcentrationError,
+NUMERICAL_ERRORS = (bg.TruncationError, fs.ConfinementError, fs.QuadratureBudgetError,
+                    fs.CharacteristicError, fs.MassConcentrationError,
                     orc.StabilityError, InsufficientScanRangeError)
 
 # the viscosities of the inviscid-limit sweep, halving toward 0
@@ -251,7 +250,7 @@ def run_bounded(cfg: dict, problem: bg.BoundedProblem, ctx: RunContext) -> None:
                       f"domain={problem.domain} terms={len(state.ev.eigs.values)}")
     ctx.params.append(f"consistency gap={problem.consistency_gap():.3g}")
 
-    q = np.array([state.velocity(grid_r, float(t)) for t in grid_t])
+    q = state.velocity(np.broadcast_to(grid_r, (grid_t.size, grid_r.size)), grid_t)
     p = bg.density_batch(state, grid_r, grid_t) * grid_r ** (problem.n - 1)
     field = RadialField(problem.n, problem.epsilon, grid_r, grid_t, q, p)
     write_radial_csv(field, ctx.path("field.csv"))
@@ -461,6 +460,8 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -
                 raise ValidationError(f"unknown {f'[{where}] ' if where else ''}key {key} "
                                       f"(mode {mode} reads {', '.join(reads)} and output.prefix)")
         problem = _problem(cls, section)
+        if mode in ("ball", "annulus") and problem.is_annulus != (mode == "annulus"):
+            raise ValidationError(f"mode {mode} does not take case {problem.case.value}")
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

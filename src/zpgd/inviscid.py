@@ -79,7 +79,6 @@ class PathMinimum:
     t1: float | None
     t2: float | None
     value: float
-    runner_up_gap: float = math.inf   # value gap to the best competing branch
 
 
 def boundary_cost(r: float, r0: float, t: float, t1: float, t2: float,
@@ -351,13 +350,12 @@ class PathMinimizer:
         sup_v = 0.0 if no_credit else self._sup_v
         r0_i, v_i = self._interior(r, t, sup_v)
         if no_credit:
-            return PathMinimum("interior", r0_i, None, None, v_i, math.inf)
+            return PathMinimum("interior", r0_i, None, None, v_i)
         r0_b, t1_b, t2_b, v_b = self._boundary(r, t, prune_above=v_i, sup_v=sup_v)
-        gap = abs(v_i - v_b)
         # ties break toward the interior branch
         if v_i <= v_b + _VALUE_TIE:
-            return PathMinimum("interior", r0_i, None, None, v_i, gap)
-        return PathMinimum("boundary", r0_b, t1_b, t2_b, v_b, gap)
+            return PathMinimum("interior", r0_i, None, None, v_i)
+        return PathMinimum("boundary", r0_b, t1_b, t2_b, v_b)
 
     def solve_at(self, r: float, t: float):
         """(minimum, q, P) at (r, t): q is the slope of the minimizing

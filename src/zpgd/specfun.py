@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 
 import numpy as np
@@ -102,12 +102,13 @@ class EigenProblem:
     """One of the four radial Robin eigenvalue problems.
 
     Ball cases take (radius, epsilon, q_boundary); annulus cases take
-    (r_inner, r_outer, epsilon, q_inner, q_outer).  The Robin data enters
-    through q/epsilon only.
+    (r_inner, r_outer, epsilon, q_inner, q_outer), the geometry and Robin
+    data by keyword.  The Robin data enters through q/epsilon only.
     """
 
     case: DomainCase
     epsilon: float
+    _: KW_ONLY
     radius: float | None = None
     r_inner: float | None = None
     r_outer: float | None = None

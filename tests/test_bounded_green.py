@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from zpgd import bounded_green as bg
 from zpgd import oracles as orc
 from zpgd.profiles import ScalarProfile
 from zpgd.radial_core import RadialField
-from zpgd.specfun import DomainCase, bessel_all, bessel_j01, find_eigenvalues
+from zpgd.specfun import DomainCase, EigenProblem, bessel_all, bessel_j01, find_eigenvalues
 
 CASES = {
     DomainCase.BALL_2D: dict(radius=1.0, q_boundary=0.3),
@@ -57,8 +58,8 @@ def test_normalizations_match_tabulated_coefficients():
     # coefficient expressions, at the computed eigenvalues
     pr = bg.BoundedProblem(DomainCase.BALL_2D, 0.8, ScalarProfile.zero(),
                            ScalarProfile.constant(1.0), radius=1.3, q_boundary=0.4)
-    mu = find_eigenvalues(pr.eigen, 10).values
-    kr = pr.eigen.robin_kr
+    mu = find_eigenvalues(pr, 10).values
+    kr = pr.robin_kr
     j0, j1, _, _ = bessel_all(mu)
     printed = (2.0 / pr.radius ** 2) * mu ** 2 / ((kr ** 2 + mu ** 2) * j0 ** 2)
     inv_norms = 1.0 / bg._eigen_norms(pr, mu, mu / pr.radius)
@@ -66,16 +67,16 @@ def test_normalizations_match_tabulated_coefficients():
 
     pr3 = bg.BoundedProblem(DomainCase.BALL_3D, 0.6, ScalarProfile.zero(),
                             ScalarProfile.constant(1.0), radius=1.1, q_boundary=0.5)
-    mu3 = find_eigenvalues(pr3.eigen, 10).values
-    kr3 = pr3.eigen.robin_kr
+    mu3 = find_eigenvalues(pr3, 10).values
+    kr3 = pr3.robin_kr
     printed3 = (2.0 / pr3.radius) * (mu3 ** 2 + (kr3 - 1) ** 2) \
         / (mu3 ** 2 + kr3 * (kr3 - 1))
     assert np.abs(printed3 * bg._eigen_norms(pr3, mu3, mu3 / pr3.radius) - 1).max() < 1e-12
 
     pra = bg.BoundedProblem(DomainCase.ANNULUS_3D, 0.7, ScalarProfile.zero(),
                             ScalarProfile.constant(1.0), **CASES[DomainCase.ANNULUS_3D])
-    lam = find_eigenvalues(pra.eigen, 10).values
-    b1, b2 = pra.eigen.b1, pra.eigen.b2
+    lam = find_eigenvalues(pra, 10).values
+    b1, b2 = pra.b1, pra.b2
     R1, R2 = pra.r_inner, pra.r_outer
     d = R2 - R1
     denom = (d * (b1 ** 2 + R1 ** 2 * lam ** 2) * (b2 ** 2 + R2 ** 2 * lam ** 2)
@@ -85,7 +86,7 @@ def test_normalizations_match_tabulated_coefficients():
 
     pr2a = bg.BoundedProblem(DomainCase.ANNULUS_2D, 0.9, ScalarProfile.zero(),
                              ScalarProfile.constant(1.0), **CASES[DomainCase.ANNULUS_2D])
-    lam = find_eigenvalues(pr2a.eigen, 10).values
+    lam = find_eigenvalues(pr2a, 10).values
     a1 = pr2a.q_inner / pr2a.epsilon
     a2 = pr2a.q_outer / pr2a.epsilon
     R1, R2 = pr2a.r_inner, pr2a.r_outer
@@ -418,12 +419,49 @@ def test_mass_flux_identity_inflow_wall():
     assert abs(rows[0][3]) < 1e-4
 
 
-def test_data_insufficiency_error():
+def test_bounded_problem_is_frozen():
+    # a built problem cannot drift from the series built on it: every field,
+    # its wall densities included, refuses assignment
     pr = _inflow_annulus(rho_inner=ScalarProfile.constant(0.7))
-    st = bg.hopf_cole_boundary_state(pr)
-    pr.rho_inner = None
-    with pytest.raises(bg.DataInsufficiencyError):
-        bg.density_batch(st, [1.05], 1.5)
+    for f in dataclasses.fields(pr):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pr, f.name, getattr(pr, f.name))
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=lambda c: c.value)
+def test_bounded_problem_is_its_eigenproblem(case):
+    # the bounded problem is the domain's Robin eigenproblem with initial
+    # data: the same eigenvalues, bit for bit, and the same frozen geometry
+    kw = CASES[case]
+    pr = bg.BoundedProblem(case, 0.5, ScalarProfile.zero(), ScalarProfile.constant(1.0), **kw)
+    assert isinstance(pr, EigenProblem)
+    got = find_eigenvalues(pr, 8)
+    want = find_eigenvalues(EigenProblem(case, 0.5, **kw), 8)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.residuals, want.residuals)
+    key = "q_inner" if case.is_annulus else "q_boundary"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(pr, key, 0.4)
+
+
+@pytest.mark.parametrize("make, r", [
+    (lambda: ball3d_problem(), 1.5),
+    (lambda: ball3d_problem(), 0.0),
+    (lambda: ball3d_problem(), math.nan),
+    (lambda: _inflow_annulus(ScalarProfile.constant(0.7)), 0.99),
+], ids=["ball-beyond-wall", "ball-centre", "ball-nan", "annulus-below-r_inner"])
+def test_radii_outside_the_domain_raise(make, r):
+    # velocity and density_batch answer only inside the domain; the
+    # tracer's right side, velocity_and_derivative, clips instead
+    st = bg.hopf_cole_boundary_state(make())
+    radii = np.array([0.5 * sum(st.ev.problem.domain), r])
+    with pytest.raises(ValueError, match="outside the .* domain"):
+        st.velocity(radii, 0.5)
+    with pytest.raises(ValueError, match="outside the .* domain"):
+        st.velocity(r, 0.5)
+    with pytest.raises(ValueError, match="outside the .* domain"):
+        bg.density_batch(st, radii, 0.5)
+    assert np.isfinite(st.velocity(radii[:1], 0.5)).all()
 
 
 def test_ball_inflow_series_rejected():
@@ -466,7 +504,7 @@ def test_growing_mode_annulus_rejected():
             DomainCase.ANNULUS_2D, 0.3, ScalarProfile.piecewise_linear([1.0, 2.0], [0.02, 0.0]),
             ScalarProfile.constant(1.0), r_inner=1.0, r_outer=2.0, q_inner=0.02,
             q_outer=0.0, rho_inner=ScalarProfile.constant(1.0)))
-    assert not _inflow_annulus(ScalarProfile.constant(0.7)).eigen.has_growing_mode
+    assert not _inflow_annulus(ScalarProfile.constant(0.7)).has_growing_mode
 
 
 def test_singular_wall_form_rejected():
@@ -482,7 +520,7 @@ def test_singular_wall_form_rejected():
     with pytest.raises(ValueError, match="growing mode"):
         bg.hopf_cole_boundary_state(_shell(0.3, 0.1 - 1e-9))
     # pure Neumann data keep their explicit constant mode
-    assert not _shell(0.0, 0.0).eigen.has_robin_zero_mode
+    assert not _shell(0.0, 0.0).has_robin_zero_mode
 
 
 def test_velocity_below_floor_raises():
@@ -554,7 +592,7 @@ def _plain_phi(ev, r, k):
         out = ca * j0 - cb * y0
         dout = -lam * (ca * j1 - cb * y1)
     else:
-        b1 = pr.eigen.b1
+        b1 = pr.b1
         u = lam * (rr - pr.r_inner)
         psi = b1 * np.sin(u) + pr.r_inner * lam * np.cos(u)
         dpsi = lam * (b1 * np.cos(u) - pr.r_inner * lam * np.sin(u))
@@ -630,7 +668,7 @@ def test_series_kernels_match_plain_formulas_bit_for_bit(make):
 def test_eigenvalue_csv(tmp_path):
     pr = ball3d_problem()
     path = tmp_path / "eig.csv"
-    bg.write_eigenvalue_csv(find_eigenvalues(pr.eigen, 5), path)
+    bg.write_eigenvalue_csv(find_eigenvalues(pr, 5), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,value,residual"
     assert len(lines) == 6
@@ -656,8 +694,8 @@ def test_density_batch_lockstep_keeps_each_times_bits(make):
     for t, row in zip(_LOCKSTEP_TIMES, batch):
         assert _same_bits(row, bg.density_batch(st, rr, float(t)))
     assert _same_bits(batch[1], pr.p0_profile()(rr) / rr ** (pr.n - 1))
-    # one row of radii per time
-    rows = rr[None, :] * np.linspace(0.97, 1.0, _LOCKSTEP_TIMES.size)[:, None]
+    # one row of radii per time, each drawn toward the inner end of the domain
+    rows = a + (rr[None, :] - a) * np.linspace(0.97, 1.0, _LOCKSTEP_TIMES.size)[:, None]
     per_row = bg.density_batch(st, rows, _LOCKSTEP_TIMES)
     for t, r, row in zip(_LOCKSTEP_TIMES, rows, per_row):
         assert _same_bits(row, bg.density_batch(st, r, float(t)))

@@ -131,6 +131,14 @@ def test_unknown_checks_key_exit_code(tmp_path, capsys, line):
     ("eigen_ball3d", "count = 8", "count = -1", "key count: "),
     ("eps_sweep_riemann", "time = 2.0", "time = 1.0, 2.0", "key time: "),
     ("eps_sweep_riemann", "points = 1.0, 3.3", "points = 1.0, r3.3", "key points: "),
+    ("ball3d_smooth", "r = 0.05, 0.95, 19", "r = 0.05, 1.5, 4",
+     "radius 1.01667 outside the ball3d domain 0 < r <= 1"),
+    ("annulus3d_smooth", "r = 1.05, 1.95, 19", "r = 0.5, 1.95, 19",
+     "radius 0.5 outside the annulus3d domain 1 <= r <= 2"),
+    ("annulus3d_smooth", "mode = annulus", "mode = ball",
+     "mode ball does not take case annulus3d"),
+    ("ball3d_smooth", "mode = ball", "mode = annulus",
+     "mode annulus does not take case ball3d"),
 ])
 def test_unknown_or_missing_key_exit_code(tmp_path, capsys, name, old, new, message):
     # every key a scenario may set is a key of its mode or a field of its
