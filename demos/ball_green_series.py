@@ -26,8 +26,8 @@ def main():
     q0 = ScalarProfile.from_pieces(
         [0.0, R, 2 * R], [[0.0, 0.0, 3 * qb, -2 * qb], [qb]])
     problem = BoundedProblem(DomainCase.BALL_3D, eps, q0,
-                             ScalarProfile.constant(1.0), radius=R,
-                             q_boundary=qb)
+                             ScalarProfile.constant(1.0), r_outer=R,
+                             q_outer=qb)
     state = bg.hopf_cole_boundary_state(problem)
     print(f"modes: {len(state.ev.eigs.values)}, series floor t = "
           f"{state.time_floor:g}")

@@ -17,9 +17,9 @@ OUT.mkdir(exist_ok=True)
 
 PROBLEMS = {
     "disc, zero-velocity wall":
-        EigenProblem(DomainCase.BALL_2D, epsilon=1.0, radius=1.0, q_boundary=0.0),
+        EigenProblem(DomainCase.BALL_2D, epsilon=1.0, r_outer=1.0, q_outer=0.0),
     "ball, outflow wall":
-        EigenProblem(DomainCase.BALL_3D, epsilon=0.5, radius=1.0, q_boundary=0.25),
+        EigenProblem(DomainCase.BALL_3D, epsilon=0.5, r_outer=1.0, q_outer=0.25),
     "planar annulus":
         EigenProblem(DomainCase.ANNULUS_2D, epsilon=0.8, r_inner=1.0,
                      r_outer=2.5, q_inner=0.5, q_outer=0.9),

@@ -79,17 +79,18 @@ class Wall(NamedTuple):
 class BoundedProblem(EigenProblem):
     """The domain's Robin eigenproblem with radial initial data (q0, rho0)
     and wall densities.  Boundary densities are needed only on inflow
-    walls: q_boundary < 0 for the ball, q_inner > 0 at the inner wall,
-    q_outer < 0 at the outer wall."""
+    walls: q_inner > 0 at an annulus's inner wall, q_outer < 0 at the
+    outer wall; a ball, with no inner wall, takes no rho_inner."""
 
     q0: ScalarProfile
     rho0: ScalarProfile
-    rho_boundary: ScalarProfile | None = None
     rho_inner: ScalarProfile | None = None
     rho_outer: ScalarProfile | None = None
 
     def __post_init__(self):
         super().__post_init__()
+        if not self.is_annulus:
+            self._no_inner_wall(rho_inner=self.rho_inner is not None)
         for w in self.walls:
             if w.inflow and w.p is None:
                 raise ValueError(f"inflow at the {w.name} wall needs its boundary density")
@@ -97,11 +98,10 @@ class BoundedProblem(EigenProblem):
     @property
     def walls(self) -> tuple:
         """The Robin walls, inner first; a ball has only its outer wall."""
-        data = (((self.r_inner, self.q_inner, -1.0, self.rho_inner),
-                 (self.r_outer, self.q_outer, 1.0, self.rho_outer)) if self.is_annulus
-                else ((self.radius, self.q_boundary, 1.0, self.rho_boundary),))
+        data = ((self.r_inner, self.q_inner, -1.0, self.rho_inner),
+                (self.r_outer, self.q_outer, 1.0, self.rho_outer))
         return tuple(Wall(r, q, sign, None if rho is None else rho.scaled(r ** (self.n - 1)))
-                     for r, q, sign, rho in data)
+                     for r, q, sign, rho in data if r is not None)
 
     @property
     def n(self) -> int:
@@ -113,9 +113,7 @@ class BoundedProblem(EigenProblem):
 
     @property
     def domain(self) -> tuple:
-        if self.is_annulus:
-            return (self.r_inner, self.r_outer)
-        return (0.0, self.radius)
+        return (0.0 if self.r_inner is None else self.r_inner, self.r_outer)
 
     @property
     def length_scale(self) -> float:
@@ -288,7 +286,7 @@ def build_green_evaluator(problem: BoundedProblem) -> GreenEvaluator:
     if problem.case.is_annulus:
         rates = eigs.values.copy()
     else:
-        rates = eigs.values / problem.radius
+        rates = eigs.values / problem.r_outer
     walls = (None, None)
     if problem.case == DomainCase.ANNULUS_2D:
         walls = _wall_coefficients(problem, rates)
@@ -323,9 +321,9 @@ def _eigen_norms(problem: BoundedProblem, mu: np.ndarray, rates: np.ndarray):
     case = problem.case
     if case == DomainCase.BALL_2D:
         j0, j1 = bessel_j01(mu)
-        return 0.5 * problem.radius ** 2 * (j0 ** 2 + j1 ** 2)
+        return 0.5 * problem.r_outer ** 2 * (j0 ** 2 + j1 ** 2)
     if case == DomainCase.BALL_3D:
-        return 0.5 * problem.radius * (1.0 - np.sin(2.0 * mu) / (2.0 * mu))
+        return 0.5 * problem.r_outer * (1.0 - np.sin(2.0 * mu) / (2.0 * mu))
     if case == DomainCase.ANNULUS_2D:
         a1 = problem.q_inner / problem.epsilon
         a2 = problem.q_outer / problem.epsilon

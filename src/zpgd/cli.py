@@ -46,15 +46,10 @@ _CONVENTION_NOTES = {
         "with both inner-wall arguments at lambda*R1",
         "ball (n=3) equation includes the radius factor: mu cot mu + (q_B/eps) R - 1",
     ],
-    "ball": [
+    "bounded": [
         "weight exp(-(1/eps) int q0) is used in numerator and denominator alike",
-        "with zero boundary velocity the constant mode is included in the series",
-        "mass-flux identity is checked on the radial mass integral of p",
-    ],
-    "annulus": [
-        "weight exp(-(1/eps) int q0) is used in numerator and denominator alike",
-        "with zero boundary velocities the constant mode is included in the series",
-        "two-wall flux identity is checked on the radial mass integral of p",
+        "with zero velocity at every wall the constant mode is included in the series",
+        "flux identity over every wall is checked on the radial mass integral of p",
     ],
     "inviscid": [
         "straight-path cost is (r-r0)^2/(2t)",
@@ -400,8 +395,7 @@ def run_inviscid_limit(cfg: dict, problem: iv.InviscidProblem, ctx: RunContext) 
 _GRID = ("grid.r", "grid.t")
 MODES = {
     "eigen": (run_eigen, EigenProblem, ("count",)),
-    "ball": (run_bounded, bg.BoundedProblem, _GRID),
-    "annulus": (run_bounded, bg.BoundedProblem, _GRID),
+    "bounded": (run_bounded, bg.BoundedProblem, _GRID),
     "freespace": (run_freespace, fs.FreespaceProblem,
                   (*_GRID, "checks.mass", "checks.decay", "checks.closed_form")),
     "inviscid": (run_inviscid, iv.InviscidProblem, _GRID),
@@ -460,8 +454,6 @@ def run_scenario(config_text: str, out_dir: str, tolerance_scale: float = 1.0) -
                 raise ValidationError(f"unknown {f'[{where}] ' if where else ''}key {key} "
                                       f"(mode {mode} reads {', '.join(reads)} and output.prefix)")
         problem = _problem(cls, section)
-        if mode in ("ball", "annulus") and problem.is_annulus != (mode == "annulus"):
-            raise ValidationError(f"mode {mode} does not take case {problem.case.value}")
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
@@ -500,10 +492,8 @@ def main(argv=None) -> int:
                        choices=[c.value for c in DomainCase])
     p_eig.add_argument("--count", type=int, default=5)
     p_eig.add_argument("--epsilon", type=float, default=1.0)
-    p_eig.add_argument("--radius", type=float)
     p_eig.add_argument("--r-inner", type=float)
     p_eig.add_argument("--r-outer", type=float)
-    p_eig.add_argument("--q-boundary", type=float, default=0.0)
     p_eig.add_argument("--q-inner", type=float, default=0.0)
     p_eig.add_argument("--q-outer", type=float, default=0.0)
     p_eig.add_argument("--out", default="zpgd_out")

@@ -105,8 +105,8 @@ class FreespaceProblem:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError("n must be 1, 2 or 3")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.q0 is None and self.phi0 is None:
             raise ValueError("give either a radial q0 or a potential phi0")
         if self.q0 is not None and (self.phi0 is not None or self.grad_phi0 is not None):

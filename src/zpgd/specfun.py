@@ -101,44 +101,44 @@ class DomainCase(Enum):
 class EigenProblem:
     """One of the four radial Robin eigenvalue problems.
 
-    Ball cases take (radius, epsilon, q_boundary); annulus cases take
-    (r_inner, r_outer, epsilon, q_inner, q_outer), the geometry and Robin
-    data by keyword.  The Robin data enters through q/epsilon only.
+    Every domain has its outer wall at r_outer with wall velocity q_outer;
+    an annulus also has an inner wall at r_inner with q_inner, and a ball
+    is the domain with r_inner unset.  The geometry and Robin data go by
+    keyword, and the Robin data enters through q/epsilon only.
     """
 
     case: DomainCase
     epsilon: float
     _: KW_ONLY
-    radius: float | None = None
     r_inner: float | None = None
-    r_outer: float | None = None
-    q_boundary: float = 0.0
+    r_outer: float
     q_inner: float = 0.0
     q_outer: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or not math.isfinite(self.epsilon):
+        if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.case.is_annulus:
-            if self.r_inner is None or self.r_outer is None:
-                raise ValueError("annulus cases need r_inner and r_outer")
-            if not (0.0 < self.r_inner < self.r_outer):
-                raise ValueError("need 0 < r_inner < r_outer")
-            for v in (self.q_inner, self.q_outer):
-                if not math.isfinite(v):
-                    raise ValueError("boundary coefficients must be finite")
-        else:
-            if self.radius is None or self.radius <= 0.0:
-                raise ValueError("ball cases need radius > 0")
-            if not math.isfinite(self.q_boundary):
-                raise ValueError("boundary coefficients must be finite")
+        if not 0.0 < self.r_outer < math.inf:
+            raise ValueError("r_outer must be positive and finite")
+        if not self.case.is_annulus:
+            self._no_inner_wall(r_inner=self.r_inner is not None, q_inner=self.q_inner != 0.0)
+        elif self.r_inner is None or not 0.0 < self.r_inner < self.r_outer:
+            raise ValueError(f"case {self.case.value} needs 0 < r_inner < r_outer")
+        if not (math.isfinite(self.q_inner) and math.isfinite(self.q_outer)):
+            raise ValueError("boundary coefficients must be finite")
+
+    def _no_inner_wall(self, **given):
+        """ValueError naming the first inner-wall key given to a ball."""
+        key = next((k for k, v in given.items() if v), None)
+        if key is not None:
+            raise ValueError(f"case {self.case.value} has no inner wall: drop {key}")
 
     # convenience quantities -------------------------------------------------
 
     @property
     def robin_kr(self) -> float:
-        """(q_B / epsilon) * R for the ball cases."""
-        return self.q_boundary / self.epsilon * self.radius
+        """kR = (q_outer / epsilon) * r_outer of the ball equations."""
+        return self.q_outer / self.epsilon * self.r_outer
 
     @property
     def b1(self) -> float:
@@ -154,18 +154,18 @@ class EigenProblem:
     def has_zero_mode(self) -> bool:
         """Constants are eigenfunctions exactly when all boundary
         velocities vanish (pure Neumann data)."""
-        if self.case.is_annulus:
-            return self.q_inner == 0.0 and self.q_outer == 0.0
-        return self.q_boundary == 0.0
+        return self.q_inner == 0.0 and self.q_outer == 0.0
 
     def _wall_form(self):
-        """(C - A1, C + A2, determinant, a bound on its rounding) of the
-        annulus wall form C (u2 - u1)^2 - A1 u1^2 + A2 u2^2, with
-        A_j = (q_j/eps) R_j^(n-1) and C = 1 / int_R1^R2 r^(1-n) dr."""
+        """(C - A1, C + A2, determinant, a bound on its rounding) of the wall
+        form C (u2 - u1)^2 - A1 u1^2 + A2 u2^2, with A_j = (q_j/eps) R_j^(n-1)
+        and C = 1 / int_R1^R2 r^(1-n) dr; a ball has no inner wall: C = A1 = 0."""
         n1 = self.case.dimension - 1
         r1, r2 = self.r_inner, self.r_outer
-        c = 1.0 / math.log(r2 / r1) if n1 == 1 else r1 * r2 / (r2 - r1)
-        a1 = self.q_inner / self.epsilon * r1 ** n1
+        c = a1 = 0.0
+        if r1 is not None:
+            c = 1.0 / math.log(r2 / r1) if n1 == 1 else r1 * r2 / (r2 - r1)
+            a1 = self.q_inner / self.epsilon * r1 ** n1
         a2 = self.q_outer / self.epsilon * r2 ** n1
         det = c * (a2 - a1) - a1 * a2
         tol = 16.0 * sys.float_info.epsilon * (c * (abs(a1) + abs(a2)) + abs(a1 * a2))
@@ -177,9 +177,7 @@ class EigenProblem:
         kappa^2 u, kappa > 0, which the positive-root series misses: the
         characteristic function continued to mu = i kappa changes sign.
         By the Rayleigh quotient that is when the wall form (_wall_form)
-        can be negative; a ball has no inner wall and C = 0."""
-        if not self.case.is_annulus:
-            return self.q_boundary < 0.0
+        can be negative: for a ball, when q_outer < 0."""
         d1, d2, det, _ = self._wall_form()
         # the form is positive semidefinite iff its diagonal and determinant are >= 0
         return d1 < 0.0 or d2 < 0.0 or det < 0.0
@@ -191,7 +189,7 @@ class EigenProblem:
         Its null vector is the eigenfunction A + B ln r (planar) or
         A + B/r (spherical), which the positive-root series misses.  A
         ball's form is singular only for Neumann data."""
-        if not self.case.is_annulus or self.has_zero_mode:
+        if self.has_zero_mode:
             return False
         d1, d2, det, tol = self._wall_form()
         return d1 > 0.0 and d2 > 0.0 and abs(det) <= tol
@@ -232,8 +230,6 @@ def characteristic_value(problem: EigenProblem, mu):
     elif case == DomainCase.BALL_3D:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = m * np.cos(m) / np.sin(m) + problem.robin_kr - 1.0
-        # cot poles: pass through an infinite marker rather than a value
-        out = np.where(np.sin(m) == 0.0, np.inf * np.sign(np.cos(m)), out)
     elif case == DomainCase.ANNULUS_2D:
         out = _annulus2d_det(problem, m)
     else:

@@ -135,8 +135,8 @@ def test_c04_large_time_decay():
 
 def test_c05_eigenvalues_four_cases():
     problems = [
-        EigenProblem(DomainCase.BALL_2D, epsilon=1.0, radius=1.0, q_boundary=0.0),
-        EigenProblem(DomainCase.BALL_3D, epsilon=0.5, radius=1.0, q_boundary=0.25),
+        EigenProblem(DomainCase.BALL_2D, epsilon=1.0, r_outer=1.0, q_outer=0.0),
+        EigenProblem(DomainCase.BALL_3D, epsilon=0.5, r_outer=1.0, q_outer=0.25),
         EigenProblem(DomainCase.ANNULUS_2D, epsilon=0.8, r_inner=1.0,
                      r_outer=2.5, q_inner=0.5, q_outer=0.9),
         EigenProblem(DomainCase.ANNULUS_3D, epsilon=0.8, r_inner=1.0,
@@ -167,10 +167,10 @@ def _four_bounded_problems(eps=0.5):
     ann_q = smoothstep(1.0, 2.2, -0.2, 0.3)
     rho = ScalarProfile.constant(1.0)
     return [
-        bg.BoundedProblem(DomainCase.BALL_2D, eps, ball_q, rho, radius=1.0,
-                          q_boundary=0.25),
-        bg.BoundedProblem(DomainCase.BALL_3D, eps, ball_q, rho, radius=1.0,
-                          q_boundary=0.25),
+        bg.BoundedProblem(DomainCase.BALL_2D, eps, ball_q, rho, r_outer=1.0,
+                          q_outer=0.25),
+        bg.BoundedProblem(DomainCase.BALL_3D, eps, ball_q, rho, r_outer=1.0,
+                          q_outer=0.25),
         bg.BoundedProblem(DomainCase.ANNULUS_2D, eps, ann_q, rho, r_inner=1.0,
                           r_outer=2.2, q_inner=-0.2, q_outer=0.3),
         bg.BoundedProblem(DomainCase.ANNULUS_3D, eps, ann_q, rho, r_inner=1.0,

@@ -15,8 +15,8 @@ from zpgd.radial_core import RadialField
 from zpgd.specfun import DomainCase, EigenProblem, bessel_all, bessel_j01, find_eigenvalues
 
 CASES = {
-    DomainCase.BALL_2D: dict(radius=1.0, q_boundary=0.3),
-    DomainCase.BALL_3D: dict(radius=1.0, q_boundary=0.25),
+    DomainCase.BALL_2D: dict(r_outer=1.0, q_outer=0.3),
+    DomainCase.BALL_3D: dict(r_outer=1.0, q_outer=0.25),
     DomainCase.ANNULUS_2D: dict(r_inner=0.7, r_outer=1.9, q_inner=-0.2, q_outer=0.35),
     DomainCase.ANNULUS_3D: dict(r_inner=0.8, r_outer=2.1, q_inner=-0.3, q_outer=0.45),
 }
@@ -36,7 +36,7 @@ def smoothstep_q0(R, qb):
 
 def ball3d_problem(eps=0.5, qb=0.25, R=1.0):
     return bg.BoundedProblem(DomainCase.BALL_3D, eps, smoothstep_q0(R, qb),
-                             smooth_rho(), radius=R, q_boundary=qb)
+                             smooth_rho(), r_outer=R, q_outer=qb)
 
 
 def test_neumann_trivial_all_cases():
@@ -57,21 +57,21 @@ def test_normalizations_match_tabulated_coefficients():
     # closed-form eigenfunction norms against the tabulated per-term
     # coefficient expressions, at the computed eigenvalues
     pr = bg.BoundedProblem(DomainCase.BALL_2D, 0.8, ScalarProfile.zero(),
-                           ScalarProfile.constant(1.0), radius=1.3, q_boundary=0.4)
+                           ScalarProfile.constant(1.0), r_outer=1.3, q_outer=0.4)
     mu = find_eigenvalues(pr, 10).values
     kr = pr.robin_kr
     j0, j1, _, _ = bessel_all(mu)
-    printed = (2.0 / pr.radius ** 2) * mu ** 2 / ((kr ** 2 + mu ** 2) * j0 ** 2)
-    inv_norms = 1.0 / bg._eigen_norms(pr, mu, mu / pr.radius)
+    printed = (2.0 / pr.r_outer ** 2) * mu ** 2 / ((kr ** 2 + mu ** 2) * j0 ** 2)
+    inv_norms = 1.0 / bg._eigen_norms(pr, mu, mu / pr.r_outer)
     assert np.abs(printed / inv_norms - 1).max() < 1e-12
 
     pr3 = bg.BoundedProblem(DomainCase.BALL_3D, 0.6, ScalarProfile.zero(),
-                            ScalarProfile.constant(1.0), radius=1.1, q_boundary=0.5)
+                            ScalarProfile.constant(1.0), r_outer=1.1, q_outer=0.5)
     mu3 = find_eigenvalues(pr3, 10).values
     kr3 = pr3.robin_kr
-    printed3 = (2.0 / pr3.radius) * (mu3 ** 2 + (kr3 - 1) ** 2) \
+    printed3 = (2.0 / pr3.r_outer) * (mu3 ** 2 + (kr3 - 1) ** 2) \
         / (mu3 ** 2 + kr3 * (kr3 - 1))
-    assert np.abs(printed3 * bg._eigen_norms(pr3, mu3, mu3 / pr3.radius) - 1).max() < 1e-12
+    assert np.abs(printed3 * bg._eigen_norms(pr3, mu3, mu3 / pr3.r_outer) - 1).max() < 1e-12
 
     pra = bg.BoundedProblem(DomainCase.ANNULUS_3D, 0.7, ScalarProfile.zero(),
                             ScalarProfile.constant(1.0), **CASES[DomainCase.ANNULUS_3D])
@@ -128,7 +128,7 @@ def test_green_large_time_one_term_dominance():
     pr = ball3d_problem()
     ev = bg.build_green_evaluator(pr)
     lam = ev.rates
-    t = 2.0 * (2.0 * pr.radius ** 2) / pr.epsilon
+    t = 2.0 * (2.0 * pr.r_outer ** 2) / pr.epsilon
     terms = ev._terms(0.5, 0.6, t)
     bound = math.exp(-0.5 * pr.epsilon * (lam[1] ** 2 - lam[0] ** 2) * t)
     assert abs(terms[1:]).sum() / abs(terms[0]) <= 2.0 * bound
@@ -140,10 +140,10 @@ def test_heat_kernel_property_against_fd_oracle():
     ev = bg.build_green_evaluator(pr)
     f = lambda r: np.exp(-((r - 0.5) / 0.22) ** 2)
     t = 0.01
-    cells, a_fd = orc.fd_heat_solve(3, pr.epsilon, f, t, pr.radius,
-                                    q_outer=pr.q_boundary, n_cells=1600)
+    cells, a_fd = orc.fd_heat_solve(3, pr.epsilon, f, t, pr.r_outer,
+                                    q_outer=pr.q_outer, n_cells=1600)
     x, w = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, pr.radius, 121)
+    edges = np.linspace(0.0, pr.r_outer, 121)
     probe = np.linspace(0.15, 0.85, 8)
     for r in probe:
         total = 0.0
@@ -214,14 +214,14 @@ def test_robin_residual_small():
 def test_boundary_attainment():
     pr = ball3d_problem()
     st = bg.hopf_cole_boundary_state(pr)
-    assert st.velocity(pr.radius * (1 - 1e-9), 1.0) == pytest.approx(0.25, abs=1e-6)
+    assert st.velocity(pr.r_outer * (1 - 1e-9), 1.0) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_large_time_velocity_matches_series():
     pr = ball3d_problem()
     st = bg.hopf_cole_boundary_state(pr)
     mu1 = st.ev.eigs.values[0]
-    t_big = 50.0 / pr.epsilon * pr.radius ** 2 / mu1 ** 2
+    t_big = 50.0 / pr.epsilon * pr.r_outer ** 2 / mu1 ** 2
     for r in (0.3, 0.6, 0.9):
         lt = bg.large_time_velocity(st.ev, r)
         assert st.velocity(r, t_big) == pytest.approx(lt, rel=1e-10)
@@ -230,7 +230,7 @@ def test_large_time_velocity_matches_series():
 def test_density_trivial_and_batch_consistency():
     rho0 = ScalarProfile.from_pieces([0.0, 1.0], [[1.0, 0.0, -0.5]])
     pz = bg.BoundedProblem(DomainCase.BALL_3D, 0.5, ScalarProfile.zero(), rho0,
-                           radius=1.0)
+                           r_outer=1.0)
     st = bg.hopf_cole_boundary_state(pz)
     rr = np.array([0.2, 0.5, 0.9])
     assert bg.density_batch(st, rr, 0.7) == pytest.approx(rho0(rr), rel=1e-8)
@@ -275,10 +275,8 @@ def no_inflow_problem(case, eps=0.5):
     # smoothstep q0 from the first wall's velocity (0 at a ball's centre) to
     # the outer wall's, flat at both ends; CASES walls are all no-inflow
     kw = CASES[case]
-    if case.is_annulus:
-        a, b, qa, qb = kw["r_inner"], kw["r_outer"], kw["q_inner"], kw["q_outer"]
-    else:
-        a, b, qa, qb = 0.0, kw["radius"], 0.0, kw["q_boundary"]
+    a, b = kw.get("r_inner", 0.0), kw["r_outer"]
+    qa, qb = kw.get("q_inner", 0.0), kw["q_outer"]
     d, jump = b - a, qb - qa
     q0 = ScalarProfile.from_pieces(
         [a, b, b + d], [[qa, 0.0, 3 * jump / d ** 2, -2 * jump / d ** 3], [qb]])
@@ -332,7 +330,7 @@ def test_inflow_wall_requires_density():
     # the ball cannot host an inflow wall at all (growing Robin mode)
     with pytest.raises(ValueError):
         bg.BoundedProblem(DomainCase.BALL_3D, 0.5, ScalarProfile.zero(),
-                          smooth_rho(), radius=1.0, q_boundary=-0.3)
+                          smooth_rho(), r_outer=1.0, q_outer=-0.3)
     with pytest.raises(ValueError):
         _inflow_annulus(rho_inner=None)
     # with the wall density supplied, backward characteristics exiting the
@@ -439,9 +437,8 @@ def test_bounded_problem_is_its_eigenproblem(case):
     want = find_eigenvalues(EigenProblem(case, 0.5, **kw), 8)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.residuals, want.residuals)
-    key = "q_inner" if case.is_annulus else "q_boundary"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(pr, key, 0.4)
+        pr.q_outer = 0.4
 
 
 @pytest.mark.parametrize("make, r", [
@@ -466,9 +463,9 @@ def test_radii_outside_the_domain_raise(make, r):
 
 def test_ball_inflow_series_rejected():
     pr = bg.BoundedProblem(DomainCase.BALL_3D, 0.5,
-                           smoothstep_q0(1.0, -0.3), smooth_rho(), radius=1.0,
-                           q_boundary=-0.3,
-                           rho_boundary=ScalarProfile.constant(0.7))
+                           smoothstep_q0(1.0, -0.3), smooth_rho(), r_outer=1.0,
+                           q_outer=-0.3,
+                           rho_outer=ScalarProfile.constant(0.7))
     with pytest.raises(ValueError):
         bg.hopf_cole_boundary_state(pr)
 
@@ -628,9 +625,9 @@ def _same_bits(got, want):
 
 
 def _neumann_ball():
-    # q_boundary = 0: the series carries the constant zero-mode column
+    # q_outer = 0: the series carries the constant zero-mode column
     q0 = ScalarProfile.from_pieces([0.0, 1.0, 2.0], [[0.0, 0.6, -0.6], [0.0]])
-    return bg.BoundedProblem(DomainCase.BALL_2D, 0.37, q0, smooth_rho(), radius=1.0)
+    return bg.BoundedProblem(DomainCase.BALL_2D, 0.37, q0, smooth_rho(), r_outer=1.0)
 
 
 # eps = 0.37, not a power of two, so the grouping of eps products shows
@@ -641,7 +638,7 @@ def test_series_kernels_match_plain_formulas_bit_for_bit(make):
     pr = make()
     st = bg.hopf_cole_boundary_state(pr)
     ev = st.ev
-    assert ev.include_zero == (pr.q_boundary == 0.0 and not pr.is_annulus)
+    assert ev.include_zero == (pr.q_inner == pr.q_outer == 0.0)
     a, b = pr.domain
     rr = np.linspace(a + 0.01 * (b - a), b, 13)
     ks = (1, ev.rates.size // 2, None)

@@ -22,7 +22,7 @@ def test_parse_config_values():
     [problem]
     case = ball2d
     epsilon = 1.0
-    radius = 1.0
+    r_outer = 1.0
     [problem.q0]
     breakpoints = 0, 1, 2
     """)
@@ -43,7 +43,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
     bad.write_text("mode = warp-drive\n")
     assert run_cli(["run", "--config", str(bad), "--out", str(tmp_path)]) == 3
     missing = tmp_path / "missing.cfg"
-    missing.write_text("mode = eigen\n[problem]\ncase = ball2d\n")  # no radius
+    missing.write_text("mode = eigen\n[problem]\ncase = ball2d\n")  # no r_outer
     assert run_cli(["run", "--config", str(missing), "--out", str(tmp_path)]) == 3
     # an inner inflow wall strong enough for a growing Robin mode
     growing = tmp_path / "growing.cfg"
@@ -81,8 +81,8 @@ count = 3
 [problem]
 case = ball2d
 epsilon = 1.0
-radius = 1.0
-q_boundary = 0.0
+r_outer = 1.0
+q_outer = 0.0
 """
 
 
@@ -135,10 +135,22 @@ def test_unknown_checks_key_exit_code(tmp_path, capsys, line):
      "radius 1.01667 outside the ball3d domain 0 < r <= 1"),
     ("annulus3d_smooth", "r = 1.05, 1.95, 19", "r = 0.5, 1.95, 19",
      "radius 0.5 outside the annulus3d domain 1 <= r <= 2"),
-    ("annulus3d_smooth", "mode = annulus", "mode = ball",
-     "mode ball does not take case annulus3d"),
-    ("ball3d_smooth", "mode = ball", "mode = annulus",
-     "mode annulus does not take case ball3d"),
+    ("ball3d_smooth", "r_outer = 1.0", "r_inner = 0.3\nr_outer = 1.0",
+     "case ball3d has no inner wall: drop r_inner"),
+    ("ball3d_smooth", "[problem.q0]", "[problem.rho_inner]\nvalue = 1.0\n[problem.q0]",
+     "case ball3d has no inner wall: drop rho_inner"),
+    ("ball3d_smooth", "r_outer = 1.0", "radius = 1.0",
+     "unexpected keyword argument 'radius'"),
+    ("annulus3d_smooth", "r_inner = 1.0\n", "",
+     "case annulus3d needs 0 < r_inner < r_outer"),
+    ("eigen_ball3d", "r_outer = 1.0", "r_outer = nan",
+     "r_outer must be positive and finite"),
+    ("eigen_annulus2d", "r_outer = 2.5", "r_outer = inf",
+     "r_outer must be positive and finite"),
+    ("eigen_annulus2d", "r_inner = 1.0", "r_inner = nan",
+     "case annulus2d needs 0 < r_inner < r_outer"),
+    ("freespace_decay", "epsilon = 0.4", "epsilon = nan",
+     "epsilon must be positive and finite"),
 ])
 def test_unknown_or_missing_key_exit_code(tmp_path, capsys, name, old, new, message):
     # every key a scenario may set is a key of its mode or a field of its
@@ -191,15 +203,19 @@ def test_gallery_covers_required_scenarios():
 
 
 def test_eigen_subcommand(tmp_path, capsys):
-    code = run_cli(["eigen", "--case", "ball2d", "--radius", "1.0",
+    code = run_cli(["eigen", "--case", "ball2d", "--r-outer", "1.0",
                     "--count", "3", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "3.8317059702075" in out
     assert (tmp_path / "eigen_ball2d.csv").exists()
-    assert run_cli(["eigen", "--case", "annulus2d", "--count", "2",
-                    "--out", str(tmp_path)]) == 3   # missing geometry
-    assert ("validation error: annulus cases need r_inner and r_outer"
+    assert run_cli(["eigen", "--case", "annulus2d", "--r-outer", "2.5", "--count", "2",
+                    "--out", str(tmp_path)]) == 3   # no inner wall
+    assert ("validation error: case annulus2d needs 0 < r_inner < r_outer"
+            in capsys.readouterr().err)
+    assert run_cli(["eigen", "--case", "ball3d", "--r-inner", "0.3", "--r-outer", "1.0",
+                    "--out", str(tmp_path)]) == 3
+    assert ("validation error: case ball3d has no inner wall: drop r_inner"
             in capsys.readouterr().err)
 
 

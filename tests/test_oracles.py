@@ -150,7 +150,7 @@ def test_fd_viscous_run_matches_numpy_recurrence(monkeypatch):
 
 def _fd_pinned_problems():
     ball = bg.BoundedProblem(DomainCase.BALL_3D, 0.5, _ball3d_ivp().q0,
-                             ScalarProfile.constant(1.0), radius=1.0, q_boundary=0.25)
+                             ScalarProfile.constant(1.0), r_outer=1.0, q_outer=0.25)
     # inflow at the inner wall, so the left density datum is read
     shell = bg.BoundedProblem(
         DomainCase.ANNULUS_3D, 0.6,

@@ -111,9 +111,9 @@ def test_bessel_wronskian_property():
     assert np.abs(w - 2.0 / (np.pi * x)).max() < 2e-14
 
 
-def _ball2d(kr=0.0, radius=1.0, eps=1.0):
-    return EigenProblem(DomainCase.BALL_2D, epsilon=eps, radius=radius,
-                        q_boundary=kr * eps / radius)
+def _ball2d(kr=0.0, r_outer=1.0, eps=1.0):
+    return EigenProblem(DomainCase.BALL_2D, epsilon=eps, r_outer=r_outer,
+                        q_outer=kr * eps / r_outer)
 
 
 def test_characteristic_value_examples():
@@ -121,7 +121,7 @@ def test_characteristic_value_examples():
     p = _ball2d(0.0)
     assert characteristic_value(p, J1_ZEROS[0]) == pytest.approx(0.0, abs=1e-12)
     # Ball3D with (q_B/eps) R = 1 at pi/2 -> 0 (cot(pi/2) = 0)
-    p3 = EigenProblem(DomainCase.BALL_3D, epsilon=1.0, radius=1.0, q_boundary=1.0)
+    p3 = EigenProblem(DomainCase.BALL_3D, epsilon=1.0, r_outer=1.0, q_outer=1.0)
     assert characteristic_value(p3, math.pi / 2) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         characteristic_value(p3, -1.0)
@@ -141,15 +141,15 @@ def test_annulus3d_degenerate_roots_are_trig_ladder():
 def test_find_eigenvalues_ball_ladders():
     eigs = find_eigenvalues(_ball2d(0.0), 8)
     assert np.abs(eigs.values - np.array(J1_ZEROS)).max() < 1e-10
-    p3 = EigenProblem(DomainCase.BALL_3D, epsilon=1.0, radius=1.0, q_boundary=0.0)
+    p3 = EigenProblem(DomainCase.BALL_3D, epsilon=1.0, r_outer=1.0, q_outer=0.0)
     e3 = find_eigenvalues(p3, 3)
     assert e3.values[0] == pytest.approx(TAN_MU_EQ_MU, abs=1e-12)
 
 
 def test_residuals_scaled_and_sign_changes():
     for prob in (_ball2d(0.7),
-                 EigenProblem(DomainCase.BALL_3D, epsilon=0.5, radius=1.3,
-                              q_boundary=0.4),
+                 EigenProblem(DomainCase.BALL_3D, epsilon=0.5, r_outer=1.3,
+                              q_outer=0.4),
                  EigenProblem(DomainCase.ANNULUS_2D, epsilon=0.8, r_inner=1.0,
                               r_outer=2.5, q_inner=0.5, q_outer=0.9),
                  EigenProblem(DomainCase.ANNULUS_3D, epsilon=0.8, r_inner=1.0,
@@ -245,10 +245,8 @@ def test_growing_mode_rule_matches_continued_characteristic_function():
             r1 = float(rng.uniform(0.3, 1.5))
             r2 = r1 + float(rng.uniform(0.3, 1.5))
             q1, q2 = rng.uniform(-1.5, 1.5, 2)
-            prob = EigenProblem(case, epsilon=eps, radius=r2, q_boundary=q2) \
-                if not case.is_annulus else \
-                EigenProblem(case, epsilon=eps, r_inner=r1, r_outer=r2,
-                             q_inner=q1, q_outer=q2)
+            inner = dict(r_inner=r1, q_inner=q1) if case.is_annulus else {}
+            prob = EigenProblem(case, epsilon=eps, r_outer=r2, q_outer=q2, **inner)
             v = _continued_characteristic(prob, kappa)
             flips = bool(np.any(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
             assert prob.has_growing_mode == flips, prob
